@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .core import ZeroShotConfig
@@ -238,6 +238,9 @@ def cmd_train(args) -> int:
         ]
         dataset = TextDataset(items=items, vocab=vocab)
         bundle = synthetic_encode(items, space, modality="text")
+        # The space and the weight init would otherwise share one stream, and
+        # the initial weights would be the class means scaled by 1/sqrt(d).
+        cfg = replace(cfg, seed=stage_seed(cfg.seed, "train"))
     else:
         vocab = ClassVocabulary.from_file(_require_file(args.classes, "--classes"))
         if args.text_dataset:

@@ -132,11 +132,11 @@ def evaluate_zero_shot(
     """Top-1 accuracy of the similarity-softmax classifier.
 
     Image rows are normalized before scoring, so the logits are cosine
-    similarities divided by the temperature; the argmax (and hence the
-    accuracy) is invariant to the temperature value.
+    similarities divided by the temperature. The softmax is monotone in
+    them, so the prediction is the argmax of the similarities themselves
+    (ties go to the lowest class index) and the accuracy does not depend on
+    the temperature in `cfg`.
     """
-    if cfg is None:
-        cfg = ZeroShotConfig()
     if images.labels is None:
         raise MissingLabels("image bundle has no labels")
     if images.dimension != class_embs.dimension:
@@ -145,8 +145,7 @@ def evaluate_zero_shot(
             f"vs bundle {images.dimension}"
         )
     imgs = normalize_rows(images.matrix)
-    probs = stable_softmax(imgs @ class_embs.matrix.T / cfg.temperature)
-    predictions = np.argmax(probs, axis=1)
+    predictions = np.argmax(imgs @ class_embs.matrix.T, axis=1)
     return _accuracy_row(predictions, images.labels_array(), method, dataset)
 
 

@@ -13,12 +13,22 @@ bias. Everything runs in float64 and is driven by one seeded generator, so a
 given (dataset, embeddings, config, seed) always produces bit-identical
 parameters; reproducibility relies on numpy's deterministic kernels for
 fixed shapes in a fixed environment.
+
+The generator's stream is consumed in one fixed order: the initial weights
+(unless given), then the noise of steps 1..T, then the noise of the final
+loss evaluation. The training loop draws each step's noisy rows on one
+helper thread, into one of two preallocated buffers, while the main thread
+runs the previous step's matmuls and AdamW update (numpy releases the
+interpreter lock while it fills an array). Only the helper touches the
+generator after initialization, and it draws one step at a time in step
+order, so the stream and the trained parameters do not depend on timing.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +45,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .prompts import ClassVocabulary
+
+# Name prefix of the thread that draws the next training step's noise.
+NOISE_THREAD_PREFIX = "textprobe-noise"
 
 
 @dataclass(frozen=True)
@@ -82,8 +95,17 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        known = {f: doc[f] for f in cls.__dataclass_fields__ if f in doc}
-        return cls(**known)
+        """Build from a mapping of field names; unknown keys are an error."""
+        if not isinstance(doc, dict):
+            raise InvalidConfig(
+                f"train config must be an object, got {type(doc).__name__}"
+            )
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise InvalidConfig(
+                "unknown train config key(s): " + ", ".join(map(repr, unknown))
+            )
+        return cls(**doc)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -134,8 +156,9 @@ def training_loss_and_grads(
     """Mean smoothed-CE loss over the batch plus gradients w.r.t. W and b.
 
     Embeddings are row-normalized here and the (fixed) noise realization is
-    added afterwards, mirroring one training step. Used both by the training
-    loop and by finite-difference gradient checks.
+    added afterwards, mirroring one training step. This is the validated
+    reference and finite-difference oracle; the training loop runs the same
+    arithmetic through `_Objective` on preallocated buffers.
     """
     W = np.asarray(weights, dtype=np.float64)
     b = np.asarray(bias, dtype=np.float64)
@@ -158,6 +181,75 @@ def training_loss_and_grads(
     grad_w = g_logits.T @ X
     grad_b = g_logits.sum(axis=0)
     return loss, grad_w, grad_b
+
+
+class _Objective:
+    """In-place smoothed-CE forward and backward for fixed targets `q`.
+
+    Performs the floating-point operations of `training_loss_and_grads` in
+    the same order, on rows that are already normalized and noised, writing
+    into buffers allocated once per training run instead of once per step.
+    """
+
+    def __init__(self, q: np.ndarray):
+        self.q = q
+        self.logp = np.empty_like(q)
+        self.work = np.empty_like(q)
+        self.row = np.empty((q.shape[0], 1))
+
+    def loss(self, X: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> float:
+        """Mean loss of logits X W^T + b; keeps log-softmax for `grads`."""
+        logp, work, row = self.logp, self.work, self.row
+        np.matmul(X, weights.T, out=logp)
+        logp += bias
+        np.max(logp, axis=1, keepdims=True, out=row)
+        logp -= row
+        np.exp(logp, out=work)
+        np.sum(work, axis=1, keepdims=True, out=row)
+        np.log(row, out=row)
+        logp -= row
+        np.multiply(self.q, logp, out=work)
+        np.negative(work, out=work)
+        np.sum(work, axis=1, out=row[:, 0])
+        return float(row[:, 0].mean())
+
+    def grads(self, X: np.ndarray, grad_w: np.ndarray, grad_b: np.ndarray) -> None:
+        """Gradients at the last `loss` call, written into grad_w and grad_b."""
+        g = self.work
+        np.exp(self.logp, out=g)
+        g -= self.q
+        g /= g.shape[0]
+        np.matmul(g.T, X, out=grad_w)
+        np.sum(g, axis=0, out=grad_b)
+
+
+def _adamw_update(param, grad, m, v, scratch, cfg: TrainConfig, step: int,
+                  decay: float | None) -> None:
+    """One AdamW update of `param` in place; `grad` is overwritten.
+
+    Same operations, in the same order, as
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        param = param - lr * (m / c1 / (sqrt(v / c2) + eps) + decay * param)
+    with c = 1 - beta ** step; `decay=None` drops the decay term entirely.
+    """
+    np.multiply(grad, 1 - cfg.adam_beta2, out=scratch)
+    scratch *= grad
+    v *= cfg.adam_beta2
+    v += scratch
+    grad *= 1 - cfg.adam_beta1
+    m *= cfg.adam_beta1
+    m += grad
+    np.divide(v, 1 - cfg.adam_beta2 ** step, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += cfg.adam_eps
+    np.divide(m, 1 - cfg.adam_beta1 ** step, out=grad)
+    grad /= scratch
+    if decay is not None:
+        np.multiply(param, decay, out=scratch)
+        grad += scratch
+    grad *= cfg.learning_rate
+    param -= grad
 
 
 @dataclass(eq=False)
@@ -269,13 +361,14 @@ def train_text_classifier(
 ) -> LinearClassifier:
     """Train the head by full-batch AdamW on the smoothed-CE objective.
 
-    Row i of `text_embs` must be the embedding of dataset item i. Each step
-    renormalizes nothing (normalization happens once up front, the rows are
-    constant), draws fresh per-row noise, computes the mean loss over the
-    whole batch, and applies one AdamW update. `init_weights` overrides the
-    default seeded Gaussian init (std 1/sqrt(d)); that is how refinement
-    continues from an existing head, and passing the per-class text-embedding
-    matrix starts training from the similarity classifier instead.
+    Row i of `text_embs` must be the embedding of dataset item i. The rows
+    are normalized before the loop, never inside it; each step adds fresh
+    Gaussian noise to them (drawn ahead on a helper thread, see the module
+    docstring), computes the mean loss over the whole batch, and applies one
+    AdamW update. `init_weights` overrides the default seeded Gaussian init (std
+    1/sqrt(d)); that is how refinement continues from an existing head, and
+    passing the per-class text-embedding matrix starts training from the
+    similarity classifier instead.
     """
     if cfg is None:
         cfg = TrainConfig()
@@ -291,7 +384,11 @@ def train_text_classifier(
     if labels.min() < 0 or labels.max() >= k:
         raise ShapeMismatch("dataset labels outside the vocabulary")
 
-    x_hat = normalize_rows(text_embs.matrix)
+    # Normalized twice on purpose: `training_loss_and_grads` normalizes the
+    # already-normalized rows it is given once more, which can move entries
+    # by an ulp. Doing the same here, once, keeps the trained head equal bit
+    # for bit to a loop over that reference function.
+    x_hat = normalize_rows(normalize_rows(text_embs.matrix))
     n_rows = x_hat.shape[0]
     rng = np.random.default_rng(cfg.seed)
 
@@ -308,44 +405,41 @@ def train_text_classifier(
     else:
         bias = np.zeros(k, dtype=np.float64)
 
-    m_w = np.zeros_like(weights)
-    v_w = np.zeros_like(weights)
-    m_b = np.zeros_like(bias)
-    v_b = np.zeros_like(bias)
+    objective = _Objective(smoothing_targets(k, labels, cfg.label_smoothing))
+    m_w, v_w, grad_w, scratch_w = (np.zeros_like(weights) for _ in range(4))
+    m_b, v_b, grad_b, scratch_b = (np.zeros_like(bias) for _ in range(4))
+    noisy = (np.empty_like(x_hat), np.empty_like(x_hat))
+
+    def draw_noisy_rows(out: np.ndarray) -> np.ndarray:
+        rng.standard_normal(out=out)
+        out *= cfg.noise_sigma
+        out += x_hat
+        return out
 
     loss_history: list[float] = []
-    for step in range(1, cfg.steps + 1):
-        noise = cfg.noise_sigma * rng.standard_normal((n_rows, d))
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss, grad_w, grad_b = training_loss_and_grads(
-                weights, bias, x_hat, labels,
-                noise=noise, label_smoothing=cfg.label_smoothing,
-            )
-        if not math.isfinite(loss):
-            raise NonFiniteLoss(f"loss became non-finite at step {step}", step=step)
-        loss_history.append(loss)
+    # Leaving the block, also by an exception, waits for the draw in flight.
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix=NOISE_THREAD_PREFIX) as helper:
+        pending = helper.submit(draw_noisy_rows, noisy[0])
+        for step in range(1, cfg.steps + 1):
+            X = pending.result()
+            pending = helper.submit(draw_noisy_rows, noisy[step % 2])
+            # Overflow surfaces as a non-finite loss or parameter, checked below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = objective.loss(X, weights, bias)
+            if not math.isfinite(loss):
+                raise NonFiniteLoss(f"loss became non-finite at step {step}", step=step)
+            loss_history.append(loss)
+            with np.errstate(over="ignore", invalid="ignore"):
+                objective.grads(X, grad_w, grad_b)
+                # Decoupled decay on the weight matrix only.
+                _adamw_update(weights, grad_w, m_w, v_w, scratch_w, cfg, step,
+                              cfg.weight_decay)
+                _adamw_update(bias, grad_b, m_b, v_b, scratch_b, cfg, step, None)
+            if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
+                raise NonFiniteLoss(f"parameters became non-finite at step {step}", step=step)
+        X = pending.result()
 
-        m_w = cfg.adam_beta1 * m_w + (1 - cfg.adam_beta1) * grad_w
-        v_w = cfg.adam_beta2 * v_w + (1 - cfg.adam_beta2) * grad_w * grad_w
-        m_b = cfg.adam_beta1 * m_b + (1 - cfg.adam_beta1) * grad_b
-        v_b = cfg.adam_beta2 * v_b + (1 - cfg.adam_beta2) * grad_b * grad_b
-        bias_c1 = 1 - cfg.adam_beta1 ** step
-        bias_c2 = 1 - cfg.adam_beta2 ** step
-        # Overflow here is caught by the finite check below, not warned about.
-        with np.errstate(over="ignore", invalid="ignore"):
-            step_w = (m_w / bias_c1) / (np.sqrt(v_w / bias_c2) + cfg.adam_eps)
-            step_b = (m_b / bias_c1) / (np.sqrt(v_b / bias_c2) + cfg.adam_eps)
-            # Decoupled decay on the weight matrix only.
-            weights = weights - cfg.learning_rate * (step_w + cfg.weight_decay * weights)
-            bias = bias - cfg.learning_rate * step_b
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
-            raise NonFiniteLoss(f"parameters became non-finite at step {step}", step=step)
-
-    final_noise = cfg.noise_sigma * rng.standard_normal((n_rows, d))
-    final_loss, _, _ = training_loss_and_grads(
-        weights, bias, x_hat, labels,
-        noise=final_noise, label_smoothing=cfg.label_smoothing,
-    )
+    final_loss = objective.loss(X, weights, bias)
     if not math.isfinite(final_loss):
         raise NonFiniteLoss("final loss is non-finite", step=cfg.steps)
     initial_loss = loss_history[0] if loss_history else final_loss
@@ -359,16 +453,4 @@ def train_text_classifier(
     }
     return LinearClassifier(
         weights=weights, bias=bias, vocab=dataset.vocab, train_meta=meta
-    )
-
-
-def continue_training(
-    clf: LinearClassifier,
-    dataset: TextDataset,
-    embs: EmbeddingBundle,
-    cfg: TrainConfig,
-) -> LinearClassifier:
-    """Resume training from an existing head's parameters."""
-    return train_text_classifier(
-        dataset, embs, cfg, init_weights=clf.weights, init_bias=clf.bias
     )

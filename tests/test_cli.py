@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from textprobe.cli import main
-from textprobe.data import read_bundle
+from textprobe.data import SyntheticSpaceConfig, read_bundle, synthetic_class_means
 from textprobe.train import LinearClassifier
 
 
@@ -188,6 +188,24 @@ class TestTrain:
         assert run("train", "--synthetic", "--steps", 50, "--seed", 7, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_synthetic_init_is_not_the_class_means(self, tmp_path):
+        # The space and the weight init must not share one random stream.
+        out = tmp_path / "clf.json"
+        assert run("train", "--synthetic", "--steps", 0, "--seed", 3, "--out", out) == 0
+        weights = LinearClassifier.load(out).weights
+        means, _ = synthetic_class_means(SyntheticSpaceConfig(seed=3))
+        cosines = np.sum(weights * means, axis=1) / np.linalg.norm(weights, axis=1)
+        assert np.all(np.abs(cosines) < 0.5)
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"stpes": 1}))
+        code = run("train", "--synthetic", "--config", config,
+                   "--out", tmp_path / "clf.json")
+        assert code == 2
+        assert "stpes" in capsys.readouterr().err
+        assert not (tmp_path / "clf.json").exists()
+
     def test_full_file_pipeline(self, workspace):
         prompts = workspace / "prompts.jsonl"
         run("gen-prompts", "--profile", workspace / "profile.json",
@@ -343,6 +361,16 @@ class TestRunAll:
             if p.suffix in (".json", ".jsonl", ".tape")
         }
         assert first == second
+
+    def test_unknown_train_key_in_manifest_exits_2(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        assert run("demo", "--workspace", ws, "--image-samples", 20, "--steps", 5) == 0
+        manifest = ws / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["train"]["stpes"] = 1
+        manifest.write_text(json.dumps(doc))
+        assert run("run-all", "--manifest", manifest) == 2
+        assert "stpes" in capsys.readouterr().err
 
     def test_missing_manifest_exits_5(self, tmp_path):
         assert run("run-all", "--manifest", tmp_path / "nope.json") == 5

@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from textprobe.core import ClassTextEmbeddings, ZeroShotConfig, normalize
+from textprobe.core import (
+    ClassTextEmbeddings,
+    ZeroShotConfig,
+    normalize,
+    normalize_rows,
+    stable_softmax,
+)
 from textprobe.data import (
     EmbeddingBundle,
     MODALITY_IMAGE,
@@ -136,6 +142,47 @@ class TestEvaluateZeroShot:
             for t in (0.01, 0.07, 1.0)
         }
         assert len(accs) == 1
+
+    @staticmethod
+    def softmax_accuracy(ce, bundle, temperature):
+        """Reference: overall and per-class accuracy of the argmax of the
+        temperature softmax over cosine similarities."""
+        probs = stable_softmax(normalize_rows(bundle.matrix) @ ce.matrix.T / temperature)
+        preds, labels = np.argmax(probs, axis=1), bundle.labels_array()
+        per_class = {
+            str(c): 100.0 * int((preds[labels == c] == c).sum()) / int((labels == c).sum())
+            for c in np.unique(labels)
+        }
+        return 100.0 * int((preds == labels).sum()) / len(labels), per_class
+
+    def test_matches_softmax_path_on_random_inputs(self, rng):
+        for _ in range(20):
+            k, d, n = int(rng.integers(2, 12)), int(rng.integers(2, 40)), 60
+            ce = ClassTextEmbeddings.from_matrix(rng.standard_normal((k, d)))
+            bundle = EmbeddingBundle.from_matrix(
+                rng.standard_normal((n, d)), labels=list(rng.integers(0, k, size=n))
+            )
+            for t in (0.01, 0.07, 1.0):
+                row = evaluate_zero_shot(ce, bundle, ZeroShotConfig(t))
+                accuracy, per_class = self.softmax_accuracy(ce, bundle, t)
+                assert row.accuracy == accuracy
+                assert {c: v["accuracy"] for c, v in row.per_class.items()} == per_class
+
+    def test_exact_ties_go_to_lowest_index_like_softmax_path(self, rng):
+        # Classes 1 and 2 share one embedding, so every image ties between
+        # them; both paths must credit class 1 and never class 2.
+        base = rng.standard_normal((3, 16))
+        ce = ClassTextEmbeddings.from_matrix(base[[0, 1, 1, 2]])
+        imgs = np.concatenate([np.tile(base[1], (5, 1)), rng.standard_normal((40, 16))])
+        for labels in ([1] * 45, [2] * 45, list(rng.integers(0, 4, size=45))):
+            bundle = EmbeddingBundle.from_matrix(imgs, labels=labels)
+            for t in (0.01, 1.0):
+                row = evaluate_zero_shot(ce, bundle, ZeroShotConfig(t))
+                accuracy, per_class = self.softmax_accuracy(ce, bundle, t)
+                assert row.accuracy == accuracy
+                assert {c: v["accuracy"] for c, v in row.per_class.items()} == per_class
+        tied = EmbeddingBundle.from_matrix(imgs[:5], labels=[2] * 5)
+        assert evaluate_zero_shot(ce, tied).accuracy == 0.0
 
     def test_ensembling_identical_templates_is_identity(self, rng):
         single = normalize(rng.standard_normal(16))

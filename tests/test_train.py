@@ -1,11 +1,15 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import textprobe.train as train_module
+from textprobe.core import normalize_rows
 from textprobe.data import (
     MODALITY_TEXT,
+    EmbeddingBundle,
     SyntheticSpaceConfig,
     TextDataset,
     synthetic_bundle,
@@ -20,6 +24,7 @@ from textprobe.errors import (
 )
 from textprobe.prompts import ClassVocabulary
 from textprobe.train import (
+    NOISE_THREAD_PREFIX,
     LinearClassifier,
     TrainConfig,
     classifier_logits,
@@ -138,6 +143,74 @@ class TestGradientCheck:
             assert gb[j] == pytest.approx((lp - lm) / (2 * h), rel=1e-6, abs=1e-9)
 
 
+def reference_fit(dataset, bundle, cfg, init_weights=None, init_bias=None):
+    """The training loop written plainly over the public oracle: normalize,
+    then each step draw noise, call `training_loss_and_grads`, and apply
+    AdamW out of place. Returns (weights, bias, loss_history, final_loss)."""
+    k, d = len(dataset.vocab), bundle.dimension
+    x_hat = normalize_rows(bundle.matrix)
+    n = x_hat.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    if init_weights is not None:
+        weights = np.array(init_weights, dtype=np.float64)
+    else:
+        weights = rng.normal(0.0, 1.0 / math.sqrt(d), size=(k, d))
+    bias = np.zeros(k) if init_bias is None else np.array(init_bias, dtype=np.float64)
+    m_w, v_w = np.zeros_like(weights), np.zeros_like(weights)
+    m_b, v_b = np.zeros_like(bias), np.zeros_like(bias)
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    history = []
+    for step in range(1, cfg.steps + 1):
+        noise = cfg.noise_sigma * rng.standard_normal((n, d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grad_w, grad_b = training_loss_and_grads(
+                weights, bias, x_hat, dataset.labels,
+                noise=noise, label_smoothing=cfg.label_smoothing,
+            )
+        if not math.isfinite(loss):
+            raise NonFiniteLoss("loss", step=step)
+        history.append(loss)
+        m_w = b1 * m_w + (1 - b1) * grad_w
+        v_w = b2 * v_w + (1 - b2) * grad_w * grad_w
+        m_b = b1 * m_b + (1 - b1) * grad_b
+        v_b = b2 * v_b + (1 - b2) * grad_b * grad_b
+        c1, c2 = 1 - b1 ** step, 1 - b2 ** step
+        with np.errstate(over="ignore", invalid="ignore"):
+            step_w = (m_w / c1) / (np.sqrt(v_w / c2) + cfg.adam_eps)
+            step_b = (m_b / c1) / (np.sqrt(v_b / c2) + cfg.adam_eps)
+            weights = weights - cfg.learning_rate * (step_w + cfg.weight_decay * weights)
+            bias = bias - cfg.learning_rate * step_b
+        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
+            raise NonFiniteLoss("parameters", step=step)
+    noise = cfg.noise_sigma * rng.standard_normal((n, d))
+    final_loss, _, _ = training_loss_and_grads(
+        weights, bias, x_hat, dataset.labels,
+        noise=noise, label_smoothing=cfg.label_smoothing,
+    )
+    return weights, bias, history, final_loss
+
+
+def random_task(seed, n, d, k, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    labels = [int(c) for c in rng.integers(0, k, size=n)]
+    vocab = ClassVocabulary(tuple(f"c{i}" for i in range(k)))
+    bundle = EmbeddingBundle.from_matrix(
+        rng.standard_normal((n, d)).astype(dtype), labels=labels
+    )
+    return TextDataset(items=[("t", c) for c in labels], vocab=vocab), bundle
+
+
+def assert_matches_reference(ds, bundle, cfg, init_weights=None, init_bias=None):
+    clf = train_text_classifier(ds, bundle, cfg, init_weights, init_bias)
+    weights, bias, history, final_loss = reference_fit(
+        ds, bundle, cfg, init_weights, init_bias
+    )
+    assert np.array_equal(clf.weights, weights)
+    assert np.array_equal(clf.bias, bias)
+    assert clf.train_meta["loss_history"] == history
+    assert clf.train_meta["final_loss"] == final_loss
+
+
 @pytest.fixture(scope="module")
 def separable():
     space = SyntheticSpaceConfig(dimension=16, classes=3, sigma_intra=0.1, gap=0.0, seed=0)
@@ -201,9 +274,15 @@ class TestTrainTextClassifier:
     def test_non_finite_loss_aborts_with_step(self, separable):
         vocab, bundle, ds = separable
         cfg = TrainConfig(learning_rate=1e30, steps=60, noise_sigma=0.0, seed=0)
+        with pytest.raises(NonFiniteLoss) as expected:
+            reference_fit(ds, bundle, cfg)
         with pytest.raises(NonFiniteLoss) as excinfo:
             train_text_classifier(ds, bundle, cfg)
-        assert excinfo.value.step is not None
+        assert 1 < excinfo.value.step < cfg.steps
+        assert excinfo.value.step == expected.value.step
+        # The noise helper has been joined, not left running.
+        helpers = [t for t in threading.enumerate() if t.name.startswith(NOISE_THREAD_PREFIX)]
+        assert helpers == []
 
     def test_agrees_with_nearest_mean_on_class_means(
         self, vocab10, base_space, text_bundle_50
@@ -229,6 +308,80 @@ class TestTrainTextClassifier:
         cfg = TrainConfig(steps=0, noise_sigma=0.0)
         clf = train_text_classifier(ds, bundle, cfg, init_weights=w0, init_bias=b0)
         np.testing.assert_array_equal(clf.weights, w0)
+
+
+class TestPipelinedLoop:
+    @pytest.mark.parametrize(
+        "n, d, k, overrides",
+        [
+            (40, 16, 3, {}),
+            (5, 8, 12, {}),  # fewer rows than classes
+            (30, 4, 6, {}),  # K >= d
+            (24, 12, 4, {"noise_sigma": 0.0}),
+            (24, 12, 4, {"steps": 0}),
+            (24, 12, 4, {"steps": 1}),
+            (50, 20, 5, {"label_smoothing": 0.0, "weight_decay": 0.0}),
+        ],
+    )
+    def test_bit_identical_to_reference_loop(self, n, d, k, overrides):
+        ds, bundle = random_task(n * d + k, n, d, k)
+        cfg = TrainConfig(**{"steps": 25, "learning_rate": 0.05, "noise_sigma": 0.7,
+                             "seed": n + d, **overrides})
+        assert_matches_reference(ds, bundle, cfg)
+
+    def test_bit_identical_from_given_init_and_float32_rows(self):
+        ds, bundle = random_task(3, 33, 10, 7, dtype=np.float32)
+        rng = np.random.default_rng(4)
+        cfg = TrainConfig(steps=20, learning_rate=0.05, noise_sigma=0.3, seed=8)
+        assert_matches_reference(
+            ds, bundle, cfg, rng.standard_normal((7, 10)), rng.standard_normal(7)
+        )
+
+    @pytest.mark.parametrize("eager", [True, False])
+    def test_result_does_not_depend_on_when_the_helper_runs(self, eager, monkeypatch):
+        # The two extreme schedules: each draw finishes as soon as it is
+        # submitted, or only when its result is read.
+        class Future:
+            def __init__(self, fn, args):
+                self.call = lambda: fn(*args)
+                self.value = self.call() if eager else None
+
+            def result(self):
+                return self.value if eager else self.call()
+
+        class Executor:
+            def __init__(self, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return Future(fn, args)
+
+        ds, bundle = random_task(5, 30, 8, 4)
+        cfg = TrainConfig(steps=6, learning_rate=0.05, noise_sigma=0.5, seed=2)
+        monkeypatch.setattr(train_module, "ThreadPoolExecutor", Executor)
+        assert_matches_reference(ds, bundle, cfg)
+
+    def test_normalization_count_does_not_grow_with_steps(self, separable, monkeypatch):
+        vocab, bundle, ds = separable
+        calls = []
+
+        def counting(matrix):
+            calls.append(1)
+            return normalize_rows(matrix)
+
+        monkeypatch.setattr(train_module, "normalize_rows", counting)
+        counts = []
+        for steps in (0, 1, 40):
+            calls.clear()
+            train_text_classifier(ds, bundle, TrainConfig(steps=steps))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2]
 
 
 class TestClassifierLogits:
@@ -316,3 +469,11 @@ class TestTrainConfig:
     def test_dict_round_trip(self):
         cfg = TrainConfig(learning_rate=0.01, steps=7, seed=3)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_from_dict_rejects_unknown_key_by_name(self):
+        with pytest.raises(InvalidConfig, match="stpes"):
+            TrainConfig.from_dict({"stpes": 1})
+
+    def test_from_dict_rejects_non_object(self):
+        with pytest.raises(InvalidConfig):
+            TrainConfig.from_dict([["steps", 1]])
