@@ -2,7 +2,8 @@
 
 Each stage reads and writes files, so externally produced embedding bundles
 can be spliced in at any point. Exit codes: 0 success, 2 configuration
-problem, 3 network failure, 4 numeric/shape failure, 5 missing input.
+problem, 3 network failure, 4 numeric/shape failure, 5 missing input; each
+error class in errors.py carries its own as `exit_code`.
 Status goes to stderr; stdout carries data (tables, CSV, JSON) only.
 """
 
@@ -12,13 +13,13 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .core import ZeroShotConfig
 from .data import (
     SyntheticSpaceConfig,
     build_text_dataset,
+    description_items,
     read_bundle,
     read_text_dataset_jsonl,
     synthetic_bundle,
@@ -28,26 +29,12 @@ from .data import (
     TextDataset,
 )
 from .errors import (
-    DimensionMismatch,
-    EmptyDataset,
-    EmptyReport,
-    EmptyVector,
-    EndpointUnreachable,
-    FormatError,
     InvalidConfig,
-    InvalidProfile,
-    InvalidSmoothing,
-    MalformedResponse,
-    MissingClassDescriptions,
     MissingInput,
-    MissingLabels,
-    NonFiniteLoss,
-    NonFiniteValue,
     ParseError,
     ShapeMismatch,
-    TruncatedFile,
-    UnknownClassId,
-    ZeroVector,
+    TextProbeError,
+    config_number,
 )
 from .evaluate import (
     ALL_METHODS,
@@ -91,21 +78,7 @@ from .train import LinearClassifier, TrainConfig, train_text_classifier
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_NETWORK = 3
-EXIT_NUMERIC = 4
 EXIT_MISSING = 5
-
-_CONFIG_ERRORS = (
-    InvalidProfile, InvalidConfig, InvalidSmoothing, ParseError, FormatError,
-    TruncatedFile, UnknownClassId, EmptyDataset, MissingClassDescriptions,
-    EmptyReport,
-)
-_NETWORK_ERRORS = (EndpointUnreachable, MalformedResponse)
-_NUMERIC_ERRORS = (
-    ShapeMismatch, NonFiniteLoss, NonFiniteValue, ZeroVector,
-    DimensionMismatch, EmptyVector,
-)
-_MISSING_ERRORS = (MissingInput, MissingLabels)
 
 
 def _status(message: str) -> None:
@@ -121,16 +94,18 @@ def _require_file(path, flag: str) -> Path:
     return p
 
 
+def _read_json(path):
+    """Parse a JSON config file; invalid JSON is a ParseError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def stage_seed(master: int, stage: str) -> int:
     """Fan a master seed out to per-stage sub-seeds by stage-name hashing."""
     digest = hashlib.sha256(f"{master}:{stage}".encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
-
-
-def _sorted_description_items(descriptions) -> list[tuple[str, int]]:
-    # Same deterministic order as build_text_dataset, so bundle rows align.
-    ordered = sorted(descriptions, key=lambda d: (d.class_id, d.prompt_id, d.sample_index))
-    return [(d.text, d.class_id) for d in ordered]
 
 
 # -- gen-prompts ---------------------------------------------------------------
@@ -141,9 +116,7 @@ def cmd_gen_prompts(args) -> int:
         templates = args.template or list(DEFAULT_GENERIC_TEMPLATES)
         prompts = render_generic_prompts(vocab, templates, task_name=args.task_name)
     else:
-        if not args.profile:
-            raise MissingInput("--profile is required unless --generic is given")
-        profile = TaskProfile.from_file(_require_file(args.profile, "--profile"))
+        profile = TaskProfile.from_file(_require_file(args.profile, "--profile (or --generic)"))
         prompts = render_prompts(profile, vocab)
     write_prompts_jsonl(prompts, args.out)
     _status(f"wrote {len(prompts)} prompts over {len(vocab)} classes to {args.out}")
@@ -151,6 +124,14 @@ def cmd_gen_prompts(args) -> int:
 
 
 # -- fetch -----------------------------------------------------------------------
+
+def _transport(fixture, fixture_name: str, endpoint, endpoint_name: str):
+    if fixture:
+        return FixtureTransport(_require_file(fixture, fixture_name))
+    if endpoint:
+        return HttpTransport(endpoint)
+    raise MissingInput(f"the fetch stage needs {endpoint_name} or {fixture_name}")
+
 
 def cmd_fetch(args) -> int:
     records = read_prompts_jsonl(_require_file(args.prompts, "--prompts"))
@@ -160,32 +141,17 @@ def cmd_fetch(args) -> int:
         max_tokens=args.max_tokens,
         sampling_temperature=args.temperature,
     )
-    if args.fixture:
-        transport = FixtureTransport(_require_file(args.fixture, "--fixture"))
-    elif args.endpoint:
-        transport = HttpTransport(args.endpoint)
-    else:
-        raise MissingInput("provide --endpoint URL or --fixture FILE")
-
+    transport = _transport(args.fixture, "--fixture", args.endpoint, "--endpoint")
+    options = dict(max_in_flight=args.max_in_flight, retries=args.retries,
+                   backoff_base=args.backoff)
     if args.allow_partial:
-        descs, failures = fetch_descriptions_partial(
-            reqs, transport, args.cache,
-            max_in_flight=args.max_in_flight, retries=args.retries,
-            backoff_base=args.backoff,
-        )
-        write_descriptions_jsonl(descs, args.out)
-        for failure in failures:
-            _status(f"failed {failure.prompt_id}: {failure.message}")
-        _status(_fetch_summary(descs, args.out, skipped=len(failures)))
-        return EXIT_OK
-
-    descs = fetch_descriptions(
-        reqs, transport, args.cache,
-        max_in_flight=args.max_in_flight, retries=args.retries,
-        backoff_base=args.backoff,
-    )
+        descs, failures = fetch_descriptions_partial(reqs, transport, args.cache, **options)
+    else:
+        descs, failures = fetch_descriptions(reqs, transport, args.cache, **options), []
     write_descriptions_jsonl(descs, args.out)
-    _status(_fetch_summary(descs, args.out))
+    for failure in failures:
+        _status(f"failed {failure.prompt_id}: {failure.message}")
+    _status(_fetch_summary(descs, args.out, skipped=len(failures)))
     return EXIT_OK
 
 
@@ -200,10 +166,12 @@ def _fetch_summary(descs, out, skipped: int = 0) -> str:
 
 # -- train -----------------------------------------------------------------------
 
-def _train_config_from_args(args, default_seed: int | None = None) -> TrainConfig:
+def _train_config_from_args(args) -> TrainConfig:
     base: dict = {}
     if getattr(args, "train_config", None):
-        base = json.loads(_require_file(args.train_config, "--config").read_text())
+        base = _read_json(_require_file(args.train_config, "--config"))
+        if not isinstance(base, dict):
+            raise InvalidConfig("--config must hold a JSON object")
     overrides = {
         "learning_rate": args.lr,
         "steps": args.steps,
@@ -215,9 +183,18 @@ def _train_config_from_args(args, default_seed: int | None = None) -> TrainConfi
     for key, value in overrides.items():
         if value is not None:
             base[key] = value
-    if "seed" not in base and default_seed is not None:
-        base["seed"] = default_seed
     return TrainConfig.from_dict(base)
+
+
+def _read_text_bundle(path, name: str, dataset: TextDataset):
+    """Read the text bundle a head trains on; labelled rows must follow the
+    dataset's item order, so row i embeds item i."""
+    bundle = read_bundle(_require_file(path, name))
+    if bundle.labels is not None and list(bundle.labels) != [c for _, c in dataset.items]:
+        raise ShapeMismatch(
+            f"{name}: text bundle labels do not align with the dataset item order"
+        )
+    return bundle
 
 
 def cmd_train(args) -> int:
@@ -256,11 +233,7 @@ def cmd_train(args) -> int:
             )
         else:
             raise MissingInput("provide --descriptions, --text-dataset, or --synthetic")
-        bundle = read_bundle(_require_file(args.text_bundle, "--text-bundle"))
-        if bundle.labels is not None and list(bundle.labels) != [c for _, c in dataset.items]:
-            raise ShapeMismatch(
-                "text bundle labels do not align with the dataset item order"
-            )
+        bundle = _read_text_bundle(args.text_bundle, "--text-bundle", dataset)
     if args.dataset_out:
         write_text_dataset_jsonl(dataset, args.dataset_out)
     clf = train_text_classifier(dataset, bundle, cfg)
@@ -274,75 +247,71 @@ def cmd_train(args) -> int:
 
 # -- eval ------------------------------------------------------------------------
 
-def _eval_rows(args, methods, images, dataset_name):
-    zs_cfg = ZeroShotConfig(temperature=args.temperature)
+# The input file each evaluation method reads: the trained head, the class-name
+# bundle or the template bundle.
+_METHOD_INPUT = {
+    METHOD_TAP: "classifier",
+    METHOD_CLIP_SINGLE: "class_embeddings",
+    METHOD_CLIP_DST: "dst_embeddings",
+    METHOD_TOT_CLS: "class_embeddings",
+    METHOD_TOT_DST: "dst_embeddings",
+}
+
+
+def _check_methods(methods) -> list[str]:
+    if not methods or any(m not in ALL_METHODS for m in methods):
+        raise InvalidConfig(
+            f"methods must name one or more of {', '.join(ALL_METHODS)}, got {methods!r}"
+        )
+    return list(methods)
+
+
+def _evaluate_methods(methods, images, dataset_name, inputs, vocab, train_cfg,
+                      dst_templates) -> list:
+    """One report row per method, in order: the dispatch behind eval and run-all.
+
+    `inputs` maps each `_METHOD_INPUT` key to (path, name); a missing file is
+    reported by that name (a flag for eval, a manifest key for run-all). The
+    tot methods train a baseline head over `vocab` with `train_cfg`.
+    """
     rows = []
     for method in methods:
+        path, name = inputs[_METHOD_INPUT[method]]
+        path = _require_file(path, f"{name} (method {method})")
+        if method in (METHOD_CLIP_SINGLE, METHOD_CLIP_DST):
+            embs = class_text_embeddings_from_bundle(read_bundle(path))
+            rows.append(evaluate_zero_shot(embs, images, method, dataset_name))
+            continue
         if method == METHOD_TAP:
-            clf = LinearClassifier.load(
-                _require_file(args.classifier, "--classifier (method tap)")
-            )
-            rows.append(evaluate_classifier(clf, images, METHOD_TAP, dataset_name))
-        elif method == METHOD_CLIP_SINGLE:
-            bundle = read_bundle(
-                _require_file(args.class_embeddings, "--class-embeddings (method clip-single)")
-            )
-            rows.append(
-                evaluate_zero_shot(
-                    class_text_embeddings_from_bundle(bundle), images, zs_cfg,
-                    METHOD_CLIP_SINGLE, dataset_name,
-                )
-            )
-        elif method == METHOD_CLIP_DST:
-            bundle = read_bundle(
-                _require_file(args.dst_embeddings, "--dst-embeddings (method clip-dst)")
-            )
-            rows.append(
-                evaluate_zero_shot(
-                    class_text_embeddings_from_bundle(bundle), images, zs_cfg,
-                    METHOD_CLIP_DST, dataset_name,
-                )
-            )
+            clf = LinearClassifier.load(path)
         elif method == METHOD_TOT_CLS:
-            vocab = ClassVocabulary.from_file(
-                _require_file(args.classes, "--classes (method tot-cls)")
-            )
-            bundle = read_bundle(
-                _require_file(args.class_embeddings, "--class-embeddings (method tot-cls)")
-            )
-            cfg = _train_config_from_args(args)
-            clf = train_tot_cls(vocab, bundle, cfg)
-            rows.append(evaluate_classifier(clf, images, METHOD_TOT_CLS, dataset_name))
-        elif method == METHOD_TOT_DST:
-            vocab = ClassVocabulary.from_file(
-                _require_file(args.classes, "--classes (method tot-dst)")
-            )
-            bundle = read_bundle(
-                _require_file(args.dst_embeddings, "--dst-embeddings (method tot-dst)")
-            )
-            cfg = _train_config_from_args(args)
-            templates = list(args.dst_template) if args.dst_template else None
-            clf = train_tot_dst(vocab, bundle, cfg, templates)
-            rows.append(evaluate_classifier(clf, images, METHOD_TOT_DST, dataset_name))
+            clf = train_tot_cls(vocab, read_bundle(path), train_cfg)
         else:
-            raise InvalidConfig(
-                f"unknown method {method!r} (expected one of {', '.join(ALL_METHODS)})"
-            )
+            clf = train_tot_dst(vocab, read_bundle(path), train_cfg, dst_templates)
+        rows.append(evaluate_classifier(clf, images, method, dataset_name))
     return rows
 
 
 def cmd_eval(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise InvalidConfig("--methods must name at least one method")
+    methods = _check_methods([m.strip() for m in args.methods.split(",") if m.strip()])
+    vocab = cfg = None
+    tot = [m for m in methods if m in (METHOD_TOT_CLS, METHOD_TOT_DST)]
+    if tot:
+        vocab = ClassVocabulary.from_file(
+            _require_file(args.classes, f"--classes (method {tot[0]})")
+        )
+        cfg = _train_config_from_args(args)
     images = read_bundle(_require_file(args.images, "--images"))
-    rows = _eval_rows(args, methods, images, args.dataset_name)
+    rows = _evaluate_methods(methods, images, args.dataset_name, {
+        "classifier": (args.classifier, "--classifier"),
+        "class_embeddings": (args.class_embeddings, "--class-embeddings"),
+        "dst_embeddings": (args.dst_embeddings, "--dst-embeddings"),
+    }, vocab, cfg, args.dst_template)
     report = EvalReport(
         rows=rows,
         config={
             "methods": methods,
             "dataset": args.dataset_name,
-            "temperature": args.temperature,
             "images": str(args.images),
         },
     )
@@ -390,8 +359,7 @@ def cmd_refine(args) -> int:
 
 def _space_from_args(args) -> SyntheticSpaceConfig:
     if getattr(args, "space", None):
-        doc = json.loads(_require_file(args.space, "--space").read_text())
-        return SyntheticSpaceConfig.from_dict(doc)
+        return SyntheticSpaceConfig.from_dict(_read_json(_require_file(args.space, "--space")))
     return SyntheticSpaceConfig(
         dimension=args.dim,
         classes=args.classes_count,
@@ -407,8 +375,7 @@ def cmd_synth_space(args) -> int:
         descs = load_fixture_descriptions(
             _require_file(args.from_descriptions, "--from-descriptions")
         )
-        items = _sorted_description_items(descs)
-        bundle = synthetic_encode(items, space, modality=args.modality)
+        bundle = synthetic_encode(description_items(descs), space, modality=args.modality)
     elif args.from_classes:
         vocab = ClassVocabulary.from_file(_require_file(args.from_classes, "--from-classes"))
         if len(vocab) != space.classes:
@@ -432,7 +399,8 @@ def cmd_synth_space(args) -> int:
 
 @dataclass
 class PipelineManifest:
-    """File-based pipeline description; all paths resolve against workspace."""
+    """File-based pipeline description; all paths resolve against workspace.
+    Keys are the field names; bad keys, numbers and methods fail on load."""
 
     workspace: Path
     dataset_name: str
@@ -445,7 +413,7 @@ class PipelineManifest:
     endpoint: str | None
     cache: Path | None
     llm: dict
-    synthetic_space: dict | None
+    synthetic_space: SyntheticSpaceConfig | None
     image_samples_per_class: int
     text_bundle: Path
     image_bundle: Path
@@ -462,10 +430,18 @@ class PipelineManifest:
     @classmethod
     def from_file(cls, path) -> "PipelineManifest":
         path = Path(path)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+        doc = _read_json(path)
+        if not isinstance(doc, dict):
+            raise InvalidConfig(f"{path}: a manifest must be a JSON object")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidConfig(
+                f"{path}: unknown manifest key(s): " + ", ".join(map(repr, unknown))
+            )
+        for key, kind in (("llm", dict), ("train", dict), ("methods", list)):
+            if not isinstance(doc.get(key, kind()), kind):
+                what = "an object" if kind is dict else "a list"
+                raise InvalidConfig(f"{path}: {key!r} must be {what}")
         raw_ws = doc.get("workspace")
         if raw_ws is None:
             ws = path.parent
@@ -478,10 +454,14 @@ class PipelineManifest:
             value = doc.get(key, default)
             return None if value is None else ws / value
 
+        def integer(key, default):
+            return config_number(key, doc.get(key, default), integral=True)
+
+        space = doc.get("synthetic_space")
         return cls(
             workspace=ws,
             dataset_name=str(doc.get("dataset_name", "dataset")),
-            seed=int(doc.get("seed", 0)),
+            seed=integer("seed", 0),
             task_profile=rel("task_profile"),
             classes=rel("classes", "classes.json"),
             prompts=rel("prompts", "prompts.jsonl"),
@@ -490,15 +470,15 @@ class PipelineManifest:
             endpoint=doc.get("endpoint"),
             cache=rel("cache"),
             llm=dict(doc.get("llm", {})),
-            synthetic_space=doc.get("synthetic_space"),
-            image_samples_per_class=int(doc.get("image_samples_per_class", 50)),
+            synthetic_space=SyntheticSpaceConfig.from_dict(space) if space else None,
+            image_samples_per_class=integer("image_samples_per_class", 50),
             text_bundle=rel("text_bundle", "text.tape"),
             image_bundle=rel("image_bundle", "images.tape"),
             class_name_bundle=rel("class_name_bundle"),
             dst_bundle=rel("dst_bundle"),
             dst_templates=list(doc.get("dst_templates", [])),
             train=dict(doc.get("train", {})),
-            methods=list(doc.get("methods", [METHOD_TAP])),
+            methods=_check_methods(doc.get("methods", [METHOD_TAP])),
             classifier=rel("classifier", "classifier.json"),
             report=rel("report", "report.json"),
             markers=rel("markers", ".stage_markers.json"),
@@ -524,13 +504,16 @@ def _space_for(manifest: PipelineManifest) -> SyntheticSpaceConfig:
         raise MissingInput(
             "manifest has no synthetic_space and a required bundle is missing"
         )
-    return SyntheticSpaceConfig.from_dict(manifest.synthetic_space)
+    return manifest.synthetic_space
 
 
 def cmd_run_all(args) -> int:
     manifest = PipelineManifest.from_file(_require_file(args.manifest, "--manifest"))
     force = args.force
     vocab = ClassVocabulary.from_file(_require_file(manifest.classes, "classes"))
+    train_cfg = TrainConfig.from_dict(
+        {"seed": stage_seed(manifest.seed, "train"), **manifest.train}
+    )
 
     # Stage 1: prompts.
     if force or not manifest.prompts.is_file():
@@ -550,20 +533,19 @@ def cmd_run_all(args) -> int:
     # Stage 2: descriptions.
     if force or not manifest.descriptions.is_file():
         records = read_prompts_jsonl(manifest.prompts)
+
+        def llm(key, default, integral=True):
+            return config_number(f"llm.{key}", manifest.llm.get(key, default), integral)
+
         reqs = requests_from_prompt_records(
             records,
-            samples_per_prompt=int(manifest.llm.get("samples_per_prompt",
-                                                    DEFAULT_SAMPLES_PER_PROMPT)),
-            max_tokens=int(manifest.llm.get("max_tokens", DEFAULT_MAX_TOKENS)),
-            sampling_temperature=float(manifest.llm.get("sampling_temperature",
-                                                        DEFAULT_SAMPLING_TEMPERATURE)),
+            samples_per_prompt=llm("samples_per_prompt", DEFAULT_SAMPLES_PER_PROMPT),
+            max_tokens=llm("max_tokens", DEFAULT_MAX_TOKENS),
+            sampling_temperature=float(
+                llm("sampling_temperature", DEFAULT_SAMPLING_TEMPERATURE, False)
+            ),
         )
-        if manifest.fixture:
-            transport = FixtureTransport(_require_file(manifest.fixture, "fixture"))
-        elif manifest.endpoint:
-            transport = HttpTransport(manifest.endpoint)
-        else:
-            raise MissingInput("manifest needs 'fixture' or 'endpoint' for the fetch stage")
+        transport = _transport(manifest.fixture, "fixture", manifest.endpoint, "endpoint")
         descs = fetch_descriptions(
             reqs, transport, str(manifest.cache) if manifest.cache else None
         )
@@ -574,47 +556,44 @@ def cmd_run_all(args) -> int:
     _mark_stage(manifest, "fetch")
 
     # Stage 3: embedding bundles (synthesized on demand when a synthetic
-    # space is configured; otherwise they must already exist).
-    descs = load_fixture_descriptions(manifest.descriptions)
-    if force or not manifest.text_bundle.is_file():
-        space = _space_for(manifest)
-        items = _sorted_description_items(descs)
-        write_bundle(synthetic_encode(items, space, modality="text"), manifest.text_bundle)
-        _status(f"[bundles] wrote text bundle ({len(items)} rows)")
+    # space is configured; otherwise they must already exist). The text
+    # bundle and the head share one dataset, so their rows align.
+    write_text = force or not manifest.text_bundle.is_file()
+    train_head = force or not manifest.classifier.is_file()
+    if write_text or train_head:
+        dataset = build_text_dataset(load_fixture_descriptions(manifest.descriptions), vocab)
+    if write_text:
+        write_bundle(synthetic_encode(dataset.items, _space_for(manifest), modality="text"),
+                     manifest.text_bundle)
+        _status(f"[bundles] wrote text bundle ({len(dataset)} rows)")
     if force or not manifest.image_bundle.is_file():
         space = _space_for(manifest)
         bundle = synthetic_bundle(space, manifest.image_samples_per_class, modality="image")
         write_bundle(bundle, manifest.image_bundle)
         _status(f"[bundles] wrote image bundle ({bundle.count} rows)")
-    needs_cls = {METHOD_CLIP_SINGLE, METHOD_TOT_CLS} & set(manifest.methods)
-    if manifest.class_name_bundle and needs_cls and (
-        force or not manifest.class_name_bundle.is_file()
-    ):
-        space = _space_for(manifest)
+        del bundle  # release the image rows rather than hold them through eval
+
+    def wanted(path, key):  # a listed method reads it, and it is missing or forced
+        return path and (force or not path.is_file()) and any(
+            _METHOD_INPUT[m] == key for m in manifest.methods)
+
+    if wanted(manifest.class_name_bundle, "class_embeddings"):
         items = [(name, cid) for cid, name in vocab.classes]
-        write_bundle(
-            synthetic_encode(items, space, modality="text"), manifest.class_name_bundle
-        )
+        write_bundle(synthetic_encode(items, _space_for(manifest), modality="text"),
+                     manifest.class_name_bundle)
         _status("[bundles] wrote class-name bundle")
-    needs_dst = {METHOD_CLIP_DST, METHOD_TOT_DST} & set(manifest.methods)
-    if manifest.dst_bundle and needs_dst and (force or not manifest.dst_bundle.is_file()):
-        space = _space_for(manifest)
-        templates = manifest.dst_templates or list(DEFAULT_GENERIC_TEMPLATES)
-        rendered = render_generic_prompts(vocab, templates, task_name="dst")
+    dst_templates = manifest.dst_templates or list(DEFAULT_GENERIC_TEMPLATES)
+    if wanted(manifest.dst_bundle, "dst_embeddings"):
+        rendered = render_generic_prompts(vocab, dst_templates, task_name="dst")
         items = [(p.rendered_text, p.class_id) for p in rendered]
-        write_bundle(
-            synthetic_encode(items, space, modality="text"), manifest.dst_bundle
-        )
+        write_bundle(synthetic_encode(items, _space_for(manifest), modality="text"),
+                     manifest.dst_bundle)
         _status("[bundles] wrote template bundle")
     _mark_stage(manifest, "bundles")
 
     # Stage 4: train the main head.
-    train_cfg = TrainConfig.from_dict(
-        {"seed": stage_seed(manifest.seed, "train"), **manifest.train}
-    )
-    if force or not manifest.classifier.is_file():
-        dataset = build_text_dataset(descs, vocab)
-        text_bundle = read_bundle(manifest.text_bundle)
+    if train_head:
+        text_bundle = _read_text_bundle(manifest.text_bundle, "text_bundle", dataset)
         clf = train_text_classifier(dataset, text_bundle, train_cfg)
         clf.save(manifest.classifier)
         _status(f"[train] final loss {clf.train_meta['final_loss']:.6f}")
@@ -624,41 +603,11 @@ def cmd_run_all(args) -> int:
 
     # Stage 5: evaluate and report.
     images = read_bundle(manifest.image_bundle)
-    rows = []
-    zs_cfg = ZeroShotConfig()
-    for method in manifest.methods:
-        if method == METHOD_TAP:
-            clf = LinearClassifier.load(manifest.classifier)
-            rows.append(evaluate_classifier(clf, images, method, manifest.dataset_name))
-        elif method == METHOD_CLIP_SINGLE:
-            bundle = read_bundle(_require_file(manifest.class_name_bundle, "class_name_bundle"))
-            rows.append(
-                evaluate_zero_shot(
-                    class_text_embeddings_from_bundle(bundle), images, zs_cfg,
-                    method, manifest.dataset_name,
-                )
-            )
-        elif method == METHOD_CLIP_DST:
-            bundle = read_bundle(_require_file(manifest.dst_bundle, "dst_bundle"))
-            rows.append(
-                evaluate_zero_shot(
-                    class_text_embeddings_from_bundle(bundle), images, zs_cfg,
-                    method, manifest.dataset_name,
-                )
-            )
-        elif method == METHOD_TOT_CLS:
-            bundle = read_bundle(_require_file(manifest.class_name_bundle, "class_name_bundle"))
-            clf = train_tot_cls(vocab, bundle, train_cfg)
-            rows.append(evaluate_classifier(clf, images, method, manifest.dataset_name))
-        elif method == METHOD_TOT_DST:
-            bundle = read_bundle(_require_file(manifest.dst_bundle, "dst_bundle"))
-            clf = train_tot_dst(
-                vocab, bundle, train_cfg,
-                manifest.dst_templates or list(DEFAULT_GENERIC_TEMPLATES),
-            )
-            rows.append(evaluate_classifier(clf, images, method, manifest.dataset_name))
-        else:
-            raise InvalidConfig(f"manifest lists unknown method {method!r}")
+    rows = _evaluate_methods(manifest.methods, images, manifest.dataset_name, {
+        "classifier": (manifest.classifier, "classifier"),
+        "class_embeddings": (manifest.class_name_bundle, "class_name_bundle"),
+        "dst_embeddings": (manifest.dst_bundle, "dst_bundle"),
+    }, vocab, train_cfg, dst_templates)
     report = EvalReport(
         rows=rows,
         config={
@@ -817,7 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dst-template", action="append",
                    help="template text for tot-dst dataset rendering (repeatable)")
     p.add_argument("--dataset-name", default="dataset")
-    p.add_argument("--temperature", type=float, default=0.01)
     p.add_argument("--out", help="report JSON output path")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     _add_train_flags(p)
@@ -876,25 +824,15 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except _MISSING_ERRORS as exc:
-        _status(f"error: {exc}")
-        return EXIT_MISSING
     except FileNotFoundError as exc:
         _status(f"error: missing file: {exc.filename or exc}")
         return EXIT_MISSING
-    except _NETWORK_ERRORS as exc:
+    except TextProbeError as exc:
         _status(f"error: {exc}")
         ids = getattr(exc, "failed_prompt_ids", None)
         if ids:
             _status("failed prompt ids: " + ", ".join(ids))
-        return EXIT_NETWORK
-    except _CONFIG_ERRORS as exc:
-        _status(f"error: {exc}")
-        return EXIT_CONFIG
-    except _NUMERIC_ERRORS as exc:
-        _status(f"error: {exc}")
-        return EXIT_NUMERIC
-
+        return exc.exit_code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -40,6 +40,7 @@ from .errors import (
     TruncatedFile,
     UnknownClassId,
     ZeroVector,
+    config_number,
 )
 from .llm import Description
 from .prompts import ClassVocabulary
@@ -70,6 +71,16 @@ class TextDataset:
         return len(self.items)
 
 
+def description_items(descriptions: list[Description]) -> list[tuple[str, int]]:
+    """(text, class id) of the descriptions with non-blank text, in dataset row
+    order (class id, prompt id, sample index); text bundles follow it too."""
+    kept = sorted(
+        (d for d in descriptions if d.text.strip()),
+        key=lambda d: (d.class_id, d.prompt_id, d.sample_index),
+    )
+    return [(d.text, d.class_id) for d in kept]
+
+
 def build_text_dataset(
     descriptions: list[Description],
     vocab: ClassVocabulary,
@@ -78,33 +89,28 @@ def build_text_dataset(
     """Match descriptions to labels via the class id stamped at prompt time.
 
     Matching is structural, not string search: every description inherits the
-    class of the prompt that produced it. Output order is deterministic
-    (class id, then prompt id, then sample index). Descriptions with blank
-    text are dropped; by default every class must end up with at least one
-    item, because a classifier row with no training data is silently broken.
+    class of the prompt that produced it. Items follow `description_items`,
+    which drops blank texts; by default every class must end up with at least
+    one item, because a classifier row with no training data is silently
+    broken.
     """
-    kept = []
     for d in descriptions:
         if not (0 <= d.class_id < len(vocab)):
             raise UnknownClassId(
                 f"description {d.prompt_id!r} has class_id {d.class_id}, "
                 f"vocabulary has {len(vocab)} classes"
             )
-        if d.text.strip():
-            kept.append(d)
-    if not kept:
+    items = description_items(descriptions)
+    if not items:
         raise EmptyDataset("no descriptions survived validation")
-    kept.sort(key=lambda d: (d.class_id, d.prompt_id, d.sample_index))
 
-    present = {d.class_id for d in kept}
+    present = {cid for _, cid in items}
     missing = [cid for cid in vocab.class_ids if cid not in present]
     if missing and not allow_missing_classes:
         names = ", ".join(vocab.name_of(c) for c in missing)
         raise MissingClassDescriptions(
             f"{len(missing)} class(es) have no descriptions: {names}"
         )
-
-    items = [(d.text, d.class_id) for d in kept]
     return TextDataset(items=items, vocab=vocab)
 
 
@@ -294,12 +300,18 @@ class SyntheticSpaceConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SyntheticSpaceConfig":
+        if not isinstance(doc, dict):
+            raise InvalidConfig(f"synthetic space must be an object, got {doc!r}")
+
+        def value(key, default, integral=False):
+            return config_number(key, doc.get(key, default), integral)
+
         return cls(
-            dimension=int(doc.get("dimension", 128)),
-            classes=int(doc.get("classes", 10)),
-            sigma_intra=float(doc.get("sigma_intra", 0.1)),
-            gap=float(doc.get("gap", 0.0)),
-            seed=int(doc.get("seed", 0)),
+            dimension=value("dimension", 128, integral=True),
+            classes=value("classes", 10, integral=True),
+            sigma_intra=float(value("sigma_intra", 0.1)),
+            gap=float(value("gap", 0.0)),
+            seed=value("seed", 0, integral=True),
         )
 
 

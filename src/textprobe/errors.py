@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from TextProbeError, so callers can
-catch one base class at pipeline boundaries. The CLI maps these onto exit
-codes (see cli.py).
+catch one base class at pipeline boundaries. Each class carries the CLI exit
+code it maps to in `exit_code`: 2 configuration or input format (the
+default), 3 network, 4 numeric or shape, 5 missing input.
 """
 
 from __future__ import annotations
@@ -10,32 +11,39 @@ from __future__ import annotations
 
 class TextProbeError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 2
 
 
 # -- vector / numeric errors -------------------------------------------------
 
 class ZeroVector(TextProbeError):
     """A vector with (near-)zero L2 norm where a direction is required."""
+    exit_code = 4
 
 
 class DimensionMismatch(TextProbeError):
     """Operands have incompatible dimensions."""
+    exit_code = 4
 
 
 class EmptyVector(TextProbeError):
     """An operation that needs at least one component got an empty vector."""
+    exit_code = 4
 
 
 class NonFiniteValue(TextProbeError):
     """NaN or Inf encountered where only finite values are allowed."""
+    exit_code = 4
 
 
 class ShapeMismatch(TextProbeError):
     """Dataset / embedding-matrix shapes do not line up."""
+    exit_code = 4
 
 
 class NonFiniteLoss(TextProbeError):
     """Training loss became NaN or Inf."""
+    exit_code = 4
 
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
@@ -54,6 +62,17 @@ class InvalidSmoothing(TextProbeError):
 
 class InvalidProfile(TextProbeError):
     """A task profile or prompt template violates its invariants."""
+
+
+def config_number(key: str, value, integral: bool = False):
+    """`value` as given, or as an int when `integral`. Anything that is not a
+    number (or not a whole number when `integral`) raises InvalidConfig
+    naming `key`, so a mistyped config value exits 2, not with a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidConfig(f"{key} must be a number, got {value!r}")
+    if integral and not float(value).is_integer():
+        raise InvalidConfig(f"{key} must be an integer, got {value!r}")
+    return int(value) if integral else value
 
 
 # -- data / format errors ----------------------------------------------------
@@ -88,6 +107,7 @@ class MissingClassDescriptions(TextProbeError):
 
 class MissingLabels(TextProbeError):
     """An embedding bundle without labels was used where labels are required."""
+    exit_code = 5
 
 
 class EmptyReport(TextProbeError):
@@ -96,12 +116,14 @@ class EmptyReport(TextProbeError):
 
 class MissingInput(TextProbeError):
     """A required input file for the requested operation is absent."""
+    exit_code = 5
 
 
 # -- network errors ----------------------------------------------------------
 
 class TransportError(TextProbeError):
     """Low-level transport failure; `transient` marks it as retryable."""
+    exit_code = 3
 
     def __init__(self, message: str, transient: bool = True):
         super().__init__(message)
@@ -110,6 +132,7 @@ class TransportError(TextProbeError):
 
 class EndpointUnreachable(TextProbeError):
     """The completion endpoint kept failing after retries."""
+    exit_code = 3
 
     def __init__(self, message: str, failed_prompt_ids: list[str] | None = None):
         super().__init__(message)
@@ -118,6 +141,7 @@ class EndpointUnreachable(TextProbeError):
 
 class MalformedResponse(TextProbeError):
     """The endpoint answered, but not with usable completions."""
+    exit_code = 3
 
     def __init__(self, message: str, prompt_id: str | None = None):
         super().__init__(message)

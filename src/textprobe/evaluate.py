@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    ClassTextEmbeddings,
-    ZeroShotConfig,
-    normalize_rows,
-    stable_softmax,
-)
+from .core import ClassTextEmbeddings, normalize_rows, stable_softmax
 from .data import EmbeddingBundle, TextDataset
 from .errors import (
     DimensionMismatch,
@@ -44,9 +39,6 @@ ALL_METHODS = (
     METHOD_TOT_CLS,
     METHOD_TOT_DST,
 )
-
-# Default single prompt template for the similarity baseline.
-SINGLE_TEMPLATE = "a photo of a {class}."
 
 
 @dataclass
@@ -125,7 +117,6 @@ def evaluate_classifier(
 def evaluate_zero_shot(
     class_embs: ClassTextEmbeddings,
     images: EmbeddingBundle,
-    cfg: ZeroShotConfig | None = None,
     method: str = METHOD_CLIP_SINGLE,
     dataset: str = "dataset",
 ) -> EvalRow:
@@ -134,8 +125,7 @@ def evaluate_zero_shot(
     Image rows are normalized before scoring, so the logits are cosine
     similarities divided by the temperature. The softmax is monotone in
     them, so the prediction is the argmax of the similarities themselves
-    (ties go to the lowest class index) and the accuracy does not depend on
-    the temperature in `cfg`.
+    (ties go to the lowest class index) and no temperature is needed.
     """
     if images.labels is None:
         raise MissingLabels("image bundle has no labels")
@@ -223,20 +213,6 @@ def train_tot_dst(
         items = [(vocab.name_of(c), c) for c in dst_labels]
     dataset = TextDataset(items=items, vocab=vocab)
     return train_text_classifier(dataset, dst_bundle, cfg)
-
-
-def build_tot_baselines(
-    vocab: ClassVocabulary,
-    cls_bundle: EmbeddingBundle,
-    dst_bundle: EmbeddingBundle,
-    cfg: TrainConfig | None = None,
-    dst_templates: list[str] | None = None,
-) -> tuple[LinearClassifier, LinearClassifier]:
-    """Train both text-only baseline heads with one config surface."""
-    return (
-        train_tot_cls(vocab, cls_bundle, cfg),
-        train_tot_dst(vocab, dst_bundle, cfg, dst_templates),
-    )
 
 
 @dataclass(frozen=True)

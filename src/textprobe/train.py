@@ -43,6 +43,7 @@ from .errors import (
     InvalidSmoothing,
     NonFiniteLoss,
     ShapeMismatch,
+    config_number,
 )
 from .prompts import ClassVocabulary
 
@@ -95,7 +96,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        """Build from a mapping of field names; unknown keys are an error."""
+        """Build from a mapping of field names; unknown keys and values that
+        are not numbers (or not integers, for `steps` and `seed`) are errors."""
         if not isinstance(doc, dict):
             raise InvalidConfig(
                 f"train config must be an object, got {type(doc).__name__}"
@@ -105,7 +107,7 @@ class TrainConfig:
             raise InvalidConfig(
                 "unknown train config key(s): " + ", ".join(map(repr, unknown))
             )
-        return cls(**doc)
+        return cls(**{k: config_number(k, v, k in ("steps", "seed")) for k, v in doc.items()})
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from textprobe import cli, errors, evaluate, llm, train
 from textprobe.cli import main
 from textprobe.data import SyntheticSpaceConfig, read_bundle, synthetic_class_means
 from textprobe.train import LinearClassifier
@@ -206,6 +209,16 @@ class TestTrain:
         assert "stpes" in capsys.readouterr().err
         assert not (tmp_path / "clf.json").exists()
 
+    @pytest.mark.parametrize("text", ['{"steps": 5', '{"steps": "5"}', '{"steps": 2.5}',
+                                      '{"learning_rate": true}', '[1, 2]'])
+    def test_malformed_or_mistyped_config_exits_2(self, tmp_path, text):
+        config = tmp_path / "train.json"
+        config.write_text(text)
+        code = run("train", "--synthetic", "--config", config,
+                   "--out", tmp_path / "clf.json")
+        assert code == 2
+        assert not (tmp_path / "clf.json").exists()
+
     def test_full_file_pipeline(self, workspace):
         prompts = workspace / "prompts.jsonl"
         run("gen-prompts", "--profile", workspace / "profile.json",
@@ -287,6 +300,10 @@ class TestEval:
         tmp_path, images, clf, classnames = eval_setup
         assert run("eval", "--images", images, "--methods", "warp") == 2
 
+    def test_methods_checked_before_inputs(self, tmp_path):
+        assert run("eval", "--images", tmp_path / "missing.tape",
+                   "--methods", "tap,warp") == 2
+
 
 class TestRefine:
     def test_threshold_one_is_identity_with_zero_delta(self, eval_setup, capsys):
@@ -327,6 +344,14 @@ class TestSynthSpace:
 
     def test_needs_a_source(self, tmp_path):
         assert run("synth-space", "--out", tmp_path / "x.tape") == 5
+
+    @pytest.mark.parametrize("text", ['{"dimension": 16', '{"dimension": "abc"}', '[16]'])
+    def test_malformed_or_mistyped_space_exits_2(self, tmp_path, text):
+        space = tmp_path / "space.json"
+        space.write_text(text)
+        out = tmp_path / "x.tape"
+        assert run("synth-space", "--space", space, "--per-class", 2, "--out", out) == 2
+        assert not out.exists()
 
 
 class TestRunAll:
@@ -375,7 +400,103 @@ class TestRunAll:
     def test_missing_manifest_exits_5(self, tmp_path):
         assert run("run-all", "--manifest", tmp_path / "nope.json") == 5
 
+    @pytest.mark.parametrize("changes, named", [
+        ({"stpes_typo": 1}, "stpes_typo"),
+        ({"methods": ["tap", "clip-singel"]}, "clip-singel"),
+        ({"methods": "tap"}, "methods"),
+        ({"methods": []}, "methods"),
+        ({"seed": "abc"}, "seed"),
+        ({"image_samples_per_class": 2.5}, "image_samples_per_class"),
+        ({"train": {"steps": "5"}}, "steps"),
+        ({"synthetic_space": {"dimension": "abc"}}, "dimension"),
+    ])
+    def test_bad_manifest_exits_2_before_any_stage(self, tmp_path, capsys, changes, named):
+        ws = tmp_path / "ws"
+        assert run("demo", "--workspace", ws, "--image-samples", 20, "--steps", 5) == 0
+        manifest = ws / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), **changes}))
+        assert run("run-all", "--manifest", manifest) == 2
+        assert named in capsys.readouterr().err
+        assert not (ws / "prompts.jsonl").exists()
+
+    def test_misaligned_text_bundle_exits_4(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        assert run("demo", "--workspace", ws, "--image-samples", 20, "--steps", 5) == 0
+        manifest = ws / "manifest.json"
+        assert run("run-all", "--manifest", manifest) == 0
+        sidecar = ws / "text.tape.manifest.json"
+        doc = json.loads(sidecar.read_text())
+        doc["labels"].reverse()
+        sidecar.write_text(json.dumps(doc))
+        (ws / "classifier.json").unlink()
+        capsys.readouterr()
+        assert run("run-all", "--manifest", manifest) == 4
+        assert "align" in capsys.readouterr().err
+        assert not (ws / "classifier.json").exists()
+        # `textprobe train` rejects the same files with the same code.
+        assert run("train", "--descriptions", ws / "descriptions.jsonl",
+                   "--classes", ws / "classes.json", "--text-bundle", ws / "text.tape",
+                   "--out", tmp_path / "clf.json") == 4
+
 
 class TestParser:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
+
+
+# The exit code `main` returns for each error class. A new class must be added
+# here, so that it chooses its code.
+EXIT_CODES = {
+    "InvalidProfile": 2, "InvalidConfig": 2, "InvalidSmoothing": 2, "ParseError": 2,
+    "FormatError": 2, "TruncatedFile": 2, "UnknownClassId": 2, "EmptyDataset": 2,
+    "MissingClassDescriptions": 2, "EmptyReport": 2,
+    "EndpointUnreachable": 3, "MalformedResponse": 3, "TransportError": 3,
+    "ZeroVector": 4, "DimensionMismatch": 4, "EmptyVector": 4, "NonFiniteValue": 4,
+    "ShapeMismatch": 4, "NonFiniteLoss": 4,
+    "MissingInput": 5, "MissingLabels": 5,
+}
+ERROR_CLASSES = sorted(
+    (obj for obj in vars(errors).values() if isinstance(obj, type)
+     and issubclass(obj, errors.TextProbeError) and obj is not errors.TextProbeError),
+    key=lambda c: c.__name__,
+)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error_class", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_main_returns_the_class_exit_code(self, monkeypatch, tmp_path, capsys,
+                                              error_class):
+        def fail(args):
+            raise error_class("boom")
+
+        monkeypatch.setattr(cli, "cmd_demo", fail)
+        assert main(["demo", "--workspace", str(tmp_path)]) == EXIT_CODES[error_class.__name__]
+        assert "error: boom" in capsys.readouterr().err
+
+    def test_failed_prompt_ids_are_listed(self, monkeypatch, tmp_path, capsys):
+        def fail(args):
+            raise errors.EndpointUnreachable("down", failed_prompt_ids=["p/1", "p/2"])
+
+        monkeypatch.setattr(cli, "cmd_demo", fail)
+        assert main(["demo", "--workspace", str(tmp_path)]) == 3
+        assert "failed prompt ids: p/1, p/2" in capsys.readouterr().err
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    # perfbench/tracing.py wraps functions by name on these modules; a name
+    # the package stops importing there makes install() raise KeyError.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    owners = (cli, evaluate, llm, train, train.LinearClassifier, llm.HttpTransport,
+              llm.FixtureTransport, evaluate.EvalReport)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert vars(cli)["read_bundle"] is not before[0]["read_bundle"]
+    finally:
+        tracer.uninstall()
+    for owner, attrs in zip(owners, before):
+        after = dict(vars(owner))
+        assert after.keys() == attrs.keys()
+        assert all(after[name] is value for name, value in attrs.items()), owner

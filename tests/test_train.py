@@ -477,3 +477,19 @@ class TestTrainConfig:
     def test_from_dict_rejects_non_object(self):
         with pytest.raises(InvalidConfig):
             TrainConfig.from_dict([["steps", 1]])
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"steps": "5"}, "steps"),
+        ({"steps": 2.5}, "steps"),
+        ({"seed": None}, "seed"),
+        ({"learning_rate": True}, "learning_rate"),
+        ({"noise_sigma": "0.1"}, "noise_sigma"),
+    ])
+    def test_from_dict_rejects_mistyped_value_by_name(self, doc, key):
+        with pytest.raises(InvalidConfig, match=key):
+            TrainConfig.from_dict(doc)
+
+    def test_from_dict_keeps_numbers_as_given(self):
+        cfg = TrainConfig.from_dict({"steps": 5.0, "learning_rate": 1, "seed": 3})
+        assert (cfg.steps, cfg.seed) == (5, 3) and type(cfg.steps) is int
+        assert cfg.learning_rate == 1 and type(cfg.learning_rate) is int
