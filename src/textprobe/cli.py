@@ -469,7 +469,7 @@ class PipelineManifest:
             fixture=rel("fixture"),
             endpoint=doc.get("endpoint"),
             cache=rel("cache"),
-            llm=dict(doc.get("llm", {})),
+            llm=_llm_options(path, doc.get("llm", {})),
             synthetic_space=SyntheticSpaceConfig.from_dict(space) if space else None,
             image_samples_per_class=integer("image_samples_per_class", 50),
             text_bundle=rel("text_bundle", "text.tape"),
@@ -484,6 +484,25 @@ class PipelineManifest:
             markers=rel("markers", ".stage_markers.json"),
             generic=bool(doc.get("generic", False)),
         )
+
+
+# The manifest's `llm` keys: default and whether the value must be whole.
+_LLM_KEYS = {
+    "samples_per_prompt": (DEFAULT_SAMPLES_PER_PROMPT, True),
+    "max_tokens": (DEFAULT_MAX_TOKENS, True),
+    "sampling_temperature": (DEFAULT_SAMPLING_TEMPERATURE, False),
+}
+
+
+def _llm_options(path, doc: dict) -> dict:
+    """The manifest's `llm` block as `requests_from_prompt_records` keywords."""
+    unknown = sorted(set(doc) - set(_LLM_KEYS))
+    if unknown:
+        raise InvalidConfig(f"{path}: unknown llm key(s): " + ", ".join(map(repr, unknown)))
+    options = {key: config_number(f"llm.{key}", doc.get(key, default), integral)
+               for key, (default, integral) in _LLM_KEYS.items()}
+    options["sampling_temperature"] = float(options["sampling_temperature"])
+    return options
 
 
 def _mark_stage(manifest: PipelineManifest, stage: str) -> None:
@@ -532,19 +551,8 @@ def cmd_run_all(args) -> int:
 
     # Stage 2: descriptions.
     if force or not manifest.descriptions.is_file():
-        records = read_prompts_jsonl(manifest.prompts)
-
-        def llm(key, default, integral=True):
-            return config_number(f"llm.{key}", manifest.llm.get(key, default), integral)
-
-        reqs = requests_from_prompt_records(
-            records,
-            samples_per_prompt=llm("samples_per_prompt", DEFAULT_SAMPLES_PER_PROMPT),
-            max_tokens=llm("max_tokens", DEFAULT_MAX_TOKENS),
-            sampling_temperature=float(
-                llm("sampling_temperature", DEFAULT_SAMPLING_TEMPERATURE, False)
-            ),
-        )
+        reqs = requests_from_prompt_records(read_prompts_jsonl(manifest.prompts),
+                                            **manifest.llm)
         transport = _transport(manifest.fixture, "fixture", manifest.endpoint, "endpoint")
         descs = fetch_descriptions(
             reqs, transport, str(manifest.cache) if manifest.cache else None

@@ -58,8 +58,8 @@ def normalize(values) -> np.ndarray:
 
 
 def normalize_rows(matrix) -> np.ndarray:
-    """Unit-normalize every row of a 2-D array in float64."""
-    mat = np.asarray(matrix, dtype=np.float64)
+    """Unit-normalize every row of a 2-D array in float64, into a new array."""
+    mat = np.array(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
@@ -68,7 +68,8 @@ def normalize_rows(matrix) -> np.ndarray:
     if np.any(norms < ZERO_NORM_EPS):
         bad = int(np.flatnonzero(norms.ravel() < ZERO_NORM_EPS)[0])
         raise ZeroVector(f"row {bad} has (near-)zero norm")
-    return mat / norms
+    mat /= norms
+    return mat
 
 
 def cosine_similarity(a, b) -> float:

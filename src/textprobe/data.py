@@ -17,12 +17,17 @@ The synthetic space draws one unit-normalized Gaussian mean per class from a
 seed. Text samples are normalize(mu_c + sigma*eps); image samples add a
 constant gap direction first, normalize(mu_c + gap*g + sigma*eps), modeling
 the systematic text/image offset of real dual-encoder spaces. Same seed,
-same inputs: bytewise-identical bundles.
+same inputs: bytewise-identical bundles. The noise of all n items is one
+(n, d) block draw, which consumes the stream exactly as n row draws do.
+Each row's norm is sqrt(row.dot(row)), computed row by row: that is what
+np.linalg.norm of one vector computes, while a vectorized norm (axis=1 or
+einsum) can differ in the last bit, and the rows must not change with it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -196,7 +201,7 @@ def write_bundle(bundle: EmbeddingBundle, path) -> None:
     header = _HEADER.pack(BUNDLE_MAGIC, BUNDLE_VERSION, bundle.dimension, bundle.count)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(mat.tobytes(order="C"))
+        fh.write(mat.data)
     manifest: dict = {}
     if bundle.labels is not None:
         manifest["labels"] = list(bundle.labels)
@@ -216,25 +221,28 @@ def write_bundle(bundle: EmbeddingBundle, path) -> None:
 def read_bundle(path) -> EmbeddingBundle:
     """Read a bundle written by write_bundle; lossless for float32 data."""
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < _HEADER.size:
-        raise TruncatedFile(f"{path}: file shorter than the {_HEADER.size}-byte header")
-    magic, version, dimension, count = _HEADER.unpack_from(blob, 0)
-    if magic != BUNDLE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {BUNDLE_MAGIC!r}")
-    if version != BUNDLE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if dimension < 1:
-        raise FormatError(f"{path}: declared dimension {dimension} < 1")
-    expected = count * dimension * 4
-    payload = blob[_HEADER.size:]
-    if len(payload) < expected:
-        raise TruncatedFile(
-            f"{path}: payload holds {len(payload)} bytes, header declares {expected}"
-        )
-    if len(payload) > expected:
-        raise FormatError(f"{path}: {len(payload) - expected} trailing bytes")
-    mat = np.frombuffer(payload, dtype="<f4").reshape(count, dimension)
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise TruncatedFile(f"{path}: file shorter than the {_HEADER.size}-byte header")
+        magic, version, dimension, count = _HEADER.unpack(head)
+        if magic != BUNDLE_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {BUNDLE_MAGIC!r}")
+        if version != BUNDLE_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if dimension < 1:
+            raise FormatError(f"{path}: declared dimension {dimension} < 1")
+        expected = count * dimension * 4
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size == expected:
+            mat = np.empty((count, dimension), dtype="<f4")
+            size = fh.readinto(mat)  # short only if the file shrank meanwhile
+        if size < expected:
+            raise TruncatedFile(
+                f"{path}: payload holds {size} bytes, header declares {expected}"
+            )
+        if size > expected:
+            raise FormatError(f"{path}: {size - expected} trailing bytes")
     if not np.all(np.isfinite(mat)):
         raise NonFiniteValue(f"{path}: matrix contains NaN or Inf")
 
@@ -258,7 +266,7 @@ def read_bundle(path) -> EmbeddingBundle:
     return EmbeddingBundle(
         dimension=int(dimension),
         count=int(count),
-        matrix=mat.copy(),
+        matrix=mat,
         labels=labels,
         provenance=provenance,
     )
@@ -302,6 +310,11 @@ class SyntheticSpaceConfig:
     def from_dict(cls, doc: dict) -> "SyntheticSpaceConfig":
         if not isinstance(doc, dict):
             raise InvalidConfig(f"synthetic space must be an object, got {doc!r}")
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise InvalidConfig(
+                "unknown synthetic space key(s): " + ", ".join(map(repr, unknown))
+            )
 
         def value(key, default, integral=False):
             return config_number(key, doc.get(key, default), integral)
@@ -344,25 +357,29 @@ def synthetic_encode(
     if modality not in _MODALITY_STREAM:
         raise InvalidConfig(f"modality must be 'text' or 'image', got {modality!r}")
     means, gap_dir = synthetic_class_means(space)
+    if modality == MODALITY_IMAGE:
+        means = means + space.gap * gap_dir
     noise_rng = np.random.default_rng(
         np.random.SeedSequence([space.seed, _MODALITY_STREAM[modality]])
     )
-    rows = np.empty((len(items), space.dimension), dtype=np.float64)
-    labels = []
-    for idx, (_, class_id) in enumerate(items):
-        if not 0 <= class_id < space.classes:
-            raise UnknownClassId(
-                f"item {idx} has class_id {class_id}, space has {space.classes} classes"
-            )
-        base = means[class_id]
-        if modality == MODALITY_IMAGE:
-            base = base + space.gap * gap_dir
-        vec = base + space.sigma_intra * noise_rng.standard_normal(space.dimension)
-        norm = np.linalg.norm(vec)
-        if norm < _ZERO_EPS:
-            raise ZeroVector(f"item {idx} collapsed to a zero vector")
-        rows[idx] = vec / norm
-        labels.append(class_id)
+    labels = [class_id for _, class_id in items]
+    bad = next(
+        (idx for idx, c in enumerate(labels) if not 0 <= c < space.classes), None
+    )
+    n = len(labels) if bad is None else bad
+    # One block draw, then norms row by row (see the module docstring).
+    rows = noise_rng.standard_normal((n, space.dimension))
+    rows *= space.sigma_intra
+    rows += means[np.asarray(labels[:n], dtype=np.intp)]
+    norms = np.sqrt([row.dot(row) for row in rows])
+    zero = np.flatnonzero(norms < _ZERO_EPS)
+    if zero.size:
+        raise ZeroVector(f"item {int(zero[0])} collapsed to a zero vector")
+    if bad is not None:
+        raise UnknownClassId(
+            f"item {bad} has class_id {labels[bad]}, space has {space.classes} classes"
+        )
+    rows /= norms[:, None]
     return EmbeddingBundle.from_matrix(
         rows,
         labels=labels,

@@ -122,12 +122,15 @@ class MissingInput(TextProbeError):
 # -- network errors ----------------------------------------------------------
 
 class TransportError(TextProbeError):
-    """Low-level transport failure; `transient` marks it as retryable."""
+    """Low-level transport failure; `transient` marks it as retryable, and
+    `retry_after` holds the seconds the server asked the client to wait."""
     exit_code = 3
 
-    def __init__(self, message: str, transient: bool = True):
+    def __init__(self, message: str, transient: bool = True,
+                 retry_after: float | None = None):
         super().__init__(message)
         self.transient = transient
+        self.retry_after = retry_after
 
 
 class EndpointUnreachable(TextProbeError):

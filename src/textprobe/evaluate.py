@@ -97,6 +97,21 @@ def _accuracy_row(
     )
 
 
+def _unit_rows(images: EmbeddingBundle) -> np.ndarray:
+    """The bundle's rows as float64 unit vectors, read-only.
+
+    Computed once per matrix object and kept on the bundle, so every method
+    scored against one bundle shares a single normalization; rebinding
+    `images.matrix` recomputes them, writing into it in place does not.
+    """
+    memo = getattr(images, "_unit_rows_memo", None)
+    if memo is None or memo[0] is not images.matrix:
+        rows = normalize_rows(images.matrix)
+        rows.setflags(write=False)
+        memo = images._unit_rows_memo = (images.matrix, rows)
+    return memo[1]
+
+
 def evaluate_classifier(
     clf: LinearClassifier,
     images: EmbeddingBundle,
@@ -110,7 +125,7 @@ def evaluate_classifier(
         raise DimensionMismatch(
             f"classifier dimension {clf.dimension} vs bundle {images.dimension}"
         )
-    predictions = clf.predict(images.matrix, normalize_input=True)
+    predictions = clf.predict(_unit_rows(images), normalize_input=False)
     return _accuracy_row(predictions, images.labels_array(), method, dataset)
 
 
@@ -134,8 +149,7 @@ def evaluate_zero_shot(
             f"class embedding dimension {class_embs.dimension} "
             f"vs bundle {images.dimension}"
         )
-    imgs = normalize_rows(images.matrix)
-    predictions = np.argmax(imgs @ class_embs.matrix.T, axis=1)
+    predictions = np.argmax(_unit_rows(images) @ class_embs.matrix.T, axis=1)
     return _accuracy_row(predictions, images.labels_array(), method, dataset)
 
 

@@ -33,6 +33,8 @@ DEFAULT_MAX_TOKENS = 60
 DEFAULT_SAMPLING_TEMPERATURE = 0.9
 DEFAULT_MAX_IN_FLIGHT = 4
 DEFAULT_RETRIES = 3
+# Longest wait a server's Retry-After header can impose between two attempts.
+MAX_RETRY_AFTER_S = 60.0
 
 AUTH_TOKEN_ENV = "TEXTPROBE_API_TOKEN"
 
@@ -108,8 +110,10 @@ class HttpTransport:
     """POSTs completion-style bodies {prompt, max_tokens, temperature, n}.
 
     Expects a JSON reply with a `choices` list of {"text": ...} objects.
-    Connection problems, timeouts, and 5xx replies are transient (retried by
-    the fetcher); 4xx replies and unparseable bodies are not.
+    Connection problems, timeouts, 429 and 5xx replies are transient (retried
+    by the fetcher); other 4xx replies and unparseable bodies are not. A
+    Retry-After header in delta-seconds on a 429 or 503 is passed on to the
+    fetcher as the least time to wait before the next attempt.
     """
 
     source = SOURCE_LIVE
@@ -137,8 +141,14 @@ class HttpTransport:
             )
         except requests.RequestException as exc:
             raise TransportError(f"request failed: {exc}", transient=True) from exc
+        busy = resp.status_code in (429, 503)
+        retry_after = _retry_after(resp.headers) if busy else None
         if resp.status_code >= 500:
-            raise TransportError(f"server error {resp.status_code}", transient=True)
+            raise TransportError(f"server error {resp.status_code}", transient=True,
+                                 retry_after=retry_after)
+        if resp.status_code == 429:
+            raise TransportError("rate limited (429)", transient=True,
+                                 retry_after=retry_after)
         if resp.status_code >= 400:
             raise TransportError(f"client error {resp.status_code}", transient=False)
         try:
@@ -150,6 +160,13 @@ class HttpTransport:
                 f"unparseable completion body: {exc}", prompt_id=request.prompt_id
             ) from exc
         return texts
+
+
+def _retry_after(headers) -> float | None:
+    """Seconds from a Retry-After header in delta-seconds form; an HTTP date
+    or anything else unparseable is ignored."""
+    value = (headers.get("Retry-After") or "").strip()
+    return float(value) if value.isdecimal() else None
 
 
 class FixtureTransport:
@@ -290,23 +307,33 @@ def _complete_with_retry(transport, request: LlmRequest, retries: int,
             attempt += 1
             if not exc.transient or attempt >= retries:
                 raise
-            time.sleep(backoff_base * (2 ** (attempt - 1)))
+            delay = backoff_base * (2 ** (attempt - 1))
+            if exc.retry_after is not None:
+                delay = max(delay, min(exc.retry_after, MAX_RETRY_AFTER_S))
+            time.sleep(delay)
 
 
-def _fetch_one(request: LlmRequest, transport, cache_dir, retries: int,
-               backoff_base: float) -> list[Description]:
-    n = request.samples_per_prompt
+def _sample_key(request: LlmRequest, sample_index: int) -> str:
+    return cache_key(request.prompt_text, sample_index, request.max_tokens,
+                     request.sampling_temperature)
+
+
+def _cached_samples(request: LlmRequest, cache_dir) -> dict[int, str]:
+    """Sample index -> cached text, for the samples the cache holds intact."""
     cached: dict[int, str] = {}
     if cache_dir is not None:
-        for i in range(n):
-            key = cache_key(
-                request.prompt_text, i, request.max_tokens,
-                request.sampling_temperature,
-            )
-            text = _cache_read(cache_dir, key)
+        for i in range(request.samples_per_prompt):
+            text = _cache_read(cache_dir, _sample_key(request, i))
             if text is not None:
                 cached[i] = text
+    return cached
 
+
+def _fetch_one(request: LlmRequest, cached: dict[int, str], transport, cache_dir,
+               retries: int, backoff_base: float) -> list[Description]:
+    """The request's descriptions: `cached` samples as read, the rest from one
+    live completion, which is written back to the cache."""
+    n = request.samples_per_prompt
     live_texts: list[str] | None = None
     if len(cached) < n:
         live_texts = _complete_with_retry(transport, request, retries, backoff_base)
@@ -330,11 +357,7 @@ def _fetch_one(request: LlmRequest, transport, cache_dir, retries: int,
                 )
             source = transport.source
             if cache_dir is not None:
-                key = cache_key(
-                    request.prompt_text, i, request.max_tokens,
-                    request.sampling_temperature,
-                )
-                _cache_write(cache_dir, key, request, i, text)
+                _cache_write(cache_dir, _sample_key(request, i), request, i, text)
         out.append(
             Description(
                 prompt_id=request.prompt_id,
@@ -360,7 +383,9 @@ def fetch_descriptions_partial(
 
     Returns descriptions in input-request order (samples_per_prompt per
     surviving request) plus one FetchFailure per request that failed after
-    retries.
+    retries. The cache is read on the calling thread; only requests missing a
+    sample go to a pool of at most `max_in_flight` workers, since threads
+    gain nothing on work that never waits on the network.
     """
     seen: set[str] = set()
     for req in requests_list:
@@ -368,25 +393,36 @@ def fetch_descriptions_partial(
             raise InvalidConfig(f"duplicate prompt_id {req.prompt_id!r} in requests")
         seen.add(req.prompt_id)
 
-    def worker(req: LlmRequest):
+    def worker(req: LlmRequest, cached: dict[int, str]):
         try:
-            return _fetch_one(req, transport, cache_dir, retries, backoff_base), None
+            descs = _fetch_one(req, cached, transport, cache_dir, retries, backoff_base)
+            return descs, None
         except MalformedResponse as exc:
             return None, FetchFailure(req.prompt_id, "malformed", str(exc))
         except TransportError as exc:
             return None, FetchFailure(req.prompt_id, "unreachable", str(exc))
 
+    hits = [_cached_samples(req, cache_dir) for req in requests_list]
+    results: list = [None] * len(requests_list)
+    live: list[int] = []
+    for i, req in enumerate(requests_list):
+        if len(hits[i]) < req.samples_per_prompt:
+            live.append(i)
+        else:
+            results[i] = worker(req, hits[i])
+    if live:
+        with ThreadPoolExecutor(max_workers=max(1, min(max_in_flight, len(live)))) as pool:
+            done = pool.map(lambda i: worker(requests_list[i], hits[i]), live)
+            for i, result in zip(live, done):
+                results[i] = result
+
     descriptions: list[Description] = []
     failures: list[FetchFailure] = []
-    if not requests_list:
-        return descriptions, failures
-    workers = max(1, min(max_in_flight, len(requests_list)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for descs, failure in pool.map(worker, requests_list):
-            if failure is not None:
-                failures.append(failure)
-            else:
-                descriptions.extend(descs)
+    for descs, failure in results:
+        if failure is not None:
+            failures.append(failure)
+        else:
+            descriptions.extend(descs)
     return descriptions, failures
 
 

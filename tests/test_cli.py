@@ -8,6 +8,7 @@ import pytest
 from textprobe import cli, errors, evaluate, llm, train
 from textprobe.cli import main
 from textprobe.data import SyntheticSpaceConfig, read_bundle, synthetic_class_means
+from textprobe.evaluate import ALL_METHODS
 from textprobe.train import LinearClassifier
 
 
@@ -500,3 +501,64 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
         after = dict(vars(owner))
         assert after.keys() == attrs.keys()
         assert all(after[name] is value for name, value in attrs.items()), owner
+
+
+class TestManifestBlocks:
+    @pytest.mark.parametrize("block, key, value", [
+        ("synthetic_space", "dimesion", 64),
+        ("llm", "max_tokns", 1),
+    ])
+    def test_misspelled_key_exits_2_before_any_stage(self, tmp_path, capsys,
+                                                     block, key, value):
+        ws = tmp_path / "ws"
+        assert run("demo", "--workspace", ws, "--image-samples", 20, "--steps", 5) == 0
+        manifest = ws / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc[block][key] = value
+        manifest.write_text(json.dumps(doc))
+        assert run("run-all", "--manifest", manifest) == 2
+        assert key in capsys.readouterr().err
+        assert not (ws / "prompts.jsonl").exists()
+
+    def test_mistyped_llm_value_exits_2_before_any_stage(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        assert run("demo", "--workspace", ws, "--image-samples", 20, "--steps", 5) == 0
+        manifest = ws / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["llm"]["max_tokens"] = "60"
+        manifest.write_text(json.dumps(doc))
+        assert run("run-all", "--manifest", manifest) == 2
+        assert "llm.max_tokens" in capsys.readouterr().err
+        assert not (ws / "prompts.jsonl").exists()
+
+    def test_synth_space_rejects_an_unknown_key(self, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"dimension": 16, "clases": 3}))
+        out = tmp_path / "x.tape"
+        assert run("synth-space", "--space", space, "--per-class", 2, "--out", out) == 2
+        assert "clases" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_images_are_normalized_once_per_invocation(tmp_path, monkeypatch, capsys):
+    ws = tmp_path / "ws"
+    assert run("demo", "--workspace", ws, "--image-samples", 23, "--steps", 5) == 0
+    shapes = []
+    for module in (evaluate, train):
+        monkeypatch.setattr(module, "normalize_rows",
+                            lambda m, f=module.normalize_rows: shapes.append(np.shape(m)) or f(m))
+    assert run("run-all", "--manifest", ws / "manifest.json") == 0
+    image_shape = read_bundle(ws / "images.tape").matrix.shape
+    assert image_shape == (230, 128)
+    assert shapes.count(image_shape) == 1
+    assert len(json.loads((ws / "report.json").read_text())["rows"]) == 5
+
+    shapes.clear()
+    capsys.readouterr()
+    assert run("eval", "--images", ws / "images.tape", "--methods", ",".join(ALL_METHODS),
+               "--classifier", ws / "classifier.json", "--classes", ws / "classes.json",
+               "--class-embeddings", ws / "classnames.tape",
+               "--dst-embeddings", ws / "dst.tape", "--steps", 5) == 0
+    assert shapes.count(image_shape) == 1
+    out = capsys.readouterr().out
+    assert all(m in out for m in ALL_METHODS)

@@ -10,6 +10,7 @@ from textprobe.core import (
     ZeroShotConfig,
     cosine_similarity,
     normalize,
+    normalize_rows,
     predict_class,
     stable_softmax,
     zero_shot_probabilities,
@@ -64,6 +65,22 @@ class TestNormalize:
         once = normalize(arr)
         twice = normalize(once)
         np.testing.assert_allclose(twice, once, atol=1e-9)
+
+
+class TestNormalizeRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_division_by_row_norms_and_leaves_input_alone(self, dtype):
+        m = np.random.default_rng(3).standard_normal((40, 9)).astype(dtype)
+        before = m.copy()
+        out = normalize_rows(m)
+        x = m.astype(np.float64)
+        assert out.tobytes() == (x / np.linalg.norm(x, axis=1, keepdims=True)).tobytes()
+        assert out.dtype == np.float64 and not np.shares_memory(out, m)
+        assert m.tobytes() == before.tobytes()
+
+    def test_zero_row_is_named(self):
+        with pytest.raises(ZeroVector, match="row 1"):
+            normalize_rows([[1.0, 0.0], [0.0, 0.0]])
 
 
 class TestCosineSimilarity:

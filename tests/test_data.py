@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from textprobe import data
 from textprobe.core import normalize
 from textprobe.data import (
     BUNDLE_MAGIC,
@@ -27,6 +28,7 @@ from textprobe.errors import (
     ShapeMismatch,
     TruncatedFile,
     UnknownClassId,
+    ZeroVector,
 )
 from textprobe.llm import Description
 from textprobe.prompts import ClassVocabulary
@@ -195,6 +197,24 @@ class TestBundleFormat:
         with pytest.raises(FormatError):
             read_bundle(path)
 
+    def test_read_returns_a_writable_array_of_its_own(self, tmp_path, rng):
+        path = tmp_path / "b.tape"
+        bundle = EmbeddingBundle.from_matrix(rng.standard_normal((6, 3)), labels=range(6))
+        write_bundle(bundle, path)
+        loaded = read_bundle(path)
+        assert loaded.matrix.dtype == np.dtype("<f4")
+        assert loaded.matrix.tobytes() == bundle.matrix.tobytes()
+        assert loaded.matrix.flags.writeable and loaded.matrix.flags.c_contiguous
+        loaded.matrix[0, 0] = 7.0
+        assert read_bundle(path).matrix.tobytes() == bundle.matrix.tobytes()
+
+    def test_empty_bundle_round_trips(self, tmp_path):
+        path = tmp_path / "b.tape"
+        write_bundle(EmbeddingBundle.from_matrix(np.zeros((0, 4))), path)
+        loaded = read_bundle(path)
+        assert (loaded.count, loaded.dimension) == (0, 4)
+        assert loaded.matrix.shape == (0, 4)
+
     @given(
         mat=hnp.arrays(
             dtype=np.float32,
@@ -284,3 +304,82 @@ class TestSyntheticSpace:
         bundle = synthetic_bundle(space, 4, modality=MODALITY_IMAGE)
         assert bundle.count == 12
         assert list(bundle.labels) == [0] * 4 + [1] * 4 + [2] * 4
+
+
+def reference_encode(items, space, modality):
+    """The definition of the synthetic rows, one item at a time, in float64."""
+    means, gap_dir = synthetic_class_means(space)
+    stream = {MODALITY_TEXT: 1, MODALITY_IMAGE: 2}[modality]
+    rng = np.random.default_rng(np.random.SeedSequence([space.seed, stream]))
+    rows = np.empty((len(items), space.dimension))
+    for idx, (_, class_id) in enumerate(items):
+        base = means[class_id]
+        if modality == MODALITY_IMAGE:
+            base = base + space.gap * gap_dir
+        vec = base + space.sigma_intra * rng.standard_normal(space.dimension)
+        rows[idx] = vec / np.linalg.norm(vec)
+    return rows
+
+
+class TestSyntheticEncodeMatchesRowLoop:
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        """The float64 rows synthetic_encode hands to the bundle."""
+        rows = []
+        original = EmbeddingBundle.from_matrix.__func__
+
+        def from_matrix(cls, matrix, *args, **kwargs):
+            rows.append(np.array(matrix))
+            return original(cls, matrix, *args, **kwargs)
+
+        monkeypatch.setattr(data.EmbeddingBundle, "from_matrix", classmethod(from_matrix))
+        return rows
+
+    @pytest.mark.parametrize("modality", [MODALITY_TEXT, MODALITY_IMAGE])
+    @pytest.mark.parametrize("gap", [0.0, 0.35])
+    @pytest.mark.parametrize("n_items", [1, 300])
+    def test_bytes_equal_to_row_loop(self, captured, modality, gap, n_items):
+        space = SyntheticSpaceConfig(dimension=96, classes=7, sigma_intra=0.3, gap=gap, seed=11)
+        items = [(f"x{i}", (5 * i + 3) % 7) for i in range(n_items)]
+        bundle = synthetic_encode(items, space, modality=modality)
+        expected = reference_encode(items, space, modality)
+        assert captured[-1].tobytes() == expected.tobytes()
+        assert bundle.matrix.tobytes() == expected.astype("<f4").tobytes()
+        assert list(bundle.labels) == [c for _, c in items]
+
+    def test_no_items(self):
+        space = SyntheticSpaceConfig(dimension=8, classes=2, seed=0)
+        bundle = synthetic_encode([], space)
+        assert bundle.matrix.shape == (0, 8)
+
+    def test_first_unknown_class_is_named_by_index(self):
+        space = SyntheticSpaceConfig(dimension=8, classes=3, sigma_intra=0.1, seed=0)
+        items = [("a", 0), ("b", 2), ("c", 3), ("d", -1)]
+        with pytest.raises(UnknownClassId, match=r"item 2 has class_id 3"):
+            synthetic_encode(items, space)
+
+    def test_first_zero_vector_is_named_by_index(self, monkeypatch):
+        space = SyntheticSpaceConfig(dimension=8, classes=3, sigma_intra=0.0, seed=0)
+        means = np.eye(3, 8)
+        means[1] = 0.0
+        monkeypatch.setattr(data, "synthetic_class_means",
+                            lambda space: (means, np.eye(1, 8)[0]))
+        items = [("a", 0), ("b", 2), ("c", 1), ("d", 1)]
+        with pytest.raises(ZeroVector, match=r"item 2 "):
+            synthetic_encode(items, space)
+        # A zero vector ahead of an unknown class id is reported first, as a
+        # row-by-row pass meets it first.
+        with pytest.raises(ZeroVector, match=r"item 2 "):
+            synthetic_encode(items[:3] + [("e", 9)], space)
+        with pytest.raises(UnknownClassId, match=r"item 1 "):
+            synthetic_encode([("a", 0), ("e", 9), ("c", 1)], space)
+
+
+class TestSyntheticSpaceKeys:
+    def test_unknown_key_is_named(self):
+        with pytest.raises(InvalidConfig, match="dimesion"):
+            SyntheticSpaceConfig.from_dict({"dimesion": 64, "classes": 3})
+
+    def test_known_keys_round_trip(self):
+        space = SyntheticSpaceConfig(dimension=16, classes=3, sigma_intra=0.2, gap=0.1, seed=4)
+        assert SyntheticSpaceConfig.from_dict(space.to_dict()) == space

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from textprobe import evaluate
 from textprobe.core import (
     ClassTextEmbeddings,
     normalize,
@@ -350,3 +351,35 @@ class TestRenderReport:
         report.save(p1)
         report.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestImagesNormalizedOnce:
+    def test_methods_share_one_normalization_until_matrix_is_rebound(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluate, "normalize_rows",
+                            lambda m: calls.append(1) or normalize_rows(m))
+        embs = ClassTextEmbeddings.from_matrix(np.eye(3, 4))
+        images = EmbeddingBundle.from_matrix(3.0 * np.eye(3, 4), labels=[0, 1, 2])
+        clf = LinearClassifier(weights=np.eye(3, 4), bias=np.zeros(3),
+                               vocab=ClassVocabulary(("a", "b", "c")))
+        assert evaluate_zero_shot(embs, images).accuracy == 100.0
+        assert evaluate_classifier(clf, images).accuracy == 100.0
+        assert len(calls) == 1
+
+        images.matrix = np.ascontiguousarray(images.matrix[[1, 2, 0]])
+        assert evaluate_zero_shot(embs, images).accuracy == 0.0
+        assert evaluate_classifier(clf, images).accuracy == 0.0
+        assert len(calls) == 2
+
+    def test_predictions_equal_the_per_call_path(self, rng):
+        space = SyntheticSpaceConfig(dimension=32, classes=5, sigma_intra=0.6, seed=2)
+        images = synthetic_bundle(space, 40, modality=MODALITY_IMAGE)
+        clf = LinearClassifier(weights=rng.standard_normal((5, 32)),
+                               bias=rng.standard_normal(5),
+                               vocab=ClassVocabulary(tuple("abcde")))
+        expected = clf.predict(images.matrix, normalize_input=True)
+        row = evaluate_classifier(clf, images)
+        assert row.accuracy == 100.0 * np.mean(expected == images.labels_array())
+        for _ in range(2):
+            again = evaluate_classifier(clf, images)
+            assert again.to_dict() == row.to_dict()

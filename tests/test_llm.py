@@ -1,8 +1,10 @@
 import json
+import threading
 
 import pytest
 import requests
 
+from textprobe import llm
 from textprobe.errors import (
     EndpointUnreachable,
     InvalidConfig,
@@ -15,6 +17,7 @@ from textprobe.llm import (
     FixtureTransport,
     HttpTransport,
     LlmRequest,
+    MAX_RETRY_AFTER_S,
     MockTransport,
     cache_key,
     fetch_descriptions,
@@ -286,9 +289,10 @@ class TestFixtures:
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None):
+    def __init__(self, status_code=200, payload=None, headers=None):
         self.status_code = status_code
         self._payload = payload
+        self.headers = dict(headers or {})
 
     def json(self):
         if self._payload is None:
@@ -300,14 +304,17 @@ class FakeSession:
     """requests.Session stand-in recording the outgoing POST."""
 
     def __init__(self, response):
-        self.response = response
+        self.response = response  # one reply for every POST, or a list in turn
         self.posts = []
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.posts.append({"url": url, "json": json, "headers": headers})
-        if isinstance(self.response, Exception):
-            raise self.response
-        return self.response
+        response = self.response
+        if isinstance(response, list):
+            response = response[len(self.posts) - 1]
+        if isinstance(response, Exception):
+            raise response
+        return response
 
 
 class TestHttpTransport:
@@ -376,3 +383,175 @@ class TestRequestValidation:
     def test_bad_temperature(self):
         with pytest.raises(InvalidConfig):
             LlmRequest(prompt_id="a", prompt_text="p", class_id=0, sampling_temperature=-0.1)
+
+
+OK_REPLY = {"choices": [{"text": "one"}, {"text": "two"}]}
+
+
+class TestRetryAfter:
+    def request(self):
+        return LlmRequest(prompt_id="p/0/0/-", prompt_text="Describe a thing.",
+                          class_id=0, samples_per_prompt=2)
+
+    def fetch(self, monkeypatch, replies, retries=3, backoff=0.5):
+        sleeps = []
+        monkeypatch.setattr(llm.time, "sleep", sleeps.append)
+        session = FakeSession(replies)
+        transport = HttpTransport("http://api.example", session=session)
+        out = fetch_descriptions([self.request()], transport, retries=retries,
+                                 backoff_base=backoff)
+        return out, sleeps, session
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_busy_reply_is_transient_and_carries_retry_after(self, status):
+        transport = HttpTransport("http://api.example", session=FakeSession(
+            FakeResponse(status_code=status, headers={"Retry-After": "7"})))
+        with pytest.raises(TransportError) as excinfo:
+            transport.complete(self.request())
+        assert excinfo.value.transient
+        assert excinfo.value.retry_after == 7.0
+
+    @pytest.mark.parametrize("value", [None, "Wed, 21 Oct 2026 07:28:00 GMT", "-3", "1.5"])
+    def test_retry_after_other_than_delta_seconds_is_ignored(self, value):
+        headers = {} if value is None else {"Retry-After": value}
+        transport = HttpTransport("http://api.example", session=FakeSession(
+            FakeResponse(status_code=429, headers=headers)))
+        with pytest.raises(TransportError) as excinfo:
+            transport.complete(self.request())
+        assert excinfo.value.transient
+        assert excinfo.value.retry_after is None
+
+    def test_retry_after_on_other_errors_is_ignored(self):
+        transport = HttpTransport("http://api.example", session=FakeSession(
+            FakeResponse(status_code=500, headers={"Retry-After": "9"})))
+        with pytest.raises(TransportError) as excinfo:
+            transport.complete(self.request())
+        assert excinfo.value.retry_after is None
+
+    def test_waits_the_longer_of_backoff_and_retry_after(self, monkeypatch):
+        busy = FakeResponse(status_code=429, headers={"Retry-After": "2"})
+        out, sleeps, session = self.fetch(
+            monkeypatch, [busy, busy, FakeResponse(payload=OK_REPLY)], backoff=1.5)
+        assert [d.text for d in out] == ["one", "two"]
+        assert sleeps == [2.0, 3.0]  # max(1.5, 2), then max(3.0, 2)
+        assert len(session.posts) == 3
+
+    def test_retry_after_is_capped(self, monkeypatch):
+        busy = FakeResponse(status_code=503, headers={"Retry-After": "86400"})
+        _, sleeps, _ = self.fetch(monkeypatch, [busy, FakeResponse(payload=OK_REPLY)])
+        assert sleeps == [MAX_RETRY_AFTER_S]
+
+    def test_without_the_header_backoff_is_unchanged(self, monkeypatch):
+        replies = [FakeResponse(status_code=429), FakeResponse(status_code=503),
+                   FakeResponse(payload=OK_REPLY)]
+        _, sleeps, _ = self.fetch(monkeypatch, replies, retries=3, backoff=0.25)
+        assert sleeps == [0.25, 0.5]
+
+    def test_rate_limited_until_retries_run_out_is_unreachable(self, monkeypatch):
+        busy = FakeResponse(status_code=429, headers={"Retry-After": "1"})
+        with pytest.raises(EndpointUnreachable):
+            self.fetch(monkeypatch, [busy, busy], retries=2, backoff=0.1)
+
+
+def write_cache_entry(cache, request, index, text):
+    key = cache_key(request.prompt_text, index, request.max_tokens,
+                    request.sampling_temperature)
+    (cache / f"{key}.json").write_text(json.dumps({"text": text}))
+    return cache / f"{key}.json"
+
+
+class NoPool:
+    """Stands in for the worker pool where none may be started."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+
+class TestCacheHitsOnCallingThread:
+    def warm(self, tmp_path, reqs):
+        cache = tmp_path / "cache"
+        fetch_descriptions(reqs, MockTransport(echo_replies), cache)
+        return cache
+
+    def test_all_hit_fetch_starts_no_thread(self, tmp_path, monkeypatch):
+        reqs = make_requests(6, samples=3)
+        cache = self.warm(tmp_path, reqs)
+        monkeypatch.setattr(llm, "ThreadPoolExecutor", NoPool)
+        before = threading.active_count()
+        counter = MockTransport(echo_replies)
+        descs, failures = fetch_descriptions_partial(reqs, counter, cache, max_in_flight=4)
+        assert counter.calls == 0 and failures == []
+        assert threading.active_count() == before
+        assert len(descs) == 18 and all(d.source == "cache" for d in descs)
+
+    def test_cache_is_read_once_per_sample(self, tmp_path, monkeypatch):
+        reqs = make_requests(4, samples=2)
+        cache = self.warm(tmp_path, reqs[:2])  # two full hits, two misses
+        reads = []
+        original = llm._cache_read
+        monkeypatch.setattr(llm, "_cache_read",
+                            lambda d, key: reads.append(key) or original(d, key))
+        fetch_descriptions(reqs, MockTransport(echo_replies), cache)
+        assert len(reads) == len(set(reads)) == 8
+
+    def test_mixed_cache_matches_a_serial_reference(self, tmp_path):
+        reqs = make_requests(6, samples=3)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cached = {
+            0: {0: "c0", 1: "c1", 2: "c2"},  # full hit
+            1: {1: "p1"},                    # partial hit
+            2: {},                           # miss
+            3: {0: "d0", 1: "d1", 2: "d2"},  # full hit
+            4: {0: "e0", 2: "e2"},           # partial hit, sample 1 corrupt below
+            5: {0: "f0", 1: "f1", 2: "f2"},  # full hit but for sample 2, corrupt below
+        }
+        for r, samples in cached.items():
+            for i, text in samples.items():
+                write_cache_entry(cache, reqs[r], i, text)
+        corrupt = [write_cache_entry(cache, reqs[4], 1, "x"),
+                   write_cache_entry(cache, reqs[5], 2, "x")]
+        for path in corrupt:
+            path.write_text("{not json")
+        del cached[5][2]
+
+        calls = []
+        transport = MockTransport(lambda r: calls.append(r.prompt_id) or echo_replies(r))
+        descs, failures = fetch_descriptions_partial(reqs, transport, cache, max_in_flight=3)
+
+        expected = []
+        for r, req in enumerate(reqs):
+            live = echo_replies(req)
+            for i in range(3):
+                if i in cached[r]:
+                    expected.append((req.prompt_id, i, cached[r][i], "cache"))
+                else:
+                    expected.append((req.prompt_id, i, live[i], "live"))
+        assert failures == []
+        assert [(d.prompt_id, d.sample_index, d.text, d.source) for d in descs] == expected
+        # One live request per prompt with a missing sample, none for full hits.
+        assert sorted(calls) == sorted(reqs[r].prompt_id for r in (1, 2, 4, 5))
+        for path, req, i in zip(corrupt, (reqs[4], reqs[5]), (1, 2)):
+            assert json.loads(path.read_text())["text"] == echo_replies(req)[i]
+
+    def test_failures_keep_request_order(self, tmp_path):
+        reqs = make_requests(6, samples=2)
+        cache = self.warm(tmp_path, [reqs[0], reqs[3]])
+
+        def replies(request):
+            if request.prompt_id in (reqs[4].prompt_id, reqs[1].prompt_id):
+                raise TransportError("down", transient=False)
+            if request.prompt_id == reqs[2].prompt_id:
+                return ["   ", "ok"]
+            return echo_replies(request)
+
+        descs, failures = fetch_descriptions_partial(reqs, MockTransport(replies), cache,
+                                                     max_in_flight=4)
+        assert [(f.prompt_id, f.kind) for f in failures] == [
+            (reqs[1].prompt_id, "unreachable"),
+            (reqs[2].prompt_id, "malformed"),
+            (reqs[4].prompt_id, "unreachable"),
+        ]
+        assert [d.prompt_id for d in descs] == [
+            reqs[r].prompt_id for r in (0, 0, 3, 3, 5, 5)
+        ]
