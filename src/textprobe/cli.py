@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .atomic import atomic_write
 from .data import (
     SyntheticSpaceConfig,
     build_text_dataset,
@@ -513,9 +514,8 @@ def _mark_stage(manifest: PipelineManifest, stage: str) -> None:
         except json.JSONDecodeError:
             doc = {}
     doc[stage] = True
-    manifest.markers.write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    with atomic_write(manifest.markers) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _space_for(manifest: PipelineManifest) -> SyntheticSpaceConfig:

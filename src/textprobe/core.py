@@ -29,6 +29,10 @@ ZERO_NORM_EPS = 1e-12
 # Tolerance when validating that stored class embeddings are unit norm.
 UNIT_NORM_TOL = 1e-6
 
+# Row norms are summed over blocks of about this many elements (1 MB of
+# float64), so no temporary the size of the matrix is allocated.
+_NORM_BLOCK_ELEMS = 1 << 17
+
 # Default softmax temperature, matching the usual learned logit scale of
 # contrastive dual encoders (logit scale ~ 100 <=> tau ~ 0.01).
 DEFAULT_TEMPERATURE = 0.01
@@ -64,7 +68,14 @@ def normalize_rows(matrix) -> np.ndarray:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise NonFiniteValue("matrix contains NaN or Inf")
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    # What np.linalg.norm(mat, axis=1) computes, block by block: each row
+    # reduces on its own, so the norms are the same to the bit.
+    norms = np.empty((mat.shape[0], 1))
+    step = max(1, _NORM_BLOCK_ELEMS // max(1, mat.shape[1]))
+    for lo in range(0, mat.shape[0], step):
+        block = mat[lo:lo + step]
+        np.sqrt(np.add.reduce(block * block, axis=1, keepdims=True),
+                out=norms[lo:lo + step])
     if np.any(norms < ZERO_NORM_EPS):
         bad = int(np.flatnonzero(norms.ravel() < ZERO_NORM_EPS)[0])
         raise ZeroVector(f"row {bad} has (near-)zero norm")

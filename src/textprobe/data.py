@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import (
     EmptyDataset,
     FormatError,
@@ -120,7 +121,7 @@ def build_text_dataset(
 
 
 def write_text_dataset_jsonl(dataset: TextDataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for text, class_id in dataset.items:
             fh.write(json.dumps({"text": text, "class_id": class_id}, sort_keys=True) + "\n")
 
@@ -199,7 +200,7 @@ def write_bundle(bundle: EmbeddingBundle, path) -> None:
     if not np.all(np.isfinite(mat)):
         raise NonFiniteValue("refusing to write non-finite embeddings")
     header = _HEADER.pack(BUNDLE_MAGIC, BUNDLE_VERSION, bundle.dimension, bundle.count)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(mat.data)
     manifest: dict = {}
@@ -210,9 +211,8 @@ def write_bundle(bundle: EmbeddingBundle, path) -> None:
             manifest[key] = bundle.provenance[key]
     manifest_path = Path(str(path) + ".manifest.json")
     if manifest:
-        manifest_path.write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        with atomic_write(manifest_path) as fh:
+            fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     elif manifest_path.is_file():
         # Do not let a stale sidecar from a previous write describe this bundle.
         manifest_path.unlink()

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .core import ClassTextEmbeddings, normalize_rows, stable_softmax
 from .data import EmbeddingBundle, TextDataset
 from .errors import (
@@ -68,7 +69,7 @@ class EvalReport:
         return {"rows": [r.to_dict() for r in self.rows], "config": self.config}
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(self.to_dict(), fh, sort_keys=True, separators=(",", ":"))
             fh.write("\n")
 

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
 import requests
 
+from .atomic import atomic_write
 from .errors import (
     EndpointUnreachable,
     InvalidConfig,
@@ -275,16 +276,8 @@ def _cache_write(cache_dir, key: str, request: LlmRequest, sample_index: int,
         "sampling_temperature": request.sampling_temperature,
         "text": text,
     }
-    # Atomic write: temp file in the same directory, then rename.
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-        os.replace(tmp, _cache_path(cache_dir, key))
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(_cache_path(cache_dir, key)) as fh:
+        json.dump(doc, fh, sort_keys=True)
 
 
 # -- fetching ----------------------------------------------------------------------
@@ -329,33 +322,40 @@ def _cached_samples(request: LlmRequest, cache_dir) -> dict[int, str]:
     return cached
 
 
-def _fetch_one(request: LlmRequest, cached: dict[int, str], transport, cache_dir,
-               retries: int, backoff_base: float) -> list[Description]:
-    """The request's descriptions: `cached` samples as read, the rest from one
-    live completion, which is written back to the cache."""
-    n = request.samples_per_prompt
-    live_texts: list[str] | None = None
-    if len(cached) < n:
-        live_texts = _complete_with_retry(transport, request, retries, backoff_base)
-        if len(live_texts) < n:
-            raise MalformedResponse(
-                f"endpoint returned {len(live_texts)} completions, "
-                f"expected {n}",
-                prompt_id=request.prompt_id,
-            )
+def _round_trip(request: LlmRequest, transport, retries: int,
+                backoff_base: float) -> tuple[list[str] | None, FetchFailure | None]:
+    """A worker's whole job: one request's completions, or why there are none.
 
+    Failures are returned, not raised: an exception left in a future keeps its
+    traceback's frames alive in reference cycles until the next collection.
+    """
+    try:
+        return _complete_with_retry(transport, request, retries, backoff_base), None
+    except MalformedResponse as exc:
+        return None, FetchFailure(request.prompt_id, "malformed", str(exc))
+    except TransportError as exc:
+        return None, FetchFailure(request.prompt_id, "unreachable", str(exc))
+
+
+def _settle(request: LlmRequest, cached: dict[int, str], live_texts: list[str] | None,
+            source: str, cache_dir) -> tuple[list[Description] | None, FetchFailure | None]:
+    """The request's descriptions: `cached` samples as read, the rest from
+    `live_texts`, cleaned and written to the cache in sample order; or the
+    failure that a short reply or an empty completion makes of it."""
+    n = request.samples_per_prompt
+    if live_texts is not None and len(live_texts) < n:
+        return None, FetchFailure(
+            request.prompt_id, "malformed",
+            f"endpoint returned {len(live_texts)} completions, expected {n}")
     out: list[Description] = []
     for i in range(n):
         if i in cached:
-            text, source = cached[i], SOURCE_CACHE
+            text, text_source = cached[i], SOURCE_CACHE
         else:
-            text = clean_completion(live_texts[i])
+            text, text_source = clean_completion(live_texts[i]), source
             if not text:
-                raise MalformedResponse(
-                    "endpoint returned an empty completion",
-                    prompt_id=request.prompt_id,
-                )
-            source = transport.source
+                return None, FetchFailure(request.prompt_id, "malformed",
+                                          "endpoint returned an empty completion")
             if cache_dir is not None:
                 _cache_write(cache_dir, _sample_key(request, i), request, i, text)
         out.append(
@@ -364,11 +364,11 @@ def _fetch_one(request: LlmRequest, cached: dict[int, str], transport, cache_dir
                 class_id=request.class_id,
                 text=text,
                 sample_index=i,
-                source=source,
+                source=text_source,
                 class_name=request.class_name,
             )
         )
-    return out
+    return out, None
 
 
 def fetch_descriptions_partial(
@@ -383,24 +383,24 @@ def fetch_descriptions_partial(
 
     Returns descriptions in input-request order (samples_per_prompt per
     surviving request) plus one FetchFailure per request that failed after
-    retries. The cache is read on the calling thread; only requests missing a
-    sample go to a pool of at most `max_in_flight` workers, since threads
-    gain nothing on work that never waits on the network.
+    `retries` attempts, also in request order. The cache is read on the
+    calling thread, and only requests missing a sample go to a pool of at
+    most `max_in_flight` workers. A worker only makes the round trip, retries
+    and backoff included; the calling thread checks each reply as it arrives
+    and writes the cache, so the worker is free to send the next request and
+    `max_in_flight` requests stay on the wire.
     """
+    if max_in_flight < 1:
+        raise InvalidConfig(f"max_in_flight must be >= 1, got {max_in_flight}")
+    if retries < 1:
+        raise InvalidConfig(f"retries must be >= 1, got {retries}")
+    if not (backoff_base >= 0 and math.isfinite(backoff_base)):
+        raise InvalidConfig(f"backoff_base must be a finite number >= 0, got {backoff_base}")
     seen: set[str] = set()
     for req in requests_list:
         if req.prompt_id in seen:
             raise InvalidConfig(f"duplicate prompt_id {req.prompt_id!r} in requests")
         seen.add(req.prompt_id)
-
-    def worker(req: LlmRequest, cached: dict[int, str]):
-        try:
-            descs = _fetch_one(req, cached, transport, cache_dir, retries, backoff_base)
-            return descs, None
-        except MalformedResponse as exc:
-            return None, FetchFailure(req.prompt_id, "malformed", str(exc))
-        except TransportError as exc:
-            return None, FetchFailure(req.prompt_id, "unreachable", str(exc))
 
     hits = [_cached_samples(req, cache_dir) for req in requests_list]
     results: list = [None] * len(requests_list)
@@ -409,12 +409,24 @@ def fetch_descriptions_partial(
         if len(hits[i]) < req.samples_per_prompt:
             live.append(i)
         else:
-            results[i] = worker(req, hits[i])
+            results[i] = _settle(req, hits[i], None, transport.source, cache_dir)
     if live:
-        with ThreadPoolExecutor(max_workers=max(1, min(max_in_flight, len(live)))) as pool:
-            done = pool.map(lambda i: worker(requests_list[i], hits[i]), live)
-            for i, result in zip(live, done):
-                results[i] = result
+        pool = ThreadPoolExecutor(max_workers=min(max_in_flight, len(live)))
+        try:
+            pending = {
+                pool.submit(_round_trip, requests_list[i], transport, retries,
+                            backoff_base): i
+                for i in live
+            }
+            for future in as_completed(pending):
+                i = pending.pop(future)
+                texts, failure = future.result()
+                results[i] = (None, failure) if failure is not None else _settle(
+                    requests_list[i], hits[i], texts, transport.source, cache_dir)
+        finally:
+            # Leaving early (an interrupt, a failed cache write) sends nothing
+            # more; requests already on the wire finish first.
+            pool.shutdown(cancel_futures=True)
 
     descriptions: list[Description] = []
     failures: list[FetchFailure] = []
@@ -456,7 +468,7 @@ def fetch_descriptions(
 
 def write_descriptions_jsonl(descriptions: list[Description], path) -> None:
     """Write records {prompt_id, class_id, class_name, sample_index, text}."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for d in descriptions:
             rec = {
                 "prompt_id": d.prompt_id,

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .atomic import atomic_write
 from .errors import InvalidProfile, ParseError
 
 SHIFT_FINE_GRAINED = "fine_grained"
@@ -289,7 +290,7 @@ def render_generic_prompts(
 
 def write_prompts_jsonl(prompts: list[TargetedPrompt], path) -> None:
     """Write prompts as JSON-lines records {prompt_id, class_id, class_name, text}."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for p in prompts:
             rec = {
                 "prompt_id": p.prompt_id,

@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .core import normalize, normalize_rows
 from .data import EmbeddingBundle, TextDataset
 from .errors import (
@@ -309,10 +310,8 @@ class LinearClassifier:
             "bias": [float(x) for x in self.bias],
             "train_meta": self.train_meta,
         }
-        Path(path).write_text(
-            json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
+        with atomic_write(path) as fh:
+            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
     @classmethod
     def load(cls, path) -> "LinearClassifier":

@@ -165,6 +165,24 @@ class TestFetch:
         assert len(written) == len(records) - 1
 
 
+class TestFetchOptions:
+    @pytest.mark.parametrize("flag, value", [
+        ("--backoff", -1), ("--max-in-flight", 0), ("--retries", 0),
+    ])
+    def test_invalid_option_exits_2_and_writes_nothing(self, workspace, capsys,
+                                                       flag, value):
+        prompts = workspace / "prompts.jsonl"
+        run("gen-prompts", "--profile", workspace / "profile.json",
+            "--classes", workspace / "classes.json", "--out", prompts)
+        out = workspace / "d.jsonl"
+        code = run("fetch", "--prompts", prompts,
+                   "--endpoint", "http://127.0.0.1:1/unreachable",
+                   flag, value, "--out", out)
+        assert code == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrain:
     def test_synthetic_quickstart(self, tmp_path):
         import time

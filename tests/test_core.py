@@ -78,6 +78,13 @@ class TestNormalizeRows:
         assert out.dtype == np.float64 and not np.shares_memory(out, m)
         assert m.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("shape", [(3001, 768), (50001, 3), (2, 200000)])
+    def test_blockwise_norms_match_one_vectorized_norm(self, shape):
+        # Each shape spans several norm blocks or one wide row.
+        x = np.random.default_rng(5).standard_normal(shape)
+        expected = x / np.linalg.norm(x, axis=1, keepdims=True)
+        assert normalize_rows(x).tobytes() == expected.tobytes()
+
     def test_zero_row_is_named(self):
         with pytest.raises(ZeroVector, match="row 1"):
             normalize_rows([[1.0, 0.0], [0.0, 0.0]])

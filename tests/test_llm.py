@@ -555,3 +555,80 @@ class TestCacheHitsOnCallingThread:
         assert [d.prompt_id for d in descs] == [
             reqs[r].prompt_id for r in (0, 0, 3, 3, 5, 5)
         ]
+
+
+class TestCallerWritesTheCache:
+    """Workers only make the round trip; the calling thread checks each reply
+    and writes the cache, so a slot is free again as soon as its reply lands."""
+
+    def test_slot_is_free_while_the_caller_writes(self, tmp_path, monkeypatch):
+        reqs = make_requests(2, samples=1)
+        second_started = threading.Event()
+        waited = []
+
+        def replies(request):
+            if request.prompt_id == reqs[1].prompt_id:
+                second_started.set()
+            return echo_replies(request)
+
+        original = llm._cache_write
+
+        def write(cache_dir, key, request, i, text):
+            if request.prompt_id == reqs[0].prompt_id:
+                waited.append(second_started.wait(5))
+            original(cache_dir, key, request, i, text)
+
+        monkeypatch.setattr(llm, "_cache_write", write)
+        descs, failures = fetch_descriptions_partial(
+            reqs, MockTransport(replies), tmp_path / "cache", max_in_flight=1)
+        assert waited == [True]
+        assert failures == [] and [d.prompt_id for d in descs] == [r.prompt_id for r in reqs]
+
+    def test_every_cache_write_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
+        reqs = make_requests(8, samples=3)
+        threads = []
+        original = llm._cache_write
+
+        def write(*args):
+            threads.append(threading.get_ident())
+            original(*args)
+
+        monkeypatch.setattr(llm, "_cache_write", write)
+        fetch_descriptions(reqs, MockTransport(echo_replies), tmp_path / "cache",
+                           max_in_flight=4)
+        assert threads == [threading.get_ident()] * 24
+
+    def test_failed_cache_write_propagates_and_cancels_the_rest(self, tmp_path,
+                                                                  monkeypatch):
+        reqs = make_requests(40, samples=1)
+        write_tried = threading.Event()
+        calls = []
+
+        def replies(request):
+            calls.append(request.prompt_id)
+            if request.prompt_id != reqs[0].prompt_id:
+                write_tried.wait(5)  # hold both slots until the write fails
+            return echo_replies(request)
+
+        def write(*args):
+            write_tried.set()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(llm, "_cache_write", write)
+        with pytest.raises(OSError, match="disk full"):
+            fetch_descriptions_partial(reqs, MockTransport(replies), tmp_path / "cache",
+                                       max_in_flight=2)
+        assert len(calls) < 40
+
+
+class TestFetchOptions:
+    @pytest.mark.parametrize("option, value", [
+        ("max_in_flight", 0), ("max_in_flight", -5),
+        ("retries", 0), ("retries", -2),
+        ("backoff_base", -1.0), ("backoff_base", float("nan")),
+    ])
+    def test_invalid_option_is_invalid_config(self, option, value):
+        transport = MockTransport(echo_replies)
+        with pytest.raises(InvalidConfig, match=option):
+            fetch_descriptions_partial(make_requests(1), transport, **{option: value})
+        assert transport.calls == 0
