@@ -29,16 +29,6 @@ class TestAtomicWrite:
         mode = lambda name: os.stat(tmp_path / name).st_mode & 0o777  # noqa: E731
         assert mode("atomic.txt") == mode("plain.txt")
 
-    def test_writer_that_raises_midway_leaves_the_old_file(self, tmp_path):
-        target = tmp_path / "report.json"
-        target.write_text("old\n")
-        with pytest.raises(RuntimeError):
-            with atomic_write(target) as fh:
-                fh.write("new, but only half")
-                raise RuntimeError("crash mid-write")
-        assert target.read_text() == "old\n"
-        assert leftovers(tmp_path) == []
-
     def test_symlink_is_written_through_not_replaced(self, tmp_path):
         (tmp_path / "real.json").write_text("old\n")
         link = tmp_path / "link.json"
