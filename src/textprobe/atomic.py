@@ -7,15 +7,21 @@ that dies mid-write therefore never leaves a truncated artifact for the next
 run to mistake for a complete one. A target that is a symlink, device or pipe
 (say `--out /dev/stdout`) is written through as a plain open would write it,
 since renaming over it would replace the link or the device node itself.
+
+`write_jsonl` and `read_jsonl` are the one writer and the one reader of the
+JSON-lines artifacts (prompts, descriptions, text datasets, fixtures).
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import stat
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import ParseError
 
 _temp_ids = itertools.count()
 
@@ -58,3 +64,46 @@ def atomic_write(path, mode: str = "w", encoding: str | None = "utf-8"):
         except FileNotFoundError:
             pass
         raise
+
+
+def write_jsonl(path, records) -> None:
+    """Write each record as one JSON line with sorted keys, atomically."""
+    with atomic_write(path) as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def read_jsonl(path, fields: dict):
+    """Yield (line number, record) for each non-blank line of a JSON-lines file.
+
+    `fields` maps each key to the type its value is converted to, or to a
+    (type, default) pair for a key a line may omit; a record holds exactly
+    these keys. A line that is not a JSON object, lacks a key or holds a
+    value that does not convert raises ParseError naming the line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"line {lineno}: invalid JSON ({exc})", lineno) from exc
+            if not isinstance(doc, dict):
+                raise ParseError(f"line {lineno}: expected a JSON object", lineno)
+            rec = {}
+            for key, kind in fields.items():
+                kind, default = kind if isinstance(kind, tuple) else (kind, None)
+                if key in doc:
+                    try:
+                        rec[key] = kind(doc[key])
+                    except (TypeError, ValueError, OverflowError) as exc:
+                        raise ParseError(
+                            f"line {lineno}: bad value for '{key}' ({exc})", lineno
+                        ) from exc
+                elif default is None:
+                    raise ParseError(f"line {lineno}: missing '{key}'", lineno)
+                else:
+                    rec[key] = default
+            yield lineno, rec

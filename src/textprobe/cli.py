@@ -5,21 +5,30 @@ can be spliced in at any point. Exit codes: 0 success, 2 configuration
 problem, 3 network failure, 4 numeric/shape failure, 5 missing input; each
 error class in errors.py carries its own as `exit_code`.
 Status goes to stderr; stdout carries data (tables, CSV, JSON) only.
+
+Every stage is one `_*_stage` function from resolved inputs to one written
+file that returns its status line. Its subcommand maps flags onto those
+inputs, and `run-all` maps manifest keys onto them and runs the stages in
+one loop, so both run the same code.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
-from .atomic import atomic_write
+from .atomic import atomic_write, write_jsonl
 from .data import (
     SyntheticSpaceConfig,
     build_text_dataset,
+    class_name_items,
     description_items,
     read_bundle,
     read_text_dataset_jsonl,
@@ -51,6 +60,7 @@ from .evaluate import (
     evaluate_zero_shot,
     pseudo_label_refine,
     render_report,
+    template_items,
     train_tot_cls,
     train_tot_dst,
 )
@@ -103,69 +113,164 @@ def _read_json(path):
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _write_json(path, doc, **options) -> None:
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, indent=2, **options) + "\n")
+
+
 def stage_seed(master: int, stage: str) -> int:
     """Fan a master seed out to per-stage sub-seeds by stage-name hashing."""
     digest = hashlib.sha256(f"{master}:{stage}".encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
 
 
-# -- gen-prompts ---------------------------------------------------------------
+# -- stages ------------------------------------------------------------------------
+#
+# An input file that may be missing is passed as a (path, name) pair, so the
+# error names the flag or the manifest key it came from.
+
+def _prompts_stage(vocab, profile, out, generic=False,
+                   templates=DEFAULT_GENERIC_TEMPLATES, task_name="generic") -> str:
+    if generic:
+        prompts = render_generic_prompts(vocab, templates, task_name=task_name)
+    else:
+        prompts = render_prompts(TaskProfile.from_file(_require_file(*profile)), vocab)
+    write_prompts_jsonl(prompts, out)
+    return f"wrote {len(prompts)} prompts over {len(vocab)} classes to {out}"
+
+
+def _transport(fixture, endpoint):
+    if fixture[0]:
+        return FixtureTransport(_require_file(*fixture))
+    if endpoint[0]:
+        return HttpTransport(endpoint[0])
+    raise MissingInput(f"the fetch stage needs {endpoint[1]} or {fixture[1]}")
+
+
+def _fetch_stage(prompts, fixture, endpoint, cache, out, llm: dict,
+                 allow_partial=False, **options) -> str:
+    """Descriptions for every prompt; `llm` holds the sampling parameters and
+    `options` the fetch options. With `allow_partial`, failed prompts are
+    listed and skipped instead of failing the stage."""
+    reqs = requests_from_prompt_records(read_prompts_jsonl(_require_file(*prompts)), **llm)
+    transport = _transport(fixture, endpoint)
+    if allow_partial:
+        descs, failures = fetch_descriptions_partial(reqs, transport, cache, **options)
+    else:
+        descs, failures = fetch_descriptions(reqs, transport, cache, **options), []
+    write_descriptions_jsonl(descs, out)
+    for failure in failures:
+        _status(f"failed {failure.prompt_id}: {failure.message}")
+    by_source = sorted(Counter(d.source for d in descs).items())
+    parts = " ".join(f"{k}={v}" for k, v in by_source) or "none"
+    note = f" ({len(failures)} prompt(s) skipped)" if failures else ""
+    return f"wrote {len(descs)} descriptions to {out} [{parts}]{note}"
+
+
+def _bundle_stage(space, modality, out, items=None, per_class=None) -> str:
+    """Encode (text, class id) `items` in the synthetic space, or draw
+    `per_class` samples of every class when there are none."""
+    if space is None:
+        raise MissingInput(f"{out} is missing and there is no synthetic_space to make it")
+    if items is None:
+        bundle = synthetic_bundle(space, per_class, modality=modality)
+    else:
+        bundle = synthetic_encode(items, space, modality=modality)
+    write_bundle(bundle, out)
+    return f"wrote {bundle.count} x {bundle.dimension} {modality} bundle to {out}"
+
+
+def _read_text_bundle(path, name: str, dataset: TextDataset):
+    """Read the text bundle a head trains on; labelled rows must follow the
+    dataset's item order, so row i embeds item i."""
+    bundle = read_bundle(_require_file(path, name))
+    if bundle.labels is not None and list(bundle.labels) != [c for _, c in dataset.items]:
+        raise ShapeMismatch(
+            f"{name}: text bundle labels do not align with the dataset item order"
+        )
+    return bundle
+
+
+def _train_stage(dataset, bundle, cfg: TrainConfig, out) -> str:
+    clf = train_text_classifier(dataset, bundle, cfg)
+    clf.save(out)
+    return (f"trained {clf.num_classes}-class head on {len(dataset)} texts "
+            f"({cfg.steps} steps), final loss {clf.train_meta['final_loss']:.6f}")
+
+
+# The input file each evaluation method reads: the trained head, the class-name
+# bundle or the template bundle.
+_METHOD_INPUT = {
+    METHOD_TAP: "classifier",
+    METHOD_CLIP_SINGLE: "class_embeddings",
+    METHOD_CLIP_DST: "dst_embeddings",
+    METHOD_TOT_CLS: "class_embeddings",
+    METHOD_TOT_DST: "dst_embeddings",
+}
+
+
+def _check_methods(methods) -> list[str]:
+    if not methods or any(m not in ALL_METHODS for m in methods):
+        raise InvalidConfig(
+            f"methods must name one or more of {', '.join(ALL_METHODS)}, got {methods!r}"
+        )
+    return list(methods)
+
+
+def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
+                dataset_name, config: dict, out=None, fmt="table") -> str:
+    """Score each method on the image bundle, in order; save the report to
+    `out` when given and print it to stdout.
+
+    `inputs` maps each `_METHOD_INPUT` key to a (path, name) pair. The tot
+    methods train a baseline head over `vocab` with `train_cfg`. `config` is
+    added to the report's config block.
+    """
+    images = read_bundle(_require_file(*images))
+    rows = []
+    for method in methods:
+        path, name = inputs[_METHOD_INPUT[method]]
+        path = _require_file(path, f"{name} (method {method})")
+        if method in (METHOD_CLIP_SINGLE, METHOD_CLIP_DST):
+            embs = class_text_embeddings_from_bundle(read_bundle(path))
+            rows.append(evaluate_zero_shot(embs, images, method, dataset_name))
+            continue
+        if method == METHOD_TAP:
+            clf = LinearClassifier.load(path)
+        elif method == METHOD_TOT_CLS:
+            clf = train_tot_cls(vocab, read_bundle(path), train_cfg)
+        else:
+            clf = train_tot_dst(vocab, read_bundle(path), train_cfg, dst_templates)
+        rows.append(evaluate_classifier(clf, images, method, dataset_name))
+    report = EvalReport(rows=rows, config={"methods": list(methods),
+                                           "dataset": dataset_name, **config})
+    if out:
+        report.save(out)
+    print(render_report(report, fmt), end="")
+    saved = f", wrote report to {out}" if out else ""
+    return f"scored {len(rows)} method(s) on {images.count} images{saved}"
+
+
+# -- subcommands -------------------------------------------------------------------
 
 def cmd_gen_prompts(args) -> int:
     vocab = ClassVocabulary.from_file(_require_file(args.classes, "--classes"))
-    if args.generic:
-        templates = args.template or list(DEFAULT_GENERIC_TEMPLATES)
-        prompts = render_generic_prompts(vocab, templates, task_name=args.task_name)
-    else:
-        profile = TaskProfile.from_file(_require_file(args.profile, "--profile (or --generic)"))
-        prompts = render_prompts(profile, vocab)
-    write_prompts_jsonl(prompts, args.out)
-    _status(f"wrote {len(prompts)} prompts over {len(vocab)} classes to {args.out}")
+    _status(_prompts_stage(vocab, (args.profile, "--profile (or --generic)"), args.out,
+                           args.generic, args.template or DEFAULT_GENERIC_TEMPLATES,
+                           args.task_name))
     return EXIT_OK
-
-
-# -- fetch -----------------------------------------------------------------------
-
-def _transport(fixture, fixture_name: str, endpoint, endpoint_name: str):
-    if fixture:
-        return FixtureTransport(_require_file(fixture, fixture_name))
-    if endpoint:
-        return HttpTransport(endpoint)
-    raise MissingInput(f"the fetch stage needs {endpoint_name} or {fixture_name}")
 
 
 def cmd_fetch(args) -> int:
-    records = read_prompts_jsonl(_require_file(args.prompts, "--prompts"))
-    reqs = requests_from_prompt_records(
-        records,
-        samples_per_prompt=args.samples,
-        max_tokens=args.max_tokens,
-        sampling_temperature=args.temperature,
-    )
-    transport = _transport(args.fixture, "--fixture", args.endpoint, "--endpoint")
-    options = dict(max_in_flight=args.max_in_flight, retries=args.retries,
-                   backoff_base=args.backoff)
-    if args.allow_partial:
-        descs, failures = fetch_descriptions_partial(reqs, transport, args.cache, **options)
-    else:
-        descs, failures = fetch_descriptions(reqs, transport, args.cache, **options), []
-    write_descriptions_jsonl(descs, args.out)
-    for failure in failures:
-        _status(f"failed {failure.prompt_id}: {failure.message}")
-    _status(_fetch_summary(descs, args.out, skipped=len(failures)))
+    llm = dict(samples_per_prompt=args.samples, max_tokens=args.max_tokens,
+               sampling_temperature=args.temperature)
+    _status(_fetch_stage(
+        (args.prompts, "--prompts"), (args.fixture, "--fixture"),
+        (args.endpoint, "--endpoint"), args.cache, args.out, llm, args.allow_partial,
+        max_in_flight=args.max_in_flight, retries=args.retries, backoff_base=args.backoff,
+    ))
     return EXIT_OK
 
-
-def _fetch_summary(descs, out, skipped: int = 0) -> str:
-    by_source: dict[str, int] = {}
-    for d in descs:
-        by_source[d.source] = by_source.get(d.source, 0) + 1
-    parts = " ".join(f"{k}={v}" for k, v in sorted(by_source.items()))
-    note = f" ({skipped} prompt(s) skipped)" if skipped else ""
-    return f"wrote {len(descs)} descriptions to {out} [{parts or 'none'}]{note}"
-
-
-# -- train -----------------------------------------------------------------------
 
 def _train_config_from_args(args) -> TrainConfig:
     base: dict = {}
@@ -185,17 +290,6 @@ def _train_config_from_args(args) -> TrainConfig:
         if value is not None:
             base[key] = value
     return TrainConfig.from_dict(base)
-
-
-def _read_text_bundle(path, name: str, dataset: TextDataset):
-    """Read the text bundle a head trains on; labelled rows must follow the
-    dataset's item order, so row i embeds item i."""
-    bundle = read_bundle(_require_file(path, name))
-    if bundle.labels is not None and list(bundle.labels) != [c for _, c in dataset.items]:
-        raise ShapeMismatch(
-            f"{name}: text bundle labels do not align with the dataset item order"
-        )
-    return bundle
 
 
 def cmd_train(args) -> int:
@@ -237,60 +331,8 @@ def cmd_train(args) -> int:
         bundle = _read_text_bundle(args.text_bundle, "--text-bundle", dataset)
     if args.dataset_out:
         write_text_dataset_jsonl(dataset, args.dataset_out)
-    clf = train_text_classifier(dataset, bundle, cfg)
-    clf.save(args.out)
-    _status(
-        f"trained {clf.num_classes}-class head on {len(dataset)} texts "
-        f"({cfg.steps} steps), final loss {clf.train_meta['final_loss']:.6f}"
-    )
+    _status(_train_stage(dataset, bundle, cfg, args.out))
     return EXIT_OK
-
-
-# -- eval ------------------------------------------------------------------------
-
-# The input file each evaluation method reads: the trained head, the class-name
-# bundle or the template bundle.
-_METHOD_INPUT = {
-    METHOD_TAP: "classifier",
-    METHOD_CLIP_SINGLE: "class_embeddings",
-    METHOD_CLIP_DST: "dst_embeddings",
-    METHOD_TOT_CLS: "class_embeddings",
-    METHOD_TOT_DST: "dst_embeddings",
-}
-
-
-def _check_methods(methods) -> list[str]:
-    if not methods or any(m not in ALL_METHODS for m in methods):
-        raise InvalidConfig(
-            f"methods must name one or more of {', '.join(ALL_METHODS)}, got {methods!r}"
-        )
-    return list(methods)
-
-
-def _evaluate_methods(methods, images, dataset_name, inputs, vocab, train_cfg,
-                      dst_templates) -> list:
-    """One report row per method, in order: the dispatch behind eval and run-all.
-
-    `inputs` maps each `_METHOD_INPUT` key to (path, name); a missing file is
-    reported by that name (a flag for eval, a manifest key for run-all). The
-    tot methods train a baseline head over `vocab` with `train_cfg`.
-    """
-    rows = []
-    for method in methods:
-        path, name = inputs[_METHOD_INPUT[method]]
-        path = _require_file(path, f"{name} (method {method})")
-        if method in (METHOD_CLIP_SINGLE, METHOD_CLIP_DST):
-            embs = class_text_embeddings_from_bundle(read_bundle(path))
-            rows.append(evaluate_zero_shot(embs, images, method, dataset_name))
-            continue
-        if method == METHOD_TAP:
-            clf = LinearClassifier.load(path)
-        elif method == METHOD_TOT_CLS:
-            clf = train_tot_cls(vocab, read_bundle(path), train_cfg)
-        else:
-            clf = train_tot_dst(vocab, read_bundle(path), train_cfg, dst_templates)
-        rows.append(evaluate_classifier(clf, images, method, dataset_name))
-    return rows
 
 
 def cmd_eval(args) -> int:
@@ -302,28 +344,16 @@ def cmd_eval(args) -> int:
             _require_file(args.classes, f"--classes (method {tot[0]})")
         )
         cfg = _train_config_from_args(args)
-    images = read_bundle(_require_file(args.images, "--images"))
-    rows = _evaluate_methods(methods, images, args.dataset_name, {
+    inputs = {
         "classifier": (args.classifier, "--classifier"),
         "class_embeddings": (args.class_embeddings, "--class-embeddings"),
         "dst_embeddings": (args.dst_embeddings, "--dst-embeddings"),
-    }, vocab, cfg, args.dst_template)
-    report = EvalReport(
-        rows=rows,
-        config={
-            "methods": methods,
-            "dataset": args.dataset_name,
-            "images": str(args.images),
-        },
-    )
-    if args.out:
-        report.save(args.out)
-        _status(f"wrote report to {args.out}")
-    print(render_report(report, args.format), end="")
+    }
+    _status(_eval_stage(methods, (args.images, "--images"), inputs, vocab, cfg,
+                        args.dst_template, args.dataset_name, {"images": str(args.images)},
+                        args.out, args.format))
     return EXIT_OK
 
-
-# -- refine ----------------------------------------------------------------------
 
 def cmd_refine(args) -> int:
     clf = LinearClassifier.load(_require_file(args.classifier, "--classifier"))
@@ -356,8 +386,6 @@ def cmd_refine(args) -> int:
     return EXIT_OK
 
 
-# -- synth-space -------------------------------------------------------------------
-
 def _space_from_args(args) -> SyntheticSpaceConfig:
     if getattr(args, "space", None):
         return SyntheticSpaceConfig.from_dict(_read_json(_require_file(args.space, "--space")))
@@ -372,316 +400,215 @@ def _space_from_args(args) -> SyntheticSpaceConfig:
 
 def cmd_synth_space(args) -> int:
     space = _space_from_args(args)
+    items = None
     if args.from_descriptions:
-        descs = load_fixture_descriptions(
+        items = description_items(load_fixture_descriptions(
             _require_file(args.from_descriptions, "--from-descriptions")
-        )
-        bundle = synthetic_encode(description_items(descs), space, modality=args.modality)
+        ))
     elif args.from_classes:
         vocab = ClassVocabulary.from_file(_require_file(args.from_classes, "--from-classes"))
         if len(vocab) != space.classes:
             raise ShapeMismatch(
                 f"vocabulary has {len(vocab)} classes, space declares {space.classes}"
             )
-        items = [(name, cid) for cid, name in vocab.classes]
-        bundle = synthetic_encode(items, space, modality=args.modality)
-    elif args.per_class:
-        bundle = synthetic_bundle(space, args.per_class, modality=args.modality)
-    else:
+        items = class_name_items(vocab)
+    elif not args.per_class:
         raise MissingInput("provide --per-class, --from-descriptions, or --from-classes")
-    write_bundle(bundle, args.out)
-    _status(
-        f"wrote {bundle.count} x {bundle.dimension} {args.modality} bundle to {args.out}"
-    )
+    _status(_bundle_stage(space, args.modality, args.out, items, args.per_class))
     return EXIT_OK
 
 
-# -- run-all -------------------------------------------------------------------------
+# -- run-all -----------------------------------------------------------------------
 
-@dataclass
-class PipelineManifest:
-    """File-based pipeline description; all paths resolve against workspace.
-    Keys are the field names; bad keys, numbers and methods fail on load."""
-
-    workspace: Path
-    dataset_name: str
-    seed: int
-    task_profile: Path | None
-    classes: Path
-    prompts: Path
-    descriptions: Path
-    fixture: Path | None
-    endpoint: str | None
-    cache: Path | None
-    llm: dict
-    synthetic_space: SyntheticSpaceConfig | None
-    image_samples_per_class: int
-    text_bundle: Path
-    image_bundle: Path
-    class_name_bundle: Path | None
-    dst_bundle: Path | None
-    dst_templates: list[str]
-    train: dict
-    methods: list[str]
-    classifier: Path
-    report: Path
-    markers: Path
-    generic: bool
-
-    @classmethod
-    def from_file(cls, path) -> "PipelineManifest":
-        path = Path(path)
-        doc = _read_json(path)
-        if not isinstance(doc, dict):
-            raise InvalidConfig(f"{path}: a manifest must be a JSON object")
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise InvalidConfig(
-                f"{path}: unknown manifest key(s): " + ", ".join(map(repr, unknown))
-            )
-        for key, kind in (("llm", dict), ("train", dict), ("methods", list)):
-            if not isinstance(doc.get(key, kind()), kind):
-                what = "an object" if kind is dict else "a list"
-                raise InvalidConfig(f"{path}: {key!r} must be {what}")
-        raw_ws = doc.get("workspace")
-        if raw_ws is None:
-            ws = path.parent
-        else:
-            ws = Path(raw_ws)
-            if not ws.is_absolute():
-                ws = path.parent / ws
-
-        def rel(key, default=None):
-            value = doc.get(key, default)
-            return None if value is None else ws / value
-
-        def integer(key, default):
-            return config_number(key, doc.get(key, default), integral=True)
-
-        space = doc.get("synthetic_space")
-        return cls(
-            workspace=ws,
-            dataset_name=str(doc.get("dataset_name", "dataset")),
-            seed=integer("seed", 0),
-            task_profile=rel("task_profile"),
-            classes=rel("classes", "classes.json"),
-            prompts=rel("prompts", "prompts.jsonl"),
-            descriptions=rel("descriptions", "descriptions.jsonl"),
-            fixture=rel("fixture"),
-            endpoint=doc.get("endpoint"),
-            cache=rel("cache"),
-            llm=_llm_options(path, doc.get("llm", {})),
-            synthetic_space=SyntheticSpaceConfig.from_dict(space) if space else None,
-            image_samples_per_class=integer("image_samples_per_class", 50),
-            text_bundle=rel("text_bundle", "text.tape"),
-            image_bundle=rel("image_bundle", "images.tape"),
-            class_name_bundle=rel("class_name_bundle"),
-            dst_bundle=rel("dst_bundle"),
-            dst_templates=list(doc.get("dst_templates", [])),
-            train=dict(doc.get("train", {})),
-            methods=_check_methods(doc.get("methods", [METHOD_TAP])),
-            classifier=rel("classifier", "classifier.json"),
-            report=rel("report", "report.json"),
-            markers=rel("markers", ".stage_markers.json"),
-            generic=bool(doc.get("generic", False)),
-        )
+def _expect(kind: type, what: str):
+    """A manifest value check: the value must be a `kind`."""
+    def check(key, value):
+        if not isinstance(value, kind):
+            raise InvalidConfig(f"{key} must be {what}, got {value!r}")
+        return value
+    return check
 
 
-# The manifest's `llm` keys: default and whether the value must be whole.
+_string = _expect(str, "a string")
+_flag = _expect(bool, "true or false")
+_object = _expect(dict, "an object")
+_integer = functools.partial(config_number, integral=True)
+
+
+def _path(key, value) -> Path:
+    return Path(_string(key, value))
+
+
+def _strings(key, value) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InvalidConfig(f"{key} must be a list of strings, got {value!r}")
+    return list(value)
+
+
+def _checked(doc, table: dict, prefix: str = "") -> dict:
+    """The values of the object `doc` passed through the checks of `table`
+    (key -> (check, default)), defaults filled in. Where the default is None
+    the key is optional and null means absent. Keys are named with `prefix`."""
+    unknown = sorted(set(_object(prefix.rstrip(".") or "a manifest", doc)) - set(table))
+    if unknown:
+        raise InvalidConfig("unknown key(s): " + ", ".join(repr(prefix + k) for k in unknown))
+    values = {}
+    for key, (check, default) in table.items():
+        value = doc.get(key, default)
+        values[key] = value if value is None and default is None else check(prefix + key, value)
+    return values
+
+
+# The manifest's `llm` block: `requests_from_prompt_records` keywords.
 _LLM_KEYS = {
-    "samples_per_prompt": (DEFAULT_SAMPLES_PER_PROMPT, True),
-    "max_tokens": (DEFAULT_MAX_TOKENS, True),
-    "sampling_temperature": (DEFAULT_SAMPLING_TEMPERATURE, False),
+    "samples_per_prompt": (_integer, DEFAULT_SAMPLES_PER_PROMPT),
+    "max_tokens": (_integer, DEFAULT_MAX_TOKENS),
+    "sampling_temperature": (lambda key, value: float(config_number(key, value)),
+                             DEFAULT_SAMPLING_TEMPERATURE),
+}
+
+# Every manifest key: the check that turns its JSON value into the one run-all
+# uses, and its default. Paths resolve against `workspace`, whose default is
+# the manifest's directory.
+_MANIFEST = {
+    "workspace": (_string, None),
+    "dataset_name": (_string, "dataset"),
+    "seed": (_integer, 0),
+    "task_profile": (_path, None),
+    "classes": (_path, "classes.json"),
+    "prompts": (_path, "prompts.jsonl"),
+    "descriptions": (_path, "descriptions.jsonl"),
+    "fixture": (_path, None),
+    "endpoint": (_string, None),
+    "cache": (_path, None),
+    "llm": (lambda key, value: _checked(value, _LLM_KEYS, "llm."), {}),
+    "synthetic_space": (lambda key, value: SyntheticSpaceConfig.from_dict(value), None),
+    "image_samples_per_class": (_integer, 50),
+    "text_bundle": (_path, "text.tape"),
+    "image_bundle": (_path, "images.tape"),
+    "class_name_bundle": (_path, None),
+    "dst_bundle": (_path, None),
+    "dst_templates": (_strings, []),
+    "train": (_object, {}),
+    "methods": (lambda key, value: _check_methods(_strings(key, value)), [METHOD_TAP]),
+    "classifier": (_path, "classifier.json"),
+    "report": (_path, "report.json"),
+    "markers": (_path, ".stage_markers.json"),
+    "generic": (_flag, False),
 }
 
 
-def _llm_options(path, doc: dict) -> dict:
-    """The manifest's `llm` block as `requests_from_prompt_records` keywords."""
-    unknown = sorted(set(doc) - set(_LLM_KEYS))
-    if unknown:
-        raise InvalidConfig(f"{path}: unknown llm key(s): " + ", ".join(map(repr, unknown)))
-    options = {key: config_number(f"llm.{key}", doc.get(key, default), integral)
-               for key, (default, integral) in _LLM_KEYS.items()}
-    options["sampling_temperature"] = float(options["sampling_temperature"])
-    return options
+def _load_manifest(path: Path) -> SimpleNamespace:
+    """The manifest's checked values, one attribute per `_MANIFEST` key."""
+    try:
+        values = _checked(_read_json(path), _MANIFEST)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{path}: {exc}") from None
+    ws = path.parent / (values["workspace"] or "")
+    for key, (check, _) in _MANIFEST.items():
+        if check is _path and values[key] is not None:
+            values[key] = ws / values[key]
+    return SimpleNamespace(**values)
 
 
-def _mark_stage(manifest: PipelineManifest, stage: str) -> None:
-    doc = {}
-    if manifest.markers.is_file():
-        try:
-            doc = json.loads(manifest.markers.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            doc = {}
-    doc[stage] = True
-    with atomic_write(manifest.markers) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _space_for(manifest: PipelineManifest) -> SyntheticSpaceConfig:
-    if not manifest.synthetic_space:
-        raise MissingInput(
-            "manifest has no synthetic_space and a required bundle is missing"
-        )
-    return manifest.synthetic_space
+def _read_markers(path: Path) -> dict:
+    """run-all's record of finished stages; one it cannot read starts afresh."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return {}
+    return doc if isinstance(doc, dict) else {}
 
 
 def cmd_run_all(args) -> int:
-    manifest = PipelineManifest.from_file(_require_file(args.manifest, "--manifest"))
-    force = args.force
-    vocab = ClassVocabulary.from_file(_require_file(manifest.classes, "classes"))
-    train_cfg = TrainConfig.from_dict(
-        {"seed": stage_seed(manifest.seed, "train"), **manifest.train}
-    )
-
-    # Stage 1: prompts.
-    if force or not manifest.prompts.is_file():
-        if manifest.generic:
-            prompts = render_generic_prompts(vocab)
+    m = _load_manifest(_require_file(args.manifest, "--manifest"))
+    vocab = ClassVocabulary.from_file(_require_file(m.classes, "classes"))
+    train_cfg = TrainConfig.from_dict({"seed": stage_seed(m.seed, "train"), **m.train})
+    dst_templates = m.dst_templates or list(DEFAULT_GENERIC_TEMPLATES)
+    # Built at most once: the text bundle and the head share it, so their rows align.
+    dataset = functools.cache(lambda: build_text_dataset(
+        load_fixture_descriptions(_require_file(m.descriptions, "descriptions")), vocab))
+    # (stage, output, run); an existing output is up to date unless --force.
+    # Bundles are synthesized when a synthetic space is configured and must
+    # exist otherwise; the class-name and template bundles only when a listed
+    # method reads them. Eval has no output to check: it always runs.
+    stages = [
+        ("gen-prompts", m.prompts, lambda: _prompts_stage(
+            vocab, (m.task_profile, "task_profile"), m.prompts, m.generic)),
+        ("fetch", m.descriptions, lambda: _fetch_stage(
+            (m.prompts, "prompts"), (m.fixture, "fixture"), (m.endpoint, "endpoint"),
+            m.cache, m.descriptions, m.llm)),
+        ("bundles", m.text_bundle, lambda: _bundle_stage(
+            m.synthetic_space, "text", m.text_bundle, dataset().items)),
+        ("bundles", m.image_bundle, lambda: _bundle_stage(
+            m.synthetic_space, "image", m.image_bundle,
+            per_class=m.image_samples_per_class)),
+    ]
+    read = {_METHOD_INPUT[method] for method in m.methods}
+    if m.class_name_bundle and "class_embeddings" in read:
+        stages.append(("bundles", m.class_name_bundle, lambda: _bundle_stage(
+            m.synthetic_space, "text", m.class_name_bundle, class_name_items(vocab))))
+    if m.dst_bundle and "dst_embeddings" in read:
+        stages.append(("bundles", m.dst_bundle, lambda: _bundle_stage(
+            m.synthetic_space, "text", m.dst_bundle, template_items(vocab, dst_templates))))
+    stages += [
+        ("train", m.classifier, lambda: _train_stage(
+            dataset(), _read_text_bundle(m.text_bundle, "text_bundle", dataset()),
+            train_cfg, m.classifier)),
+        ("eval", None, lambda: _eval_stage(m.methods, (m.image_bundle, "image_bundle"), {
+            "classifier": (m.classifier, "classifier"),
+            "class_embeddings": (m.class_name_bundle, "class_name_bundle"),
+            "dst_embeddings": (m.dst_bundle, "dst_bundle"),
+        }, vocab, train_cfg, dst_templates, m.dataset_name,
+            {"seed": m.seed, "train": train_cfg.to_dict()}, m.report)),
+    ]
+    markers = _read_markers(m.markers)
+    for i, (stage, out, run) in enumerate(stages):
+        if args.force or out is None or not out.is_file():
+            _status(f"[{stage}] {run()}")
         else:
-            profile = TaskProfile.from_file(
-                _require_file(manifest.task_profile, "task_profile")
-            )
-            prompts = render_prompts(profile, vocab)
-        write_prompts_jsonl(prompts, manifest.prompts)
-        _status(f"[gen-prompts] wrote {len(prompts)} prompts")
-    else:
-        _status("[gen-prompts] up to date")
-    _mark_stage(manifest, "gen-prompts")
-
-    # Stage 2: descriptions.
-    if force or not manifest.descriptions.is_file():
-        reqs = requests_from_prompt_records(read_prompts_jsonl(manifest.prompts),
-                                            **manifest.llm)
-        transport = _transport(manifest.fixture, "fixture", manifest.endpoint, "endpoint")
-        descs = fetch_descriptions(
-            reqs, transport, str(manifest.cache) if manifest.cache else None
-        )
-        write_descriptions_jsonl(descs, manifest.descriptions)
-        _status(f"[fetch] wrote {len(descs)} descriptions")
-    else:
-        _status("[fetch] up to date")
-    _mark_stage(manifest, "fetch")
-
-    # Stage 3: embedding bundles (synthesized on demand when a synthetic
-    # space is configured; otherwise they must already exist). The text
-    # bundle and the head share one dataset, so their rows align.
-    write_text = force or not manifest.text_bundle.is_file()
-    train_head = force or not manifest.classifier.is_file()
-    if write_text or train_head:
-        dataset = build_text_dataset(load_fixture_descriptions(manifest.descriptions), vocab)
-    if write_text:
-        write_bundle(synthetic_encode(dataset.items, _space_for(manifest), modality="text"),
-                     manifest.text_bundle)
-        _status(f"[bundles] wrote text bundle ({len(dataset)} rows)")
-    if force or not manifest.image_bundle.is_file():
-        space = _space_for(manifest)
-        bundle = synthetic_bundle(space, manifest.image_samples_per_class, modality="image")
-        write_bundle(bundle, manifest.image_bundle)
-        _status(f"[bundles] wrote image bundle ({bundle.count} rows)")
-        del bundle  # release the image rows rather than hold them through eval
-
-    def wanted(path, key):  # a listed method reads it, and it is missing or forced
-        return path and (force or not path.is_file()) and any(
-            _METHOD_INPUT[m] == key for m in manifest.methods)
-
-    if wanted(manifest.class_name_bundle, "class_embeddings"):
-        items = [(name, cid) for cid, name in vocab.classes]
-        write_bundle(synthetic_encode(items, _space_for(manifest), modality="text"),
-                     manifest.class_name_bundle)
-        _status("[bundles] wrote class-name bundle")
-    dst_templates = manifest.dst_templates or list(DEFAULT_GENERIC_TEMPLATES)
-    if wanted(manifest.dst_bundle, "dst_embeddings"):
-        rendered = render_generic_prompts(vocab, dst_templates, task_name="dst")
-        items = [(p.rendered_text, p.class_id) for p in rendered]
-        write_bundle(synthetic_encode(items, _space_for(manifest), modality="text"),
-                     manifest.dst_bundle)
-        _status("[bundles] wrote template bundle")
-    _mark_stage(manifest, "bundles")
-
-    # Stage 4: train the main head.
-    if train_head:
-        text_bundle = _read_text_bundle(manifest.text_bundle, "text_bundle", dataset)
-        clf = train_text_classifier(dataset, text_bundle, train_cfg)
-        clf.save(manifest.classifier)
-        _status(f"[train] final loss {clf.train_meta['final_loss']:.6f}")
-    else:
-        _status("[train] up to date")
-    _mark_stage(manifest, "train")
-
-    # Stage 5: evaluate and report.
-    images = read_bundle(manifest.image_bundle)
-    rows = _evaluate_methods(manifest.methods, images, manifest.dataset_name, {
-        "classifier": (manifest.classifier, "classifier"),
-        "class_embeddings": (manifest.class_name_bundle, "class_name_bundle"),
-        "dst_embeddings": (manifest.dst_bundle, "dst_bundle"),
-    }, vocab, train_cfg, dst_templates)
-    report = EvalReport(
-        rows=rows,
-        config={
-            "dataset": manifest.dataset_name,
-            "methods": list(manifest.methods),
-            "seed": manifest.seed,
-            "train": train_cfg.to_dict(),
-        },
-    )
-    report.save(manifest.report)
-    _mark_stage(manifest, "eval")
-    _status(f"[eval] wrote report to {manifest.report}")
-    print(render_report(report, "table"), end="")
+            _status(f"[{stage}] {out} is up to date")
+        if i + 1 == len(stages) or stages[i + 1][0] != stage:  # the stage's last step
+            markers[stage] = True
+            _write_json(m.markers, markers, sort_keys=True)
     return EXIT_OK
 
 
-# -- demo -------------------------------------------------------------------------
+# -- demo ---------------------------------------------------------------------------
 
 def cmd_demo(args) -> int:
     """Scaffold a self-contained synthetic workspace for run-all."""
+    space = _space_from_args(args)
     ws = Path(args.workspace)
     ws.mkdir(parents=True, exist_ok=True)
-    k = args.classes_count
-    names = [f"class_{i:02d}" for i in range(k)]
-    (ws / "classes.json").write_text(json.dumps(names, indent=2) + "\n")
-
+    names = [f"class_{i:02d}" for i in range(space.classes)]
+    _write_json(ws / "classes.json", names)
     profile = TaskProfile(
         task_name="synthetic-demo",
         shift_kind="fine_grained",
         superclass_token="object",
     )
-    (ws / "profile.json").write_text(json.dumps(profile.to_dict(), indent=2) + "\n")
-
-    vocab = ClassVocabulary(tuple(names))
-    prompts = render_prompts(profile, vocab)
-    samples = args.samples
-    with open(ws / "fixture.jsonl", "w", encoding="utf-8") as fh:
-        for p in prompts:
-            for i in range(samples):
-                rec = {
-                    "prompt_id": p.prompt_id,
-                    "class_id": p.class_id,
-                    "class_name": p.class_name,
-                    "sample_index": i,
-                    "text": f"a {p.class_name} object, deterministic variant {i} "
-                            f"for template {p.template_index}",
-                }
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-    manifest = {
+    _write_json(ws / "profile.json", profile.to_dict())
+    write_jsonl(ws / "fixture.jsonl", ({
+        "prompt_id": p.prompt_id,
+        "class_id": p.class_id,
+        "class_name": p.class_name,
+        "sample_index": i,
+        "text": f"a {p.class_name} object, deterministic variant {i} "
+                f"for template {p.template_index}",
+    } for p in render_prompts(profile, ClassVocabulary(tuple(names)))
+        for i in range(args.samples)))
+    _write_json(ws / "manifest.json", {
         "dataset_name": "synthetic-demo",
-        "seed": args.seed,
+        "seed": space.seed,
         "task_profile": "profile.json",
         "classes": "classes.json",
         "prompts": "prompts.jsonl",
         "descriptions": "descriptions.jsonl",
         "fixture": "fixture.jsonl",
         "cache": "cache",
-        "llm": {"samples_per_prompt": samples},
-        "synthetic_space": {
-            "dimension": args.dim,
-            "classes": k,
-            "sigma_intra": args.sigma_intra,
-            "gap": args.gap,
-            "seed": args.seed,
-        },
+        "llm": {"samples_per_prompt": args.samples},
+        "synthetic_space": space.to_dict(),
         "image_samples_per_class": args.image_samples,
         "text_bundle": "text.tape",
         "image_bundle": "images.tape",
@@ -692,8 +619,7 @@ def cmd_demo(args) -> int:
         "methods": list(ALL_METHODS),
         "classifier": "classifier.json",
         "report": "report.json",
-    }
-    (ws / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    })
     _status(f"demo workspace ready: {ws}")
     _status(f"next: textprobe run-all --manifest {ws / 'manifest.json'}")
     return EXIT_OK
@@ -709,6 +635,15 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, default=None, help="training noise sigma")
     p.add_argument("--weight-decay", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
+
+
+def _add_space_flags(p: argparse.ArgumentParser) -> None:
+    """The synthetic space of synth-space and demo."""
+    p.add_argument("--dim", type=int, default=128)
+    p.add_argument("--classes-count", type=int, default=10)
+    p.add_argument("--sigma-intra", type=float, default=0.1)
+    p.add_argument("--gap", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -794,11 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--modality", choices=("text", "image"), default="image")
     p.add_argument("--space", help="SyntheticSpaceConfig JSON file")
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--classes-count", type=int, default=10)
-    p.add_argument("--sigma-intra", type=float, default=0.1)
-    p.add_argument("--gap", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_space_flags(p)
     p.add_argument("--per-class", type=int, help="emit N samples per class")
     p.add_argument("--from-descriptions", help="encode a descriptions JSONL")
     p.add_argument("--from-classes", help="encode one sample per class name")
@@ -811,11 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="scaffold a synthetic demo workspace")
     p.add_argument("--workspace", required=True)
-    p.add_argument("--classes-count", type=int, default=10)
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--sigma-intra", type=float, default=0.1)
-    p.add_argument("--gap", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_space_flags(p)
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--image-samples", type=int, default=100)
     p.add_argument("--steps", type=int, default=300)

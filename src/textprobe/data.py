@@ -29,19 +29,18 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_jsonl, write_jsonl
 from .errors import (
     EmptyDataset,
     FormatError,
     InvalidConfig,
     MissingClassDescriptions,
     NonFiniteValue,
-    ParseError,
     ShapeMismatch,
     TruncatedFile,
     UnknownClassId,
@@ -66,10 +65,6 @@ class TextDataset:
     vocab: ClassVocabulary
 
     @property
-    def texts(self) -> list[str]:
-        return [t for t, _ in self.items]
-
-    @property
     def labels(self) -> np.ndarray:
         return np.asarray([c for _, c in self.items], dtype=np.int64)
 
@@ -85,6 +80,12 @@ def description_items(descriptions: list[Description]) -> list[tuple[str, int]]:
         key=lambda d: (d.class_id, d.prompt_id, d.sample_index),
     )
     return [(d.text, d.class_id) for d in kept]
+
+
+def class_name_items(vocab: ClassVocabulary) -> list[tuple[str, int]]:
+    """(class name, class id), one per class in id order: the rows of a
+    class-name bundle."""
+    return [(name, cid) for cid, name in vocab.classes]
 
 
 def build_text_dataset(
@@ -121,23 +122,13 @@ def build_text_dataset(
 
 
 def write_text_dataset_jsonl(dataset: TextDataset, path) -> None:
-    with atomic_write(path) as fh:
-        for text, class_id in dataset.items:
-            fh.write(json.dumps({"text": text, "class_id": class_id}, sort_keys=True) + "\n")
+    write_jsonl(path, ({"text": text, "class_id": class_id}
+                       for text, class_id in dataset.items))
 
 
 def read_text_dataset_jsonl(path, vocab: ClassVocabulary) -> TextDataset:
-    items: list[tuple[str, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                items.append((str(rec["text"]), int(rec["class_id"])))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ParseError(f"line {lineno}: bad record ({exc})", lineno) from exc
+    items = [(rec["text"], rec["class_id"])
+             for _, rec in read_jsonl(path, {"text": str, "class_id": int})]
     for _, cid in items:
         if not 0 <= cid < len(vocab):
             raise UnknownClassId(f"class_id {cid} outside vocabulary")
@@ -298,13 +289,7 @@ class SyntheticSpaceConfig:
             raise InvalidConfig(f"sigma_intra must be >= 0, got {self.sigma_intra}")
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "classes": self.classes,
-            "sigma_intra": self.sigma_intra,
-            "gap": self.gap,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SyntheticSpaceConfig":
@@ -315,17 +300,12 @@ class SyntheticSpaceConfig:
             raise InvalidConfig(
                 "unknown synthetic space key(s): " + ", ".join(map(repr, unknown))
             )
-
-        def value(key, default, integral=False):
-            return config_number(key, doc.get(key, default), integral)
-
-        return cls(
-            dimension=value("dimension", 128, integral=True),
-            classes=value("classes", 10, integral=True),
-            sigma_intra=float(value("sigma_intra", 0.1)),
-            gap=float(value("gap", 0.0)),
-            seed=value("seed", 0, integral=True),
-        )
+        values = {}
+        for f in fields(cls):
+            whole = isinstance(f.default, int)
+            value = config_number(f.name, doc.get(f.name, f.default), integral=whole)
+            values[f.name] = value if whole else float(value)
+        return cls(**values)
 
 
 def synthetic_class_means(space: SyntheticSpaceConfig) -> tuple[np.ndarray, np.ndarray]:

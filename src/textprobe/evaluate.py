@@ -17,7 +17,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .core import ClassTextEmbeddings, normalize_rows, stable_softmax
-from .data import EmbeddingBundle, TextDataset
+from .data import EmbeddingBundle, TextDataset, class_name_items
 from .errors import (
     DimensionMismatch,
     EmptyReport,
@@ -192,10 +192,15 @@ def train_tot_cls(
         raise ShapeMismatch(
             "class-name bundle must have exactly one row per class, in order"
         )
-    dataset = TextDataset(
-        items=[(vocab.name_of(c), c) for c in cls_labels], vocab=vocab
-    )
+    dataset = TextDataset(items=class_name_items(vocab), vocab=vocab)
     return train_text_classifier(dataset, cls_bundle, cfg)
+
+
+def template_items(vocab: ClassVocabulary, templates) -> list[tuple[str, int]]:
+    """(rendered template, class id) in class-major render order: the rows of
+    a template bundle."""
+    return [(p.rendered_text, p.class_id)
+            for p in render_generic_prompts(vocab, templates, task_name="dst")]
 
 
 def train_tot_dst(
@@ -217,13 +222,12 @@ def train_tot_dst(
         raise MissingLabels("template bundle has no labels")
     dst_labels = list(dst_bundle.labels)
     if dst_templates:
-        rendered = render_generic_prompts(vocab, dst_templates, task_name="dst")
-        if dst_labels != [p.class_id for p in rendered]:
+        items = template_items(vocab, dst_templates)
+        if dst_labels != [c for _, c in items]:
             raise ShapeMismatch(
                 "template bundle rows do not match the class-major render order "
                 f"of {len(dst_templates)} template(s) over {len(vocab)} classes"
             )
-        items = [(p.rendered_text, p.class_id) for p in rendered]
     else:
         items = [(vocab.name_of(c), c) for c in dst_labels]
     dataset = TextDataset(items=items, vocab=vocab)

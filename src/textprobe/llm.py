@@ -20,7 +20,7 @@ from pathlib import Path
 
 import requests
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_jsonl, write_jsonl
 from .errors import (
     EndpointUnreachable,
     InvalidConfig,
@@ -468,16 +468,17 @@ def fetch_descriptions(
 
 def write_descriptions_jsonl(descriptions: list[Description], path) -> None:
     """Write records {prompt_id, class_id, class_name, sample_index, text}."""
-    with atomic_write(path) as fh:
-        for d in descriptions:
-            rec = {
-                "prompt_id": d.prompt_id,
-                "class_id": d.class_id,
-                "class_name": d.class_name,
-                "sample_index": d.sample_index,
-                "text": d.text,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, ({
+        "prompt_id": d.prompt_id,
+        "class_id": d.class_id,
+        "class_name": d.class_name,
+        "sample_index": d.sample_index,
+        "text": d.text,
+    } for d in descriptions))
+
+
+_DESCRIPTION_FIELDS = {"prompt_id": str, "class_id": int, "class_name": (str, ""),
+                       "sample_index": int, "text": str}
 
 
 def load_fixture_descriptions(path) -> list[Description]:
@@ -489,44 +490,15 @@ def load_fixture_descriptions(path) -> list[Description]:
     """
     out: list[Description] = []
     seen: set[tuple[str, int]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid JSON ({exc})", lineno) from exc
-            if not isinstance(rec, dict):
-                raise ParseError(f"line {lineno}: expected a JSON object", lineno)
-            for key in ("prompt_id", "class_id", "sample_index", "text"):
-                if key not in rec:
-                    raise ParseError(f"line {lineno}: missing '{key}'", lineno)
-            try:
-                prompt_id = str(rec["prompt_id"])
-                class_id = int(rec["class_id"])
-                sample_index = int(rec["sample_index"])
-                text = str(rec["text"]).strip()
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"line {lineno}: bad field type ({exc})", lineno) from exc
-            if not text:
-                raise ParseError(f"line {lineno}: empty text", lineno)
-            pair = (prompt_id, sample_index)
-            if pair in seen:
-                raise ParseError(
-                    f"line {lineno}: duplicate (prompt_id, sample_index) {pair}",
-                    lineno,
-                )
-            seen.add(pair)
-            out.append(
-                Description(
-                    prompt_id=prompt_id,
-                    class_id=class_id,
-                    text=text,
-                    sample_index=sample_index,
-                    source=SOURCE_FIXTURE,
-                    class_name=str(rec.get("class_name", "")),
-                )
+    for lineno, rec in read_jsonl(path, _DESCRIPTION_FIELDS):
+        rec["text"] = rec["text"].strip()
+        if not rec["text"]:
+            raise ParseError(f"line {lineno}: empty text", lineno)
+        pair = (rec["prompt_id"], rec["sample_index"])
+        if pair in seen:
+            raise ParseError(
+                f"line {lineno}: duplicate (prompt_id, sample_index) {pair}", lineno
             )
+        seen.add(pair)
+        out.append(Description(**rec, source=SOURCE_FIXTURE))
     return out

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .atomic import atomic_write
+from .atomic import read_jsonl, write_jsonl
 from .errors import InvalidProfile, ParseError
 
 SHIFT_FINE_GRAINED = "fine_grained"
@@ -290,38 +290,17 @@ def render_generic_prompts(
 
 def write_prompts_jsonl(prompts: list[TargetedPrompt], path) -> None:
     """Write prompts as JSON-lines records {prompt_id, class_id, class_name, text}."""
-    with atomic_write(path) as fh:
-        for p in prompts:
-            rec = {
-                "prompt_id": p.prompt_id,
-                "class_id": p.class_id,
-                "class_name": p.class_name,
-                "text": p.rendered_text,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, ({
+        "prompt_id": p.prompt_id,
+        "class_id": p.class_id,
+        "class_name": p.class_name,
+        "text": p.rendered_text,
+    } for p in prompts))
+
+
+_PROMPT_FIELDS = {"prompt_id": str, "class_id": int, "class_name": (str, ""), "text": str}
 
 
 def read_prompts_jsonl(path) -> list[dict]:
     """Read prompt records back; raises ParseError with the offending line."""
-    records: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid JSON ({exc})", lineno) from exc
-            for key in ("prompt_id", "class_id", "text"):
-                if key not in rec:
-                    raise ParseError(f"line {lineno}: missing '{key}'", lineno)
-            records.append(
-                {
-                    "prompt_id": str(rec["prompt_id"]),
-                    "class_id": int(rec["class_id"]),
-                    "class_name": str(rec.get("class_name", "")),
-                    "text": str(rec["text"]),
-                }
-            )
-    return records
+    return [rec for _, rec in read_jsonl(path, _PROMPT_FIELDS)]

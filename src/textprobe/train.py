@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -83,17 +83,7 @@ class TrainConfig:
             raise InvalidConfig(f"weight_decay must be >= 0, got {self.weight_decay}")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "steps": self.steps,
-            "label_smoothing": self.label_smoothing,
-            "noise_sigma": self.noise_sigma,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-            "weight_decay": self.weight_decay,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":

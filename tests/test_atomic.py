@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from textprobe.atomic import atomic_write
+from textprobe.atomic import atomic_write, read_jsonl, write_jsonl
+from textprobe.errors import ParseError
 from textprobe.llm import Description, write_descriptions_jsonl
 
 
@@ -48,3 +49,24 @@ class TestAtomicWrite:
         assert target.read_bytes() == before
         assert json.loads(before)["text"] == "a thing"
         assert leftovers(tmp_path) == []
+
+
+class TestJsonLines:
+    def test_round_trip_converts_values_and_fills_defaults(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_jsonl(path, iter([{"b": 1, "a": "x"}, {"a": "y", "b": "2"}]))
+        assert path.read_text() == '{"a": "x", "b": 1}\n{"a": "y", "b": "2"}\n'
+        fields = {"a": str, "b": int, "c": (str, "-")}
+        assert list(read_jsonl(path, fields)) == [
+            (1, {"a": "x", "b": 1, "c": "-"}), (2, {"a": "y", "b": 2, "c": "-"})]
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1]", "JSON object"), ('{"a": "x"}', "missing 'b'"),
+        ('{"a": "x", "b": "two"}', "'b'"), ('{"a": "x", "b": Infinity}', "'b'"),
+    ])
+    def test_bad_line_is_a_parse_error_naming_it(self, tmp_path, line, message):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"a": "x", "b": 1}\n\n' + line + "\n")
+        with pytest.raises(ParseError, match=message) as excinfo:
+            list(read_jsonl(path, {"a": str, "b": int}))
+        assert excinfo.value.lineno == 3

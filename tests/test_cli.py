@@ -165,6 +165,18 @@ class TestFetch:
         assert len(written) == len(records) - 1
 
 
+class TestBadPromptLines:
+    @pytest.mark.parametrize("line", ['{"prompt_id":"a","class_id":"x","text":"t"}', "5"])
+    def test_fetch_exits_2_and_writes_nothing(self, tmp_path, capsys, line):
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text(line + "\n")
+        out = tmp_path / "d.jsonl"
+        assert run("fetch", "--prompts", prompts, "--fixture", tmp_path / "none.jsonl",
+                   "--out", out) == 2
+        assert "line 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFetchOptions:
     @pytest.mark.parametrize("flag, value", [
         ("--backoff", -1), ("--max-in-flight", 0), ("--retries", 0),
@@ -428,6 +440,14 @@ class TestRunAll:
         ({"image_samples_per_class": 2.5}, "image_samples_per_class"),
         ({"train": {"steps": "5"}}, "steps"),
         ({"synthetic_space": {"dimension": "abc"}}, "dimension"),
+        ({"classes": 5}, "classes"),
+        ({"workspace": 5}, "workspace"),
+        ({"endpoint": 7}, "endpoint"),
+        ({"dataset_name": 3}, "dataset_name"),
+        ({"generic": "no"}, "generic"),
+        ({"dst_templates": "a photo of a {class}."}, "dst_templates"),
+        ({"dst_templates": [1]}, "dst_templates"),
+        ({"llm": 5}, "llm"),
     ])
     def test_bad_manifest_exits_2_before_any_stage(self, tmp_path, capsys, changes, named):
         ws = tmp_path / "ws"
@@ -456,6 +476,73 @@ class TestRunAll:
         assert run("train", "--descriptions", ws / "descriptions.jsonl",
                    "--classes", ws / "classes.json", "--text-bundle", ws / "text.tape",
                    "--out", tmp_path / "clf.json") == 4
+
+
+    @pytest.mark.parametrize("text", ["[]", "5", "{not json"])
+    def test_markers_that_are_not_an_object_start_afresh(self, tmp_path, text):
+        ws = tmp_path / "ws"
+        assert run("demo", "--workspace", ws, "--image-samples", 10, "--steps", 5) == 0
+        (ws / ".stage_markers.json").write_text(text)
+        assert run("run-all", "--manifest", ws / "manifest.json") == 0
+        markers = json.loads((ws / ".stage_markers.json").read_text())
+        assert markers == dict.fromkeys(("gen-prompts", "fetch", "bundles", "train", "eval"),
+                                        True)
+
+    def test_subcommands_write_what_run_all_writes(self, tmp_path, capsys):
+        ws, hand = tmp_path / "ws", tmp_path / "hand"
+        assert run("demo", "--workspace", ws, "--image-samples", 20, "--steps", 30) == 0
+        assert run("run-all", "--manifest", ws / "manifest.json") == 0
+        doc = json.loads((ws / "manifest.json").read_text())
+        space, train = doc["synthetic_space"], doc["train"]
+        space_flags = ["--dim", space["dimension"], "--classes-count", space["classes"],
+                       "--sigma-intra", space["sigma_intra"], "--gap", space["gap"],
+                       "--seed", space["seed"]]
+        train_flags = ["--steps", train["steps"], "--sigma", train["noise_sigma"],
+                       "--smoothing", train["label_smoothing"],
+                       "--seed", cli.stage_seed(doc["seed"], "train")]
+        classes = ws / "classes.json"
+        hand.mkdir()
+        assert run("gen-prompts", "--profile", ws / "profile.json", "--classes", classes,
+                   "--out", hand / "prompts.jsonl") == 0
+        assert run("fetch", "--prompts", hand / "prompts.jsonl",
+                   "--fixture", ws / "fixture.jsonl",
+                   "--samples", doc["llm"]["samples_per_prompt"],
+                   "--out", hand / "descriptions.jsonl") == 0
+        assert run("synth-space", "--modality", "text", *space_flags,
+                   "--from-descriptions", hand / "descriptions.jsonl",
+                   "--out", hand / "text.tape") == 0
+        assert run("synth-space", "--modality", "image", *space_flags,
+                   "--per-class", doc["image_samples_per_class"],
+                   "--out", hand / "images.tape") == 0
+        assert run("synth-space", "--modality", "text", *space_flags,
+                   "--from-classes", classes, "--out", hand / "classnames.tape") == 0
+        assert run("train", "--descriptions", hand / "descriptions.jsonl",
+                   "--classes", classes, "--text-bundle", hand / "text.tape",
+                   *train_flags, "--out", hand / "classifier.json") == 0
+        assert run("eval", "--images", hand / "images.tape",
+                   "--methods", "tap,clip-single,tot-cls",
+                   "--classifier", hand / "classifier.json",
+                   "--class-embeddings", hand / "classnames.tape", "--classes", classes,
+                   *train_flags, "--dataset-name", doc["dataset_name"],
+                   "--out", hand / "report.json") == 0
+        for name in ("prompts.jsonl", "descriptions.jsonl", "text.tape",
+                     "text.tape.manifest.json", "images.tape", "images.tape.manifest.json",
+                     "classnames.tape", "classnames.tape.manifest.json", "classifier.json"):
+            assert (hand / name).read_bytes() == (ws / name).read_bytes(), name
+
+        def rows(path):
+            return {r["method"]: r for r in json.loads(path.read_text())["rows"]}
+
+        by_hand, by_run_all = rows(hand / "report.json"), rows(ws / "report.json")
+        for method in ("tap", "clip-single", "tot-cls"):
+            assert by_hand[method] == by_run_all[method], method
+
+
+def test_demo_with_an_invalid_space_exits_2_and_creates_nothing(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert run("demo", "--workspace", ws, "--dim", 1) == 2
+    assert "dimension" in capsys.readouterr().err
+    assert not ws.exists()
 
 
 class TestParser:
@@ -519,6 +606,29 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
         after = dict(vars(owner))
         assert after.keys() == attrs.keys()
         assert all(after[name] is value for name, value in attrs.items()), owner
+
+
+def test_benchmark_tracer_sees_every_layer(tmp_path, monkeypatch):
+    # A stage that calls a function other than through the `cli` name the
+    # tracer wraps would drop that layer's spans from the benchmark.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    ws = tmp_path / "ws"
+    assert run("demo", "--workspace", ws, "--image-samples", 10, "--steps", 5) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert run("run-all", "--manifest", ws / "manifest.json", "--force") == 0
+    finally:
+        tracer.uninstall()
+    names = {span["name"] for span in tracer.spans}
+    expected = {
+        "prompts.render", "prompts.write", "llm.fetch", "llm.write", "data.encode",
+        "data.bundle_write", "data.bundle_read", "data.dataset", "train.fit",
+        "train.save", "train.load", "evaluate.classifier", "evaluate.zero_shot",
+        "evaluate.ensemble", "evaluate.tot", "evaluate.report",
+    }
+    assert expected <= names, sorted(expected - names)
 
 
 class TestManifestBlocks:

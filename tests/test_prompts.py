@@ -253,6 +253,15 @@ class TestPromptJsonl:
             read_prompts_jsonl(path)
 
 
+    @pytest.mark.parametrize("line", ['{"prompt_id":"a","class_id":"x","text":"t"}', "5"])
+    def test_bad_record_is_parse_error_naming_line(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"prompt_id": "x", "class_id": 0, "text": "ok"}\n' + line + "\n")
+        with pytest.raises(ParseError, match="line 2") as excinfo:
+            read_prompts_jsonl(path)
+        assert excinfo.value.lineno == 2
+
+
 class TestProfileFiles:
     def test_profile_json_round_trip(self, tmp_path):
         profile = cross_domain("sat", ("from a satellite",))
