@@ -21,7 +21,7 @@ import stat
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import InvalidConfig, ParseError, config_number
 
 _temp_ids = itertools.count()
 
@@ -78,8 +78,10 @@ def read_jsonl(path, fields: dict):
 
     `fields` maps each key to the type its value is converted to, or to a
     (type, default) pair for a key a line may omit; a record holds exactly
-    these keys. A line that is not a JSON object, lacks a key or holds a
-    value that does not convert raises ParseError naming the line.
+    these keys. An `int` field takes a whole number (by the rule of
+    `config_number`) or a string of digits; 1.7 or true is not 1. A line that
+    is not a JSON object, lacks a key or holds a value that does not convert
+    raises ParseError naming the line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -96,9 +98,12 @@ def read_jsonl(path, fields: dict):
             for key, kind in fields.items():
                 kind, default = kind if isinstance(kind, tuple) else (kind, None)
                 if key in doc:
+                    value = doc[key]
                     try:
-                        rec[key] = kind(doc[key])
-                    except (TypeError, ValueError, OverflowError) as exc:
+                        if kind is int and not isinstance(value, str):
+                            value = config_number(key, value, integral=True)
+                        rec[key] = kind(value)
+                    except (InvalidConfig, TypeError, ValueError, OverflowError) as exc:
                         raise ParseError(
                             f"line {lineno}: bad value for '{key}' ({exc})", lineno
                         ) from exc

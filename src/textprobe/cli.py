@@ -412,7 +412,7 @@ def cmd_synth_space(args) -> int:
                 f"vocabulary has {len(vocab)} classes, space declares {space.classes}"
             )
         items = class_name_items(vocab)
-    elif not args.per_class:
+    elif args.per_class is None:
         raise MissingInput("provide --per-class, --from-descriptions, or --from-classes")
     _status(_bundle_stage(space, args.modality, args.out, items, args.per_class))
     return EXIT_OK
@@ -433,6 +433,16 @@ _string = _expect(str, "a string")
 _flag = _expect(bool, "true or false")
 _object = _expect(dict, "an object")
 _integer = functools.partial(config_number, integral=True)
+
+
+def _at_least(low, number=_integer):
+    """A manifest value check: a `number` no less than `low`."""
+    def check(key, value):
+        value = number(key, value)
+        if not value >= low:
+            raise InvalidConfig(f"{key} must be >= {low}, got {value!r}")
+        return value
+    return check
 
 
 def _path(key, value) -> Path:
@@ -461,9 +471,9 @@ def _checked(doc, table: dict, prefix: str = "") -> dict:
 
 # The manifest's `llm` block: `requests_from_prompt_records` keywords.
 _LLM_KEYS = {
-    "samples_per_prompt": (_integer, DEFAULT_SAMPLES_PER_PROMPT),
-    "max_tokens": (_integer, DEFAULT_MAX_TOKENS),
-    "sampling_temperature": (lambda key, value: float(config_number(key, value)),
+    "samples_per_prompt": (_at_least(1), DEFAULT_SAMPLES_PER_PROMPT),
+    "max_tokens": (_at_least(1), DEFAULT_MAX_TOKENS),
+    "sampling_temperature": (_at_least(0, lambda key, value: float(config_number(key, value))),
                              DEFAULT_SAMPLING_TEMPERATURE),
 }
 
@@ -483,7 +493,7 @@ _MANIFEST = {
     "cache": (_path, None),
     "llm": (lambda key, value: _checked(value, _LLM_KEYS, "llm."), {}),
     "synthetic_space": (lambda key, value: SyntheticSpaceConfig.from_dict(value), None),
-    "image_samples_per_class": (_integer, 50),
+    "image_samples_per_class": (_at_least(1), 50),
     "text_bundle": (_path, "text.tape"),
     "image_bundle": (_path, "images.tape"),
     "class_name_bundle": (_path, None),
@@ -579,26 +589,7 @@ def cmd_run_all(args) -> int:
 def cmd_demo(args) -> int:
     """Scaffold a self-contained synthetic workspace for run-all."""
     space = _space_from_args(args)
-    ws = Path(args.workspace)
-    ws.mkdir(parents=True, exist_ok=True)
-    names = [f"class_{i:02d}" for i in range(space.classes)]
-    _write_json(ws / "classes.json", names)
-    profile = TaskProfile(
-        task_name="synthetic-demo",
-        shift_kind="fine_grained",
-        superclass_token="object",
-    )
-    _write_json(ws / "profile.json", profile.to_dict())
-    write_jsonl(ws / "fixture.jsonl", ({
-        "prompt_id": p.prompt_id,
-        "class_id": p.class_id,
-        "class_name": p.class_name,
-        "sample_index": i,
-        "text": f"a {p.class_name} object, deterministic variant {i} "
-                f"for template {p.template_index}",
-    } for p in render_prompts(profile, ClassVocabulary(tuple(names)))
-        for i in range(args.samples)))
-    _write_json(ws / "manifest.json", {
+    manifest = {
         "dataset_name": "synthetic-demo",
         "seed": space.seed,
         "task_profile": "profile.json",
@@ -619,7 +610,28 @@ def cmd_demo(args) -> int:
         "methods": list(ALL_METHODS),
         "classifier": "classifier.json",
         "report": "report.json",
-    })
+    }
+    _checked(manifest, _MANIFEST)  # a flag run-all would reject creates nothing
+    ws = Path(args.workspace)
+    ws.mkdir(parents=True, exist_ok=True)
+    names = [f"class_{i:02d}" for i in range(space.classes)]
+    _write_json(ws / "classes.json", names)
+    profile = TaskProfile(
+        task_name="synthetic-demo",
+        shift_kind="fine_grained",
+        superclass_token="object",
+    )
+    _write_json(ws / "profile.json", profile.to_dict())
+    write_jsonl(ws / "fixture.jsonl", ({
+        "prompt_id": p.prompt_id,
+        "class_id": p.class_id,
+        "class_name": p.class_name,
+        "sample_index": i,
+        "text": f"a {p.class_name} object, deterministic variant {i} "
+                f"for template {p.template_index}",
+    } for p in render_prompts(profile, ClassVocabulary(tuple(names)))
+        for i in range(args.samples)))
+    _write_json(ws / "manifest.json", manifest)
     _status(f"demo workspace ready: {ws}")
     _status(f"next: textprobe run-all --manifest {ws / 'manifest.json'}")
     return EXIT_OK

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -291,7 +292,13 @@ def clean_completion(text: str) -> str:
 
 
 def _complete_with_retry(transport, request: LlmRequest, retries: int,
-                         backoff_base: float) -> list[str]:
+                         backoff_base: float, slot: threading.Semaphore) -> list[str]:
+    """The request's completions, retrying transient failures with backoff.
+
+    The caller holds `slot` (an in-flight slot) during each attempt; it is
+    given up while waiting out a backoff, so another request can use it, and
+    taken back before the next attempt.
+    """
     attempt = 0
     while True:
         try:
@@ -303,7 +310,11 @@ def _complete_with_retry(transport, request: LlmRequest, retries: int,
             delay = backoff_base * (2 ** (attempt - 1))
             if exc.retry_after is not None:
                 delay = max(delay, min(exc.retry_after, MAX_RETRY_AFTER_S))
-            time.sleep(delay)
+            slot.release()
+            try:
+                time.sleep(delay)
+            finally:
+                slot.acquire()
 
 
 def _sample_key(request: LlmRequest, sample_index: int) -> str:
@@ -322,15 +333,17 @@ def _cached_samples(request: LlmRequest, cache_dir) -> dict[int, str]:
     return cached
 
 
-def _round_trip(request: LlmRequest, transport, retries: int,
-                backoff_base: float) -> tuple[list[str] | None, FetchFailure | None]:
+def _round_trip(request: LlmRequest, transport, retries: int, backoff_base: float,
+                slot: threading.Semaphore) -> tuple[list[str] | None, FetchFailure | None]:
     """A worker's whole job: one request's completions, or why there are none.
 
     Failures are returned, not raised: an exception left in a future keeps its
     traceback's frames alive in reference cycles until the next collection.
     """
     try:
-        return _complete_with_retry(transport, request, retries, backoff_base), None
+        with slot:
+            return _complete_with_retry(transport, request, retries, backoff_base,
+                                        slot), None
     except MalformedResponse as exc:
         return None, FetchFailure(request.prompt_id, "malformed", str(exc))
     except TransportError as exc:
@@ -384,11 +397,16 @@ def fetch_descriptions_partial(
     Returns descriptions in input-request order (samples_per_prompt per
     surviving request) plus one FetchFailure per request that failed after
     `retries` attempts, also in request order. The cache is read on the
-    calling thread, and only requests missing a sample go to a pool of at
-    most `max_in_flight` workers. A worker only makes the round trip, retries
-    and backoff included; the calling thread checks each reply as it arrives
-    and writes the cache, so the worker is free to send the next request and
-    `max_in_flight` requests stay on the wire.
+    calling thread, and only requests missing a sample go to the worker pool.
+    A worker only makes the round trip, retries and backoff included; the
+    calling thread checks each reply as it arrives and writes the cache, so
+    the worker is free to send the next request.
+
+    At most `max_in_flight` requests are on the wire at once: a worker holds
+    one of that many slots during each attempt and gives it up while it waits
+    out a backoff. The pool has up to twice `max_in_flight` threads, so up to
+    `max_in_flight` requests can wait out a backoff while as many others are
+    on the wire; if more back off at once, slots sit idle until one returns.
     """
     if max_in_flight < 1:
         raise InvalidConfig(f"max_in_flight must be >= 1, got {max_in_flight}")
@@ -411,11 +429,12 @@ def fetch_descriptions_partial(
         else:
             results[i] = _settle(req, hits[i], None, transport.source, cache_dir)
     if live:
-        pool = ThreadPoolExecutor(max_workers=min(max_in_flight, len(live)))
+        slot = threading.BoundedSemaphore(max_in_flight)
+        pool = ThreadPoolExecutor(max_workers=min(2 * max_in_flight, len(live)))
         try:
             pending = {
                 pool.submit(_round_trip, requests_list[i], transport, retries,
-                            backoff_base): i
+                            backoff_base, slot): i
                 for i in live
             }
             for future in as_completed(pending):
@@ -424,8 +443,8 @@ def fetch_descriptions_partial(
                 results[i] = (None, failure) if failure is not None else _settle(
                     requests_list[i], hits[i], texts, transport.source, cache_dir)
         finally:
-            # Leaving early (an interrupt, a failed cache write) sends nothing
-            # more; requests already on the wire finish first.
+            # Leaving early (an interrupt, a failed cache write) starts no
+            # more requests; those a worker has already taken finish first.
             pool.shutdown(cancel_futures=True)
 
     descriptions: list[Description] = []

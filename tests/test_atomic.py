@@ -63,6 +63,8 @@ class TestJsonLines:
     @pytest.mark.parametrize("line, message", [
         ("[1]", "JSON object"), ('{"a": "x"}', "missing 'b'"),
         ('{"a": "x", "b": "two"}', "'b'"), ('{"a": "x", "b": Infinity}', "'b'"),
+        ('{"a": "x", "b": 1.7}', "'b'"), ('{"a": "x", "b": true}', "'b'"),
+        ('{"a": "x", "b": "1.7"}', "'b'"),
     ])
     def test_bad_line_is_a_parse_error_naming_it(self, tmp_path, line, message):
         path = tmp_path / "r.jsonl"

@@ -166,7 +166,9 @@ class TestFetch:
 
 
 class TestBadPromptLines:
-    @pytest.mark.parametrize("line", ['{"prompt_id":"a","class_id":"x","text":"t"}', "5"])
+    @pytest.mark.parametrize("line", ['{"prompt_id":"a","class_id":"x","text":"t"}', "5",
+                                      '{"prompt_id":"a","class_id":1.7,"text":"t"}',
+                                      '{"prompt_id":"a","class_id":true,"text":"t"}'])
     def test_fetch_exits_2_and_writes_nothing(self, tmp_path, capsys, line):
         prompts = tmp_path / "prompts.jsonl"
         prompts.write_text(line + "\n")
@@ -376,6 +378,13 @@ class TestSynthSpace:
     def test_needs_a_source(self, tmp_path):
         assert run("synth-space", "--out", tmp_path / "x.tape") == 5
 
+    @pytest.mark.parametrize("per_class", [0, -1])
+    def test_per_class_below_one_exits_2(self, tmp_path, capsys, per_class):
+        out = tmp_path / "x.tape"
+        assert run("synth-space", "--per-class", per_class, "--out", out) == 2
+        assert "samples_per_class must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ['{"dimension": 16', '{"dimension": "abc"}', '[16]'])
     def test_malformed_or_mistyped_space_exits_2(self, tmp_path, text):
         space = tmp_path / "space.json"
@@ -448,6 +457,10 @@ class TestRunAll:
         ({"dst_templates": "a photo of a {class}."}, "dst_templates"),
         ({"dst_templates": [1]}, "dst_templates"),
         ({"llm": 5}, "llm"),
+        ({"image_samples_per_class": 0}, "image_samples_per_class"),
+        ({"llm": {"samples_per_prompt": 0}}, "llm.samples_per_prompt"),
+        ({"llm": {"max_tokens": 0}}, "llm.max_tokens"),
+        ({"llm": {"sampling_temperature": -0.5}}, "llm.sampling_temperature"),
     ])
     def test_bad_manifest_exits_2_before_any_stage(self, tmp_path, capsys, changes, named):
         ws = tmp_path / "ws"
@@ -542,6 +555,16 @@ def test_demo_with_an_invalid_space_exits_2_and_creates_nothing(tmp_path, capsys
     ws = tmp_path / "ws"
     assert run("demo", "--workspace", ws, "--dim", 1) == 2
     assert "dimension" in capsys.readouterr().err
+    assert not ws.exists()
+
+
+@pytest.mark.parametrize("flag, key", [("--samples", "llm.samples_per_prompt"),
+                                       ("--image-samples", "image_samples_per_class")])
+def test_demo_with_a_count_below_one_exits_2_and_creates_nothing(tmp_path, capsys,
+                                                                flag, key):
+    ws = tmp_path / "ws"
+    assert run("demo", "--workspace", ws, flag, 0) == 2
+    assert key in capsys.readouterr().err
     assert not ws.exists()
 
 

@@ -1,5 +1,8 @@
+import contextlib
 import json
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import requests
@@ -619,6 +622,94 @@ class TestCallerWritesTheCache:
             fetch_descriptions_partial(reqs, MockTransport(replies), tmp_path / "cache",
                                        max_in_flight=2)
         assert len(calls) < 40
+
+
+class TestBackoffGivesUpItsSlot:
+    """A request waiting out a backoff holds no in-flight slot, so another
+    request can go on the wire meanwhile; `max_in_flight` still bounds the
+    requests on the wire."""
+
+    def test_another_request_is_sent_during_a_backoff(self, monkeypatch):
+        first, second = make_requests(2, samples=1)
+        second_sent = threading.Event()
+        failed, waited = [], []
+
+        def replies(request):
+            if request.prompt_id == first.prompt_id and not failed:
+                failed.append(request.prompt_id)
+                raise TransportError("busy", transient=True)
+            if request.prompt_id == second.prompt_id:
+                second_sent.set()
+            return echo_replies(request)
+
+        monkeypatch.setattr(llm.time, "sleep", lambda s: waited.append(second_sent.wait(5)))
+        descs, failures = fetch_descriptions_partial(
+            [first, second], MockTransport(replies), max_in_flight=1)
+        assert failed == [first.prompt_id] and waited == [True]
+        assert failures == [] and [d.prompt_id for d in descs] == [
+            first.prompt_id, second.prompt_id]
+
+    @pytest.mark.parametrize("max_in_flight", [1, 2, 3])
+    def test_requests_on_the_wire_peak_at_max_in_flight(self, max_in_flight):
+        lock = threading.Lock()
+        every_slot_filled = threading.Event()
+        on_wire, peak, attempts = [0], [0], {}
+
+        def replies(request):
+            with lock:
+                on_wire[0] += 1
+                peak[0] = max(peak[0], on_wire[0])
+                if on_wire[0] == max_in_flight:
+                    every_slot_filled.set()
+                attempt = attempts[request.prompt_id] = attempts.get(request.prompt_id, 0) + 1
+            try:
+                every_slot_filled.wait(5)
+                threading.Event().wait(0.005)  # keep the attempts overlapping
+                if attempt == 1 and request.class_id % 2 == 0:
+                    raise TransportError("busy", transient=True)
+                return echo_replies(request)
+            finally:
+                with lock:
+                    on_wire[0] -= 1
+
+        reqs = make_requests(12, samples=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose an unguarded slot
+        try:
+            descs, failures = fetch_descriptions_partial(
+                reqs, MockTransport(replies), max_in_flight=max_in_flight, retries=2,
+                backoff_base=0.005)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == [] and len(descs) == 12
+        assert sum(attempts.values()) == 18
+        assert peak[0] == max_in_flight
+
+    @pytest.mark.parametrize("max_in_flight, n_live", [(1, 5), (2, 3), (3, 12)])
+    @pytest.mark.parametrize("write_fails", [False, True])
+    def test_pool_is_bounded_and_no_worker_outlives_the_fetch(
+            self, tmp_path, monkeypatch, max_in_flight, n_live, write_fails):
+        sizes = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        def write(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(llm, "ThreadPoolExecutor", Pool)
+        if write_fails:
+            monkeypatch.setattr(llm, "_cache_write", write)
+        before = set(threading.enumerate())
+        transport = MockTransport(echo_replies, fail_times=2)
+        with pytest.raises(OSError) if write_fails else contextlib.nullcontext():
+            fetch_descriptions_partial(make_requests(n_live, samples=1), transport,
+                                       tmp_path / "cache", max_in_flight=max_in_flight,
+                                       backoff_base=0.001)
+        assert len(sizes) == 1 and sizes[0] <= min(2 * max_in_flight, n_live)
+        assert set(threading.enumerate()) <= before
 
 
 class TestFetchOptions:
