@@ -79,9 +79,10 @@ def read_jsonl(path, fields: dict):
     `fields` maps each key to the type its value is converted to, or to a
     (type, default) pair for a key a line may omit; a record holds exactly
     these keys. An `int` field takes a whole number (by the rule of
-    `config_number`) or a string of digits; 1.7 or true is not 1. A line that
-    is not a JSON object, lacks a key or holds a value that does not convert
-    raises ParseError naming the line.
+    `config_number`) or a string of digits; 1.7 or true is not 1. A `str`
+    field takes only a string; null, 7 or ["x"] is not one. A line that is not
+    a JSON object, lacks a key or holds a value that does not convert raises
+    ParseError naming the line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -102,6 +103,8 @@ def read_jsonl(path, fields: dict):
                     try:
                         if kind is int and not isinstance(value, str):
                             value = config_number(key, value, integral=True)
+                        elif kind is str and not isinstance(value, str):
+                            raise TypeError(f"expected a string, got {json.dumps(value)}")
                         rec[key] = kind(value)
                     except (InvalidConfig, TypeError, ValueError, OverflowError) as exc:
                         raise ParseError(

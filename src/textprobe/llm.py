@@ -2,8 +2,9 @@
 
 The transport is pluggable: a live HTTP transport for completion-style
 endpoints, a fixture transport that replays a JSON-lines file, and an
-in-memory mock for tests. Responses are cached on disk keyed by a hash of
-(prompt text, sample index, sampling params), so a warmed cache makes reruns
+in-memory mock for tests. Responses are cached on disk, one file per
+request keyed by a hash of (prompt text, max tokens, temperature) and holding
+that request's samples in sample order, so a warmed cache makes reruns
 deterministic and free of network traffic.
 """
 
@@ -111,7 +112,7 @@ def requests_from_prompt_records(
 class HttpTransport:
     """POSTs completion-style bodies {prompt, max_tokens, temperature, n}.
 
-    Expects a JSON reply with a `choices` list of {"text": ...} objects.
+    Expects a JSON reply with a `choices` list of {"text": <string>} objects.
     Connection problems, timeouts, 429 and 5xx replies are transient (retried
     by the fetcher); other 4xx replies and unparseable bodies are not. A
     Retry-After header in delta-seconds on a 429 or 503 is passed on to the
@@ -156,7 +157,9 @@ class HttpTransport:
         try:
             doc = resp.json()
             choices = doc["choices"]
-            texts = [str(c["text"]) for c in choices]
+            texts = [c["text"] for c in choices]
+            if not all(isinstance(text, str) for text in texts):
+                raise TypeError("a choice's text is not a string")
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResponse(
                 f"unparseable completion body: {exc}", prompt_id=request.prompt_id
@@ -234,13 +237,11 @@ class MockTransport:
 
 # -- disk cache ------------------------------------------------------------------
 
-def cache_key(prompt_text: str, sample_index: int, max_tokens: int,
-              sampling_temperature: float) -> str:
-    """Content hash identifying one cached completion."""
+def cache_key(prompt_text: str, max_tokens: int, sampling_temperature: float) -> str:
+    """Content hash identifying the cached completions of one request."""
     payload = json.dumps(
         {
             "prompt_text": prompt_text,
-            "sample_index": sample_index,
             "max_tokens": max_tokens,
             "sampling_temperature": sampling_temperature,
         },
@@ -253,32 +254,30 @@ def _cache_path(cache_dir, key: str) -> Path:
     return Path(cache_dir) / f"{key}.json"
 
 
-def _cache_read(cache_dir, key: str) -> str | None:
-    path = _cache_path(cache_dir, key)
-    if not path.is_file():
-        return None
+def _cache_read(cache_dir, key: str) -> list[str] | None:
+    """The samples cached under `key`, in sample order; None when there is no
+    entry or it is corrupt (a corrupt entry is a miss and is rewritten)."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        return str(doc["text"])
-    except (ValueError, KeyError):
-        # Corrupt cache entries are treated as misses and rewritten.
+        with open(_cache_path(cache_dir, key), encoding="utf-8") as fh:
+            samples = json.load(fh)["samples"]
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
         return None
+    if isinstance(samples, list) and all(isinstance(s, str) and s for s in samples):
+        return samples
+    return None
 
 
-def _cache_write(cache_dir, key: str, request: LlmRequest, sample_index: int,
-                 text: str) -> None:
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+def _cache_write(cache_dir, key: str, request: LlmRequest, samples: list[str]) -> None:
+    """Write `samples` as the cache entry `key`; `cache_dir` must exist."""
     doc = {
         "prompt_id": request.prompt_id,
         "prompt_text": request.prompt_text,
-        "sample_index": sample_index,
         "max_tokens": request.max_tokens,
         "sampling_temperature": request.sampling_temperature,
-        "text": text,
+        "samples": samples,
     }
     with atomic_write(_cache_path(cache_dir, key)) as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(json.dumps(doc, sort_keys=True))
 
 
 # -- fetching ----------------------------------------------------------------------
@@ -317,20 +316,18 @@ def _complete_with_retry(transport, request: LlmRequest, retries: int,
                 slot.acquire()
 
 
-def _sample_key(request: LlmRequest, sample_index: int) -> str:
-    return cache_key(request.prompt_text, sample_index, request.max_tokens,
+def _request_key(request: LlmRequest) -> str:
+    return cache_key(request.prompt_text, request.max_tokens,
                      request.sampling_temperature)
 
 
-def _cached_samples(request: LlmRequest, cache_dir) -> dict[int, str]:
-    """Sample index -> cached text, for the samples the cache holds intact."""
-    cached: dict[int, str] = {}
-    if cache_dir is not None:
-        for i in range(request.samples_per_prompt):
-            text = _cache_read(cache_dir, _sample_key(request, i))
-            if text is not None:
-                cached[i] = text
-    return cached
+def _cached_samples(request: LlmRequest, cache_dir) -> list[str]:
+    """The request's first samples as the cache holds them, at most
+    `samples_per_prompt` of them; empty on a miss."""
+    if cache_dir is None:
+        return []
+    samples = _cache_read(cache_dir, _request_key(request)) or []
+    return samples[:request.samples_per_prompt]
 
 
 def _round_trip(request: LlmRequest, transport, retries: int, backoff_base: float,
@@ -350,38 +347,42 @@ def _round_trip(request: LlmRequest, transport, retries: int, backoff_base: floa
         return None, FetchFailure(request.prompt_id, "unreachable", str(exc))
 
 
-def _settle(request: LlmRequest, cached: dict[int, str], live_texts: list[str] | None,
+def _settle(request: LlmRequest, cached: list[str], live_texts: list[str] | None,
             source: str, cache_dir) -> tuple[list[Description] | None, FetchFailure | None]:
-    """The request's descriptions: `cached` samples as read, the rest from
-    `live_texts`, cleaned and written to the cache in sample order; or the
-    failure that a short reply or an empty completion makes of it."""
+    """The request's descriptions: the `cached` samples as read, the rest from
+    `live_texts`, cleaned; or the failure that a short reply or an empty
+    completion makes of it. The cache entry is rewritten once with every good
+    sample in order, the ones before an empty completion included, whenever
+    that adds to what it held."""
     n = request.samples_per_prompt
-    if live_texts is not None and len(live_texts) < n:
-        return None, FetchFailure(
-            request.prompt_id, "malformed",
-            f"endpoint returned {len(live_texts)} completions, expected {n}")
-    out: list[Description] = []
-    for i in range(n):
-        if i in cached:
-            text, text_source = cached[i], SOURCE_CACHE
-        else:
-            text, text_source = clean_completion(live_texts[i]), source
+    texts, failure = list(cached), None
+    if live_texts is not None:
+        if len(live_texts) < n:
+            return None, FetchFailure(
+                request.prompt_id, "malformed",
+                f"endpoint returned {len(live_texts)} completions, expected {n}")
+        for raw in live_texts[len(cached):n]:
+            text = clean_completion(raw)
             if not text:
-                return None, FetchFailure(request.prompt_id, "malformed",
-                                          "endpoint returned an empty completion")
-            if cache_dir is not None:
-                _cache_write(cache_dir, _sample_key(request, i), request, i, text)
-        out.append(
-            Description(
-                prompt_id=request.prompt_id,
-                class_id=request.class_id,
-                text=text,
-                sample_index=i,
-                source=text_source,
-                class_name=request.class_name,
-            )
+                failure = FetchFailure(request.prompt_id, "malformed",
+                                       "endpoint returned an empty completion")
+                break
+            texts.append(text)
+        if cache_dir is not None and len(texts) > len(cached):
+            _cache_write(cache_dir, _request_key(request), request, texts)
+    if failure is not None:
+        return None, failure
+    return [
+        Description(
+            prompt_id=request.prompt_id,
+            class_id=request.class_id,
+            text=text,
+            sample_index=i,
+            source=SOURCE_CACHE if i < len(cached) else source,
+            class_name=request.class_name,
         )
-    return out, None
+        for i, text in enumerate(texts)
+    ], None
 
 
 def fetch_descriptions_partial(
@@ -429,6 +430,8 @@ def fetch_descriptions_partial(
         else:
             results[i] = _settle(req, hits[i], None, transport.source, cache_dir)
     if live:
+        if cache_dir is not None:
+            Path(cache_dir).mkdir(parents=True, exist_ok=True)
         slot = threading.BoundedSemaphore(max_in_flight)
         pool = ThreadPoolExecutor(max_workers=min(2 * max_in_flight, len(live)))
         try:

@@ -5,7 +5,8 @@ import pytest
 
 from textprobe.atomic import atomic_write, read_jsonl, write_jsonl
 from textprobe.errors import ParseError
-from textprobe.llm import Description, write_descriptions_jsonl
+from textprobe.llm import Description, load_fixture_descriptions, write_descriptions_jsonl
+from textprobe.prompts import read_prompts_jsonl
 
 
 def leftovers(directory):
@@ -65,6 +66,8 @@ class TestJsonLines:
         ('{"a": "x", "b": "two"}', "'b'"), ('{"a": "x", "b": Infinity}', "'b'"),
         ('{"a": "x", "b": 1.7}', "'b'"), ('{"a": "x", "b": true}', "'b'"),
         ('{"a": "x", "b": "1.7"}', "'b'"),
+        ('{"a": null, "b": 1}', "'a'"), ('{"a": {"x": 1}, "b": 1}', "'a'"),
+        ('{"a": 7, "b": 1}', "'a'"), ('{"a": ["x"], "b": 1}', "'a'"),
     ])
     def test_bad_line_is_a_parse_error_naming_it(self, tmp_path, line, message):
         path = tmp_path / "r.jsonl"
@@ -72,3 +75,18 @@ class TestJsonLines:
         with pytest.raises(ParseError, match=message) as excinfo:
             list(read_jsonl(path, {"a": str, "b": int}))
         assert excinfo.value.lineno == 3
+
+    @pytest.mark.parametrize("reader, record, key", [
+        (read_prompts_jsonl, {"prompt_id": "p", "class_id": 0, "class_name": None,
+                              "text": "t"}, "class_name"),
+        (read_prompts_jsonl, {"prompt_id": "p", "class_id": 0, "text": ["x"]}, "text"),
+        (load_fixture_descriptions, {"prompt_id": 7, "class_id": 0, "sample_index": 0,
+                                     "text": "t"}, "prompt_id"),
+        (load_fixture_descriptions, {"prompt_id": "p", "class_id": 0, "sample_index": 0,
+                                     "text": None}, "text"),
+    ])
+    def test_str_field_takes_only_a_string(self, tmp_path, reader, record, key):
+        path = tmp_path / "r.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match=f"line 1: bad value for '{key}'"):
+            reader(path)

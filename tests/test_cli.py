@@ -168,7 +168,8 @@ class TestFetch:
 class TestBadPromptLines:
     @pytest.mark.parametrize("line", ['{"prompt_id":"a","class_id":"x","text":"t"}', "5",
                                       '{"prompt_id":"a","class_id":1.7,"text":"t"}',
-                                      '{"prompt_id":"a","class_id":true,"text":"t"}'])
+                                      '{"prompt_id":"a","class_id":true,"text":"t"}',
+                                      '{"prompt_id":"a","class_id":0,"text":null}'])
     def test_fetch_exits_2_and_writes_nothing(self, tmp_path, capsys, line):
         prompts = tmp_path / "prompts.jsonl"
         prompts.write_text(line + "\n")

@@ -8,6 +8,7 @@ import pytest
 import requests
 
 from textprobe import llm
+from textprobe.cli import main
 from textprobe.errors import (
     EndpointUnreachable,
     InvalidConfig,
@@ -106,11 +107,11 @@ class TestCache:
         ]
 
     def test_cache_key_sensitive_to_sampling_params(self):
-        base = cache_key("p", 0, 60, 0.9)
-        assert cache_key("p", 0, 60, 0.5) != base
-        assert cache_key("p", 0, 99, 0.9) != base
-        assert cache_key("p", 1, 60, 0.9) != base
-        assert cache_key("q", 0, 60, 0.9) != base
+        base = cache_key("p", 60, 0.9)
+        assert cache_key("p", 60, 0.9) == base
+        assert cache_key("p", 60, 0.5) != base
+        assert cache_key("p", 99, 0.9) != base
+        assert cache_key("q", 60, 0.9) != base
 
     def test_changed_params_refetch(self, tmp_path):
         cache = tmp_path / "cache"
@@ -133,11 +134,13 @@ class TestCache:
 
     def test_cache_files_human_readable(self, tmp_path):
         cache = tmp_path / "cache"
-        fetch_descriptions(make_requests(1, samples=1), MockTransport(echo_replies), cache)
+        [req] = make_requests(1, samples=2)
+        fetch_descriptions([req], MockTransport(echo_replies), cache)
         files = list(cache.glob("*.json"))
         assert len(files) == 1
         doc = json.loads(files[0].read_text())
-        assert "prompt_text" in doc and "text" in doc
+        assert doc["prompt_text"] == req.prompt_text
+        assert doc["samples"] == echo_replies(req)
 
 
 class TestRetry:
@@ -456,11 +459,17 @@ class TestRetryAfter:
             self.fetch(monkeypatch, [busy, busy], retries=2, backoff=0.1)
 
 
-def write_cache_entry(cache, request, index, text):
-    key = cache_key(request.prompt_text, index, request.max_tokens,
-                    request.sampling_temperature)
-    (cache / f"{key}.json").write_text(json.dumps({"text": text}))
+def cache_entry(cache, request):
+    key = cache_key(request.prompt_text, request.max_tokens, request.sampling_temperature)
     return cache / f"{key}.json"
+
+
+def write_cache_entry(cache, request, samples):
+    """Write the request's cache entry with `samples` as its samples, or with
+    `samples` as the file's whole text if it is a string."""
+    path = cache_entry(cache, request)
+    path.write_text(samples if isinstance(samples, str) else json.dumps({"samples": samples}))
+    return path
 
 
 class NoPool:
@@ -487,7 +496,7 @@ class TestCacheHitsOnCallingThread:
         assert threading.active_count() == before
         assert len(descs) == 18 and all(d.source == "cache" for d in descs)
 
-    def test_cache_is_read_once_per_sample(self, tmp_path, monkeypatch):
+    def test_cache_is_read_once_per_request(self, tmp_path, monkeypatch):
         reqs = make_requests(4, samples=2)
         cache = self.warm(tmp_path, reqs[:2])  # two full hits, two misses
         reads = []
@@ -495,28 +504,24 @@ class TestCacheHitsOnCallingThread:
         monkeypatch.setattr(llm, "_cache_read",
                             lambda d, key: reads.append(key) or original(d, key))
         fetch_descriptions(reqs, MockTransport(echo_replies), cache)
-        assert len(reads) == len(set(reads)) == 8
+        assert len(reads) == len(set(reads)) == 4
 
     def test_mixed_cache_matches_a_serial_reference(self, tmp_path):
         reqs = make_requests(6, samples=3)
         cache = tmp_path / "cache"
         cache.mkdir()
         cached = {
-            0: {0: "c0", 1: "c1", 2: "c2"},  # full hit
-            1: {1: "p1"},                    # partial hit
-            2: {},                           # miss
-            3: {0: "d0", 1: "d1", 2: "d2"},  # full hit
-            4: {0: "e0", 2: "e2"},           # partial hit, sample 1 corrupt below
-            5: {0: "f0", 1: "f1", 2: "f2"},  # full hit but for sample 2, corrupt below
+            0: ["c0", "c1", "c2"],        # full hit
+            1: ["p0"],                    # partial hit
+            2: [],                        # miss
+            3: ["d0", "d1", "d2", "d3"],  # full hit, one sample to spare
+            4: ["e0", None, "e2"],        # corrupt: a sample that is not a string
+            5: "{not json",               # corrupt: not JSON
         }
-        for r, samples in cached.items():
-            for i, text in samples.items():
-                write_cache_entry(cache, reqs[r], i, text)
-        corrupt = [write_cache_entry(cache, reqs[4], 1, "x"),
-                   write_cache_entry(cache, reqs[5], 2, "x")]
-        for path in corrupt:
-            path.write_text("{not json")
-        del cached[5][2]
+        paths = {r: write_cache_entry(cache, reqs[r], entry)
+                 for r, entry in cached.items() if entry}
+        before = {r: paths[r].read_bytes() for r in (0, 3)}
+        cached[4] = cached[5] = []
 
         calls = []
         transport = MockTransport(lambda r: calls.append(r.prompt_id) or echo_replies(r))
@@ -526,7 +531,7 @@ class TestCacheHitsOnCallingThread:
         for r, req in enumerate(reqs):
             live = echo_replies(req)
             for i in range(3):
-                if i in cached[r]:
+                if i < len(cached[r]):
                     expected.append((req.prompt_id, i, cached[r][i], "cache"))
                 else:
                     expected.append((req.prompt_id, i, live[i], "live"))
@@ -534,8 +539,14 @@ class TestCacheHitsOnCallingThread:
         assert [(d.prompt_id, d.sample_index, d.text, d.source) for d in descs] == expected
         # One live request per prompt with a missing sample, none for full hits.
         assert sorted(calls) == sorted(reqs[r].prompt_id for r in (1, 2, 4, 5))
-        for path, req, i in zip(corrupt, (reqs[4], reqs[5]), (1, 2)):
-            assert json.loads(path.read_text())["text"] == echo_replies(req)[i]
+        # Partial, missing and corrupt entries now hold what was served; full
+        # hits are left as they were.
+        for r in (1, 2, 4, 5):
+            entry = json.loads(cache_entry(cache, reqs[r]).read_text())
+            assert entry["samples"] == [text for pid, _, text, _ in expected
+                                        if pid == reqs[r].prompt_id]
+        assert {r: paths[r].read_bytes() for r in (0, 3)} == before
+        assert len(list(cache.iterdir())) == 6
 
     def test_failures_keep_request_order(self, tmp_path):
         reqs = make_requests(6, samples=2)
@@ -576,10 +587,10 @@ class TestCallerWritesTheCache:
 
         original = llm._cache_write
 
-        def write(cache_dir, key, request, i, text):
+        def write(cache_dir, key, request, samples):
             if request.prompt_id == reqs[0].prompt_id:
                 waited.append(second_started.wait(5))
-            original(cache_dir, key, request, i, text)
+            original(cache_dir, key, request, samples)
 
         monkeypatch.setattr(llm, "_cache_write", write)
         descs, failures = fetch_descriptions_partial(
@@ -599,7 +610,7 @@ class TestCallerWritesTheCache:
         monkeypatch.setattr(llm, "_cache_write", write)
         fetch_descriptions(reqs, MockTransport(echo_replies), tmp_path / "cache",
                            max_in_flight=4)
-        assert threads == [threading.get_ident()] * 24
+        assert threads == [threading.get_ident()] * 8
 
     def test_failed_cache_write_propagates_and_cancels_the_rest(self, tmp_path,
                                                                   monkeypatch):
@@ -723,3 +734,132 @@ class TestFetchOptions:
         with pytest.raises(InvalidConfig, match=option):
             fetch_descriptions_partial(make_requests(1), transport, **{option: value})
         assert transport.calls == 0
+
+
+class TestOneCacheFilePerRequest:
+    """Each request's samples live in one cache file, in sample order."""
+
+    def test_cold_fetch_creates_one_file_per_request(self, tmp_path):
+        cache = tmp_path / "cache"
+        reqs = make_requests(5, samples=4)
+        fetch_descriptions(reqs, MockTransport(echo_replies), cache)
+        assert sorted(cache.iterdir()) == sorted(cache_entry(cache, r) for r in reqs)
+        for req in reqs:
+            assert json.loads(cache_entry(cache, req).read_text())["samples"] == (
+                echo_replies(req))
+
+    def test_more_samples_reuse_the_cached_ones(self, tmp_path):
+        cache = tmp_path / "cache"
+        narrow = make_requests(3, samples=2)
+        fetch_descriptions(narrow, MockTransport(echo_replies), cache)
+        reqs = make_requests(3, samples=4)
+        transport = MockTransport(lambda r: [f"second {j}" for j in range(4)])
+        descs = fetch_descriptions(reqs, transport, cache)
+        assert transport.calls == 3
+        for r, req in enumerate(reqs):
+            old = echo_replies(narrow[r])
+            served = descs[4 * r:4 * r + 4]
+            assert [(d.text, d.source) for d in served] == [
+                (old[0], "cache"), (old[1], "cache"),
+                ("second 2", "live"), ("second 3", "live")]
+            assert json.loads(cache_entry(cache, req).read_text())["samples"] == [
+                d.text for d in served]
+
+    def test_fewer_samples_are_served_from_the_cache_alone(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        wide = make_requests(3, samples=4)
+        fetch_descriptions(wide, MockTransport(echo_replies), cache)
+
+        def write(*args):
+            raise AssertionError("the cache was written")
+
+        monkeypatch.setattr(llm, "_cache_write", write)
+        transport = MockTransport(echo_replies)
+        descs = fetch_descriptions(make_requests(3, samples=2), transport, cache)
+        assert transport.calls == 0
+        assert [(d.text, d.source) for d in descs] == [
+            (text, "cache") for req in wide for text in echo_replies(req)[:2]]
+
+    @pytest.mark.parametrize("content", [
+        "{not json", '["a", "b"]', '{"text": "a"}', '{"samples": "ab"}',
+        '{"samples": ["a", ""]}', '{"samples": ["a", 5]}', '{"samples": [null]}',
+    ])
+    def test_corrupt_entry_is_a_miss_and_is_rewritten(self, tmp_path, content):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        [req] = make_requests(1, samples=2)
+        path = write_cache_entry(cache, req, content)
+        transport = MockTransport(echo_replies)
+        descs = fetch_descriptions([req], transport, cache)
+        assert transport.calls == 1
+        assert [(d.text, d.source) for d in descs] == [
+            (text, "live") for text in echo_replies(req)]
+        assert json.loads(path.read_text())["samples"] == echo_replies(req)
+
+    @pytest.mark.parametrize("cached, empty_at, kept, writes", [
+        ([], 0, None, 0),
+        ([], 2, ["l0", "l1"], 1),
+        (["c0"], 3, ["c0", "l1", "l2"], 1),
+        (["c0", "c1"], 2, ["c0", "c1"], 0),
+    ])
+    def test_empty_completion_keeps_the_samples_before_it(self, tmp_path, monkeypatch,
+                                                          cached, empty_at, kept, writes):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        [req] = make_requests(1, samples=4)
+        if cached:
+            write_cache_entry(cache, req, cached)
+        written = []
+        original = llm._cache_write
+        monkeypatch.setattr(llm, "_cache_write",
+                            lambda *args: written.append(args) or original(*args))
+        texts = [f"l{j}" for j in range(4)]
+        texts[empty_at] = "  "
+        descs, failures = fetch_descriptions_partial([req], MockTransport(lambda r: texts),
+                                                     cache)
+        assert descs == [] and [(f.prompt_id, f.kind) for f in failures] == [
+            (req.prompt_id, "malformed")]
+        assert len(written) == writes
+        if kept is None:
+            assert not cache_entry(cache, req).exists()
+        else:
+            assert json.loads(cache_entry(cache, req).read_text())["samples"] == kept
+
+
+class TestChoiceTextMustBeAString:
+    BODY = {"choices": [{"text": None}, {"text": 5}]}
+
+    def request(self):
+        return LlmRequest(prompt_id="a", prompt_text="Describe a.", class_id=0,
+                          samples_per_prompt=2)
+
+    def test_transport_raises_malformed(self):
+        transport = HttpTransport("http://api.example",
+                                  session=FakeSession(FakeResponse(payload=self.BODY)))
+        with pytest.raises(MalformedResponse, match="not a string"):
+            transport.complete(self.request())
+
+    def test_partial_fetch_lists_the_prompt_as_malformed_and_caches_nothing(self,
+                                                                           tmp_path):
+        cache = tmp_path / "cache"
+        transport = HttpTransport("http://api.example",
+                                  session=FakeSession(FakeResponse(payload=self.BODY)))
+        descs, failures = fetch_descriptions_partial([self.request()], transport, cache)
+        assert descs == [] and [(f.prompt_id, f.kind) for f in failures] == [
+            ("a", "malformed")]
+        assert list(cache.glob("*.json")) == []
+
+    @pytest.mark.parametrize("allow_partial, code", [(False, 3), (True, 0)])
+    def test_fetch_command(self, tmp_path, monkeypatch, capsys, allow_partial, code):
+        prompts, out, cache = tmp_path / "p.jsonl", tmp_path / "d.jsonl", tmp_path / "cache"
+        prompts.write_text(json.dumps({"prompt_id": "a", "class_id": 0,
+                                       "text": "Describe a."}) + "\n")
+        monkeypatch.setattr(llm.requests, "Session",
+                            lambda: FakeSession(FakeResponse(payload=self.BODY)))
+        argv = ["fetch", "--prompts", str(prompts), "--endpoint", "http://api.example",
+                "--cache", str(cache), "--samples", "2", "--out", str(out)]
+        assert main(argv + ["--allow-partial"] * allow_partial) == code
+        err = capsys.readouterr().err
+        assert "not a string" in err and ("failed a:" in err) == allow_partial
+        assert out.exists() == allow_partial
+        assert list(cache.glob("*.json")) == []
