@@ -39,6 +39,7 @@ from .data import (
     TextDataset,
 )
 from .errors import (
+    EmptyDataset,
     InvalidConfig,
     MissingInput,
     ParseError,
@@ -103,6 +104,14 @@ def _require_file(path, flag: str) -> Path:
     if not p.is_file():
         raise MissingInput(f"{flag}: no such file: {p}")
     return p
+
+
+def _read_images(path, flag: str):
+    """The image bundle to score; one with no rows exits 2 before any scoring."""
+    images = read_bundle(_require_file(path, flag))
+    if images.count == 0:
+        raise EmptyDataset(f"{path}: image bundle has no rows to evaluate")
+    return images
 
 
 def _read_json(path):
@@ -226,7 +235,7 @@ def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
     methods train a baseline head over `vocab` with `train_cfg`. `config` is
     added to the report's config block.
     """
-    images = read_bundle(_require_file(*images))
+    images = _read_images(*images)
     rows = []
     for method in methods:
         path, name = inputs[_METHOD_INPUT[method]]
@@ -358,6 +367,8 @@ def cmd_eval(args) -> int:
 def cmd_refine(args) -> int:
     clf = LinearClassifier.load(_require_file(args.classifier, "--classifier"))
     unlabeled = read_bundle(_require_file(args.unlabeled, "--unlabeled"))
+    # Read before refining, so a bad --eval-images writes no --out.
+    images = _read_images(args.eval_images, "--eval-images") if args.eval_images else None
     plcfg = PseudoLabelConfig(
         confidence_threshold=args.threshold,
         refine_steps=args.steps,
@@ -367,8 +378,7 @@ def cmd_refine(args) -> int:
     refined.save(args.out)
     kept = refined.train_meta.get("refine", {}).get("kept", 0)
     delta_doc = {"kept": kept, "threshold": args.threshold}
-    if args.eval_images:
-        images = read_bundle(_require_file(args.eval_images, "--eval-images"))
+    if images is not None:
         initial = evaluate_classifier(clf, images, "initial", args.dataset_name)
         after = evaluate_classifier(refined, images, "refined", args.dataset_name)
         delta_doc.update(

@@ -143,9 +143,12 @@ class EndpointUnreachable(TextProbeError):
 
 
 class MalformedResponse(TextProbeError):
-    """The endpoint answered, but not with usable completions."""
+    """The endpoint answered, but not with usable completions; a strict fetch
+    lists every prompt that got no usable reply in `failed_prompt_ids`."""
     exit_code = 3
 
-    def __init__(self, message: str, prompt_id: str | None = None):
+    def __init__(self, message: str, prompt_id: str | None = None,
+                 failed_prompt_ids: list[str] | None = None):
         super().__init__(message)
         self.prompt_id = prompt_id
+        self.failed_prompt_ids = list(failed_prompt_ids or [])

@@ -4,6 +4,14 @@ The text-trained head is applied directly to image embeddings through the
 shared space; the similarity-softmax baselines score images against one
 (possibly template-ensembled) text embedding per class. Accuracy is
 accumulated as an integer correct count, so evaluation order never matters.
+
+Scoring precision: every method's prediction is the argmax of the float64
+logits `normalize_rows(X) @ W.T + b` (`LinearClassifier.predict`), but eval
+first scores all image rows with one float32 product. A row whose float32
+top-two margin exceeds twice a proven error bound keeps its float32 argmax,
+which is then the float64 argmax, strictly; the other rows (about 1% on the
+benchmark's data) are scored again in float64 with the expression above.
+`_float32_logits` derives the bound.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +33,7 @@ from .errors import (
     InvalidConfig,
     MissingLabels,
     ShapeMismatch,
+    ZeroVector,
 )
 from .prompts import ClassVocabulary, render_generic_prompts
 from .train import LinearClassifier, TrainConfig, train_text_classifier
@@ -80,37 +90,133 @@ def _accuracy_row(
     method: str,
     dataset: str,
 ) -> EvalRow:
-    correct = int((predictions == labels).sum())
+    correct = predictions == labels
     total = int(labels.shape[0])
-    per_class: dict = {}
-    for cid in np.unique(labels):
-        mask = labels == cid
-        per_class[str(int(cid))] = {
-            "count": int(mask.sum()),
-            "accuracy": 100.0 * int((predictions[mask] == cid).sum()) / int(mask.sum()),
-        }
+    classes, index = np.unique(labels, return_inverse=True)
+    counts = np.bincount(index, minlength=classes.size)
+    hits = np.bincount(index[correct], minlength=classes.size)
+    per_class = {
+        str(int(cid)): {"count": int(n), "accuracy": 100.0 * int(h) / int(n)}
+        for cid, n, h in zip(classes, counts, hits)
+    }
     return EvalRow(
         method=method,
         dataset=dataset,
-        accuracy=100.0 * correct / total,
+        accuracy=100.0 * int(correct.sum()) / total,
         sample_count=total,
         per_class=per_class,
     )
 
 
-def _unit_rows(images: EmbeddingBundle) -> np.ndarray:
-    """The bundle's rows as float64 unit vectors, read-only.
+# Image rows are made unit vectors this many at a time, so no float64 copy of
+# the whole matrix exists.
+_UNIT_BLOCK_ROWS = 1024
 
-    Computed once per matrix object and kept on the bundle, so every method
-    scored against one bundle shares a single normalization; rebinding
-    `images.matrix` recomputes them, writing into it in place does not.
+_EPS32 = 2.0 ** -24  # float32 unit roundoff
+
+
+def _unit_rows(images: EmbeddingBundle) -> np.ndarray:
+    """The bundle's float64 unit rows rounded to float32, read-only.
+
+    Bit for bit `normalize_rows(images.matrix).astype(np.float32)`, built
+    block by block. Computed once per matrix object and kept on the bundle,
+    so every method scored against one bundle shares a single normalization;
+    rebinding `images.matrix` recomputes them, writing into it in place does
+    not.
     """
     memo = getattr(images, "_unit_rows_memo", None)
     if memo is None or memo[0] is not images.matrix:
-        rows = normalize_rows(images.matrix)
+        matrix = images.matrix
+        rows = np.empty(matrix.shape, dtype=np.float32)
+        for lo in range(0, matrix.shape[0], _UNIT_BLOCK_ROWS):
+            block = matrix[lo:lo + _UNIT_BLOCK_ROWS]
+            try:
+                rows[lo:lo + _UNIT_BLOCK_ROWS] = normalize_rows(block)
+            except ZeroVector:
+                # Name the row by its index in the whole matrix, not the block.
+                for i in range(block.shape[0]):
+                    try:
+                        normalize_rows(block[i:i + 1])
+                    except ZeroVector:
+                        raise ZeroVector(
+                            f"row {lo + i} has (near-)zero norm") from None
         rows.setflags(write=False)
-        memo = images._unit_rows_memo = (images.matrix, rows)
+        memo = images._unit_rows_memo = (matrix, rows)
     return memo[1]
+
+
+def _float32_logits(unit32: np.ndarray, weights: np.ndarray, bias: np.ndarray):
+    """Float32 logits of the rows `unit32` in units of a power of two `s`,
+    with `s` and an error bound E: `(y, s, E)`.
+
+    `s` is chosen so that `||w_c||_2 + |b_c| <= s` for every class, and
+    `y = fl32(unit32 @ fl32(W / s).T + fl32(b / s))`; dividing by a power
+    of two is exact, so the float32 copy cannot overflow. For every row and
+    class, |y_c - z_c / s| <= E, where z_c is the float64 reference logit
+    `(u @ W.T + b)_c` of the float64 unit row u that `unit32` rounds.
+
+    Derivation, in units of s (w = w_c / s, beta = b_c / s, so
+    ||w||_2 + |beta| <= 1), with eps = 2^-24, tau = 2^-126 the largest error
+    of one float32 underflow (gradual, or flushed to zero), ||u||_2 <= 1 + eps,
+    and A = sum_j |u_j w_j| <= (1 + eps) ||w||_2:
+      1. Rounding to float32: x = fl32(u), v = fl32(w), beta32 = fl32(beta)
+         err by at most eps |.| + tau per entry, so
+         |x.v - u.w| <= (2 eps + eps^2) A + 2.02 sqrt(d) tau and
+         |beta32 - beta| <= eps |beta| + tau.
+      2. sgemm in any summation order, with or without FMA (Higham,
+         Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1):
+         |p - x.v| <= gamma_d sum_j |x_j v_j| + 2 d tau
+         <= gamma_d (1 + eps)^2 A + 2 d tau, gamma_n = n eps / (1 - n eps).
+      3. Bias add: |y - (p + beta32)| <= eps |p + beta32| + tau
+         <= eps ((1 + eps)^2 (1 + gamma_d) A + (1 + eps) |beta|) + tau.
+      4. The float64 reference: |z_c / s - (u.w + beta)|
+         <= gamma64_{d+1} (A + |beta|) + (2 d + 2) 2^-1022 / s, with
+         gamma64 at unit roundoff 2^-53 and the last term for float64
+         underflow (gradual, or flushed) in its 2 d + 1 operations.
+    The coefficient of A, c = 2 eps + eps^2 + gamma_d (1 + eps)^2
+    + eps (1 + eps)^2 (1 + gamma_d) + gamma64_{d+1}, exceeds that of |beta|,
+    and A + |beta| <= 1 + eps. For d <= 2^21, c (1 + eps) stays at least
+    3 eps below (d + 6) eps (1 + 2 d eps); the tau terms sum to at most
+    (3 d + 6) tau. Hence
+        E = (d + 6) eps (1 + 2 d eps) + (3 d + 6) 2^-126 + (2 d + 2) 2^-1022 / s.
+    The 3 eps of slack also covers rounding in computing E and the margin.
+    """
+    d = weights.shape[1]
+    peak = max(float(np.abs(weights).max(initial=0.0)),
+               float(np.abs(bias).max(initial=0.0)))
+    exp = 0
+    if peak > 0:
+        pre = math.frexp(peak)[1]  # peak < 2**pre
+        reach = float((np.linalg.norm(np.ldexp(weights, -pre), axis=1)
+                       + np.abs(np.ldexp(bias, -pre))).max())
+        # The margin covers rounding in the norms.
+        exp = pre + math.frexp(reach * (1 + 2.0 ** -32))[1]
+    logits = unit32 @ np.ldexp(weights, -exp).astype(np.float32).T
+    logits += np.ldexp(bias, -exp).astype(np.float32)
+    bound = ((d + 6) * _EPS32 * (1 + 2 * d * _EPS32) + (3 * d + 6) * 2.0 ** -126
+             + math.ldexp(2 * d + 2, -1022 - exp))
+    return logits, math.ldexp(1.0, exp), bound
+
+
+def _predict(images: EmbeddingBundle, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """`np.argmax(normalize_rows(images.matrix) @ weights.T + bias, axis=1)`.
+
+    Rows are screened in float32 (`_float32_logits`). A row whose best
+    float32 logit beats its second best by more than 2E has that class as
+    its float64 argmax, strictly: z_best / s >= y_best - E > y_c + E >= z_c / s
+    for every other class c. Only the remaining rows are scored in float64,
+    where exact ties go to the lowest index. With K = 1 every row is certified.
+    """
+    logits, _, bound = _float32_logits(_unit_rows(images), weights, bias)
+    rows = np.arange(logits.shape[0])
+    best = np.argmax(logits, axis=1)
+    top = logits[rows, best].astype(np.float64)
+    logits[rows, best] = -np.inf
+    uncertain = np.flatnonzero(top - logits.max(axis=1) <= 2 * bound)
+    if uncertain.size:
+        unit = normalize_rows(images.matrix[uncertain])
+        best[uncertain] = np.argmax(unit @ weights.T + bias, axis=1)
+    return best
 
 
 def evaluate_classifier(
@@ -119,14 +225,17 @@ def evaluate_classifier(
     method: str = METHOD_TAP,
     dataset: str = "dataset",
 ) -> EvalRow:
-    """Top-1 accuracy of the trained head on a labeled image bundle."""
+    """Top-1 accuracy of the trained head on a labeled image bundle.
+
+    The predictions are `clf.predict(images.matrix)`'s (see `_predict`).
+    """
     if images.labels is None:
         raise MissingLabels("image bundle has no labels")
     if images.dimension != clf.dimension:
         raise DimensionMismatch(
             f"classifier dimension {clf.dimension} vs bundle {images.dimension}"
         )
-    predictions = clf.predict(_unit_rows(images), normalize_input=False)
+    predictions = _predict(images, clf.weights, clf.bias)
     return _accuracy_row(predictions, images.labels_array(), method, dataset)
 
 
@@ -150,7 +259,8 @@ def evaluate_zero_shot(
             f"class embedding dimension {class_embs.dimension} "
             f"vs bundle {images.dimension}"
         )
-    predictions = np.argmax(_unit_rows(images) @ class_embs.matrix.T, axis=1)
+    embs = class_embs.matrix
+    predictions = _predict(images, embs, np.zeros(embs.shape[0]))
     return _accuracy_row(predictions, images.labels_array(), method, dataset)
 
 

@@ -482,7 +482,12 @@ def fetch_descriptions(
                 failed_prompt_ids=[f.prompt_id for f in failures],
             )
         first = failures[0]
-        raise MalformedResponse(first.message, prompt_id=first.prompt_id)
+        raise MalformedResponse(
+            f"{len(failures)} prompt(s) got no usable reply; first {first.prompt_id}: "
+            f"{first.message}",
+            prompt_id=first.prompt_id,
+            failed_prompt_ids=[f.prompt_id for f in failures],
+        )
     return descriptions
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from textprobe import (
     ClassVocabulary,
@@ -8,6 +9,11 @@ from textprobe import (
     synthetic_bundle,
 )
 from textprobe.data import MODALITY_IMAGE, MODALITY_TEXT
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a Tier-1 result never depends on an earlier run.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

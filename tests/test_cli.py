@@ -7,7 +7,13 @@ import pytest
 
 from textprobe import cli, errors, evaluate, llm, train
 from textprobe.cli import main
-from textprobe.data import SyntheticSpaceConfig, read_bundle, synthetic_class_means
+from textprobe.data import (
+    EmbeddingBundle,
+    SyntheticSpaceConfig,
+    read_bundle,
+    synthetic_class_means,
+    write_bundle,
+)
 from textprobe.evaluate import ALL_METHODS
 from textprobe.train import LinearClassifier
 
@@ -333,6 +339,23 @@ class TestEval:
     def test_unknown_method_exits_2(self, eval_setup):
         tmp_path, images, clf, classnames = eval_setup
         assert run("eval", "--images", images, "--methods", "warp") == 2
+
+    @pytest.mark.parametrize("command", ["eval", "refine"])
+    def test_image_bundle_without_rows_exits_2_naming_it(self, eval_setup, capsys,
+                                                         command):
+        tmp_path, images, clf, classnames = eval_setup
+        empty = tmp_path / "imgs.tape"
+        write_bundle(EmbeddingBundle.from_matrix(np.zeros((0, 128)), labels=[]), empty)
+        if command == "eval":
+            argv = ["eval", "--images", empty, "--methods", "clip-single",
+                    "--class-embeddings", classnames]
+        else:
+            argv = ["refine", "--classifier", clf, "--unlabeled", images,
+                    "--eval-images", empty, "--out", tmp_path / "r.json"]
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: {empty}: image bundle has no rows" in captured.err
+        assert captured.out == "" and not (tmp_path / "r.json").exists()
 
     def test_methods_checked_before_inputs(self, tmp_path):
         assert run("eval", "--images", tmp_path / "missing.tape",

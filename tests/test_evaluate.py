@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textprobe import evaluate
 from textprobe.core import (
@@ -27,6 +29,7 @@ from textprobe.errors import (
     InvalidConfig,
     MissingLabels,
     ShapeMismatch,
+    ZeroVector,
 )
 from textprobe.evaluate import (
     EvalReport,
@@ -383,3 +386,196 @@ class TestImagesNormalizedOnce:
         for _ in range(2):
             again = evaluate_classifier(clf, images)
             assert again.to_dict() == row.to_dict()
+
+
+def reference_predictions(matrix, weights, bias):
+    """The float64 argmax eval must reproduce; ties go to the lowest index."""
+    return np.argmax(normalize_rows(matrix) @ weights.T + bias, axis=1)
+
+
+def screened_predictions(matrix, weights, bias):
+    return evaluate._predict(EmbeddingBundle.from_matrix(matrix), weights, bias)
+
+
+def scale_and_bound(weights, bias):
+    """The power of two `s` and the bound E (in units of s) of the screen."""
+    _, scale, bound = evaluate._float32_logits(
+        np.zeros((0, weights.shape[1]), dtype=np.float32), weights, bias)
+    return scale, bound
+
+
+def plant_near_ties(rng, weights, bias, pairs, margins):
+    """Float32 rows of random length whose float64 logits for c1 beat those
+    for c2 by about each margin, c1 and c2 the classes of each pair."""
+    rows = []
+    for (c1, c2), margin in zip(pairs, margins):
+        g = weights[c1] - weights[c2]
+        g_len = np.linalg.norm(g)
+        across = (weights[c1] + weights[c2]) / 2
+        across = across - (across @ g) / g_len ** 2 * g
+        sin = np.clip((margin - (bias[c1] - bias[c2])) / g_len, -1.0, 1.0)
+        unit = np.sqrt(1 - sin ** 2) * across / np.linalg.norm(across) + sin * g / g_len
+        rows.append(unit * rng.uniform(0.5, 2.0))
+    return np.array(rows, dtype=np.float32)
+
+
+def top_two_gap(matrix, weights, bias):
+    """Each row's float64 gap between its best and second-best logit."""
+    top = np.sort(normalize_rows(matrix) @ weights.T + bias, axis=1)
+    return top[:, -1] - top[:, -2]
+
+
+class TestFloat32Screen:
+    """`_predict` scores in float32 and rescores uncertain rows in float64; its
+    predictions must be the float64 argmax's, tie for tie."""
+
+    def test_planted_near_ties_from_zero_to_ten_bounds(self):
+        rng = np.random.default_rng(7)
+        k, d = 12, 48
+        weights = rng.standard_normal((k, d))
+        bias = 0.05 * rng.standard_normal(k)
+        scale, bound = scale_and_bound(weights, bias)
+        # Denser near zero, where the float32 argmax is often wrong.
+        margins = 10.0 * np.linspace(0.0, 1.0, 600) ** 3 * bound * scale
+        pairs = [tuple(rng.choice(k, 2, replace=False)) for _ in margins]
+        x = plant_near_ties(rng, weights, bias, pairs, margins)
+        gap = top_two_gap(x, weights, bias) / scale / bound
+        assert (gap <= 2).sum() >= 300 and ((gap > 2) & (gap <= 10)).sum() >= 200
+        np.testing.assert_array_equal(screened_predictions(x, weights, bias),
+                                      reference_predictions(x, weights, bias))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 40), k=st.integers(2, 12),
+           factor=st.floats(0.0, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_near_ties_match_the_float64_argmax(self, seed, d, k, factor):
+        rng = np.random.default_rng(seed)
+        weights = rng.standard_normal((k, d))
+        bias = 0.05 * rng.standard_normal(k)
+        scale, bound = scale_and_bound(weights, bias)
+        pairs = [tuple(rng.choice(k, 2, replace=False)) for _ in range(16)]
+        x = plant_near_ties(rng, weights, bias, pairs, [factor * bound * scale] * 16)
+        x = np.concatenate([x, rng.standard_normal((16, d)).astype(np.float32)])
+        np.testing.assert_array_equal(screened_predictions(x, weights, bias),
+                                      reference_predictions(x, weights, bias))
+
+    def test_duplicate_classes_tie_to_the_lowest_index(self, rng):
+        base_w, base_b = rng.standard_normal((4, 24)), 0.1 * rng.standard_normal(4)
+        order = [0, 1, 1, 2, 3, 3, 1]
+        weights, bias = base_w[order], base_b[order]
+        x = np.concatenate([np.repeat(base_w, 10, axis=0),
+                            rng.standard_normal((200, 24))])
+        predictions = screened_predictions(x, weights, bias)
+        np.testing.assert_array_equal(predictions, reference_predictions(x, weights, bias))
+        assert set(predictions.tolist()) == {0, 1, 3, 4}
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e-310])
+    def test_extreme_weight_scales(self, rng, monkeypatch, scale):
+        # A tiny or huge head needs no second path: the screen works in units
+        # of a power of two near its size. Float64 underflow in the reference
+        # (1e-310) widens the bound until every row is rescored.
+        weights = rng.standard_normal((9, 32)) * scale
+        bias = rng.standard_normal(9) * scale
+        images = EmbeddingBundle.from_matrix(rng.standard_normal((400, 32)))
+        evaluate._unit_rows(images)
+        rescored = []
+        monkeypatch.setattr(evaluate, "normalize_rows",
+                            lambda m: rescored.append(len(m)) or normalize_rows(m))
+        np.testing.assert_array_equal(evaluate._predict(images, weights, bias),
+                                      reference_predictions(images.matrix, weights, bias))
+        if scale < 1e-300:
+            assert rescored == [400]
+        else:
+            assert sum(rescored) <= 40
+
+    def test_one_class_certifies_every_row(self, rng, monkeypatch):
+        images = EmbeddingBundle.from_matrix(rng.standard_normal((50, 5)))
+        evaluate._unit_rows(images)
+        calls = []
+        monkeypatch.setattr(evaluate, "normalize_rows",
+                            lambda m: calls.append(1) or normalize_rows(m))
+        predictions = evaluate._predict(images, rng.standard_normal((1, 5)), np.array([0.3]))
+        assert predictions.tolist() == [0] * 50 and calls == []
+
+    def test_two_dimensions(self, rng):
+        for k in (2, 3, 7):
+            weights, bias = rng.standard_normal((k, 2)), 0.1 * rng.standard_normal(k)
+            x = rng.standard_normal((300, 2))
+            np.testing.assert_array_equal(screened_predictions(x, weights, bias),
+                                          reference_predictions(x, weights, bias))
+
+    def test_unit_rows_bit_match_one_normalization(self, rng):
+        n = 2 * evaluate._UNIT_BLOCK_ROWS + 37
+        x = rng.standard_normal((n, 24)) * rng.uniform(1e-3, 1e3, size=(n, 1))
+        images = EmbeddingBundle.from_matrix(x)
+        rows = evaluate._unit_rows(images)
+        assert rows.dtype == np.float32 and not rows.flags.writeable
+        np.testing.assert_array_equal(rows, normalize_rows(images.matrix).astype(np.float32))
+
+    def test_zero_row_past_the_first_block_is_named_by_its_index(self, rng):
+        n = evaluate._UNIT_BLOCK_ROWS + 500
+        x = rng.standard_normal((n, 4))
+        x[n - 7] = 0.0
+        images = EmbeddingBundle.from_matrix(x, labels=[0] * n)
+        with pytest.raises(ZeroVector, match=rf"^row {n - 7} has \(near-\)zero norm$"):
+            evaluate_zero_shot(ClassTextEmbeddings.from_matrix(np.eye(4)), images)
+
+    def test_float32_logits_stay_within_the_bound(self, rng):
+        d = 64
+        ones = np.ones((4, d))
+        cases = [
+            # random rows and heads
+            (rng.standard_normal((500, d)), rng.standard_normal((10, d)),
+             rng.standard_normal(10)),
+            # heavy cancellation: equal entries against alternating signs
+            (ones, np.tile([1.0, -1.0], (3, d // 2)) * (1 + 2.0 ** -30), np.zeros(3)),
+            # every entry rounds to float32 in the same direction
+            (ones, np.full((3, d), 1 + 3 * 2.0 ** -26), np.array([0.0, -1e-3, 1e-3])),
+            # the bias dominates the head
+            (rng.standard_normal((50, d)), 1e-9 * rng.standard_normal((5, d)),
+             np.array([1.0, -1.0, 0.5, 1.0 - 2.0 ** -40, 0.0])),
+            # entries spanning float32's subnormal range
+            (np.concatenate([ones[:1], np.full((1, d), 3e-45)], axis=1),
+             np.concatenate([rng.standard_normal((4, d)),
+                             1e-30 * rng.standard_normal((4, d))], axis=1), np.zeros(4)),
+            # long rows of positive entries
+            (rng.uniform(0, 1, (20, 4096)), rng.uniform(0, 1, (6, 4096)), np.zeros(6)),
+        ]
+        for x, weights, bias in cases:
+            images = EmbeddingBundle.from_matrix(x)
+            logits, scale, bound = evaluate._float32_logits(
+                evaluate._unit_rows(images), weights, bias)
+            reference = normalize_rows(images.matrix) @ weights.T + bias
+            assert np.abs(logits.astype(np.float64) - reference / scale).max() <= bound
+
+    def test_well_separated_rows_are_never_rescored(self, monkeypatch):
+        space = SyntheticSpaceConfig(dimension=64, classes=10, sigma_intra=0.05, seed=3)
+        images = synthetic_bundle(space, 150, modality=MODALITY_IMAGE)
+        means, _ = synthetic_class_means(space)
+        clf = LinearClassifier(weights=means, bias=np.zeros(10),
+                               vocab=ClassVocabulary(tuple(f"c{i}" for i in range(10))))
+        evaluate._unit_rows(images)
+        calls = []
+        monkeypatch.setattr(evaluate, "normalize_rows",
+                            lambda m: calls.append(len(m)) or normalize_rows(m))
+        assert evaluate_classifier(clf, images).accuracy == 100.0
+        assert evaluate_zero_shot(ClassTextEmbeddings.from_matrix(means),
+                                  images).accuracy == 100.0
+        assert calls == []
+
+
+class TestAccuracyRow:
+    @pytest.mark.parametrize("low, high", [(0, 10), (-5, 5), (0, 10 ** 6)])
+    def test_per_class_matches_a_mask_per_class(self, rng, low, high):
+        labels = rng.integers(low, high, size=500)
+        predictions = np.where(rng.random(500) < 0.6, labels,
+                               rng.integers(low, high, size=500))
+        row = evaluate._accuracy_row(predictions, labels, "m", "d")
+        expected = {}
+        for cid in np.unique(labels):
+            mask = labels == cid
+            expected[str(int(cid))] = {
+                "count": int(mask.sum()),
+                "accuracy": 100.0 * int((predictions[mask] == cid).sum()) / int(mask.sum()),
+            }
+        assert list(row.per_class.items()) == list(expected.items())
+        assert row.accuracy == 100.0 * int((predictions == labels).sum()) / 500

@@ -863,3 +863,19 @@ class TestChoiceTextMustBeAString:
         assert "not a string" in err and ("failed a:" in err) == allow_partial
         assert out.exists() == allow_partial
         assert list(cache.glob("*.json")) == []
+
+    def test_strict_fetch_names_every_failed_prompt(self, tmp_path, monkeypatch, capsys):
+        prompts, out = tmp_path / "p.jsonl", tmp_path / "d.jsonl"
+        prompts.write_text("".join(
+            json.dumps({"prompt_id": pid, "class_id": 0, "text": f"Describe {pid}."}) + "\n"
+            for pid in ("a", "b")))
+        body = {"choices": [{"text": None}]}
+        monkeypatch.setattr(llm.requests, "Session",
+                            lambda: FakeSession(FakeResponse(payload=body)))
+        assert main(["fetch", "--prompts", str(prompts), "--endpoint", "http://api.example",
+                     "--cache", str(tmp_path / "cache"), "--samples", "1",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "2 prompt(s) got no usable reply; first a: " in err and "not a string" in err
+        assert "failed prompt ids: a, b" in err
+        assert not out.exists()
