@@ -9,7 +9,9 @@ run to mistake for a complete one. A target that is a symlink, device or pipe
 since renaming over it would replace the link or the device node itself.
 
 `write_jsonl` and `read_jsonl` are the one writer and the one reader of the
-JSON-lines artifacts (prompts, descriptions, text datasets, fixtures).
+JSON-lines artifacts (prompts, descriptions, text datasets, fixtures), and
+`read_json` is the one reader of the JSON config documents (manifest, train
+config, synthetic space, task profile, class file).
 """
 
 from __future__ import annotations
@@ -71,6 +73,19 @@ def write_jsonl(path, records) -> None:
     with atomic_write(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def read_json(path, load):
+    """`load` applied to the JSON document in `path`. Invalid JSON, and an
+    InvalidConfig from `load`, raise an error naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        return load(doc)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{path}: {exc}") from None
 
 
 def read_jsonl(path, fields: dict):

@@ -1,9 +1,8 @@
 """Command-line pipeline: prompts -> descriptions -> training -> evaluation.
 
 Each stage reads and writes files, so externally produced embedding bundles
-can be spliced in at any point. Exit codes: 0 success, 2 configuration
-problem, 3 network failure, 4 numeric/shape failure, 5 missing input; each
-error class in errors.py carries its own as `exit_code`.
+can be spliced in at any point. `main` returns 0 on success and otherwise
+the `exit_code` of the error class raised (see errors.py).
 Status goes to stderr; stdout carries data (tables, CSV, JSON) only.
 
 Every stage is one `_*_stage` function from resolved inputs to one written
@@ -20,11 +19,11 @@ import hashlib
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
-from .atomic import atomic_write, write_jsonl
+from .atomic import atomic_write, read_json, write_jsonl
 from .data import (
     SyntheticSpaceConfig,
     build_text_dataset,
@@ -42,10 +41,16 @@ from .errors import (
     EmptyDataset,
     InvalidConfig,
     MissingInput,
-    ParseError,
     ShapeMismatch,
     TextProbeError,
-    config_number,
+    _at_least,
+    _checked,
+    _flag,
+    _float,
+    _integer,
+    _object,
+    _string,
+    _strings,
 )
 from .evaluate import (
     ALL_METHODS,
@@ -88,10 +93,6 @@ from .prompts import (
 )
 from .train import LinearClassifier, TrainConfig, train_text_classifier
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_MISSING = 5
-
 
 def _status(message: str) -> None:
     print(message, file=sys.stderr)
@@ -112,14 +113,6 @@ def _read_images(path, flag: str):
     if images.count == 0:
         raise EmptyDataset(f"{path}: image bundle has no rows to evaluate")
     return images
-
-
-def _read_json(path):
-    """Parse a JSON config file; invalid JSON is a ParseError naming the file."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _write_json(path, doc, **options) -> None:
@@ -262,15 +255,14 @@ def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
 
 # -- subcommands -------------------------------------------------------------------
 
-def cmd_gen_prompts(args) -> int:
+def cmd_gen_prompts(args) -> None:
     vocab = ClassVocabulary.from_file(_require_file(args.classes, "--classes"))
     _status(_prompts_stage(vocab, (args.profile, "--profile (or --generic)"), args.out,
                            args.generic, args.template or DEFAULT_GENERIC_TEMPLATES,
                            args.task_name))
-    return EXIT_OK
 
 
-def cmd_fetch(args) -> int:
+def cmd_fetch(args) -> None:
     llm = dict(samples_per_prompt=args.samples, max_tokens=args.max_tokens,
                sampling_temperature=args.temperature)
     _status(_fetch_stage(
@@ -278,15 +270,13 @@ def cmd_fetch(args) -> int:
         (args.endpoint, "--endpoint"), args.cache, args.out, llm, args.allow_partial,
         max_in_flight=args.max_in_flight, retries=args.retries, backoff_base=args.backoff,
     ))
-    return EXIT_OK
 
 
 def _train_config_from_args(args) -> TrainConfig:
     base: dict = {}
     if getattr(args, "train_config", None):
-        base = _read_json(_require_file(args.train_config, "--config"))
-        if not isinstance(base, dict):
-            raise InvalidConfig("--config must hold a JSON object")
+        base = read_json(_require_file(args.train_config, "--config"),
+                         functools.partial(_object, "--config"))
     overrides = {
         "learning_rate": args.lr,
         "steps": args.steps,
@@ -301,7 +291,7 @@ def _train_config_from_args(args) -> TrainConfig:
     return TrainConfig.from_dict(base)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     cfg = _train_config_from_args(args)
     if args.synthetic:
         space = SyntheticSpaceConfig(
@@ -341,10 +331,9 @@ def cmd_train(args) -> int:
     if args.dataset_out:
         write_text_dataset_jsonl(dataset, args.dataset_out)
     _status(_train_stage(dataset, bundle, cfg, args.out))
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     methods = _check_methods([m.strip() for m in args.methods.split(",") if m.strip()])
     vocab = cfg = None
     tot = [m for m in methods if m in (METHOD_TOT_CLS, METHOD_TOT_DST)]
@@ -361,10 +350,9 @@ def cmd_eval(args) -> int:
     _status(_eval_stage(methods, (args.images, "--images"), inputs, vocab, cfg,
                         args.dst_template, args.dataset_name, {"images": str(args.images)},
                         args.out, args.format))
-    return EXIT_OK
 
 
-def cmd_refine(args) -> int:
+def cmd_refine(args) -> None:
     clf = LinearClassifier.load(_require_file(args.classifier, "--classifier"))
     unlabeled = read_bundle(_require_file(args.unlabeled, "--unlabeled"))
     # Read before refining, so a bad --eval-images writes no --out.
@@ -393,22 +381,16 @@ def cmd_refine(args) -> int:
     else:
         _status(f"refined on {kept} pseudo-labeled images")
     print(json.dumps(delta_doc, sort_keys=True))
-    return EXIT_OK
 
 
 def _space_from_args(args) -> SyntheticSpaceConfig:
     if getattr(args, "space", None):
-        return SyntheticSpaceConfig.from_dict(_read_json(_require_file(args.space, "--space")))
-    return SyntheticSpaceConfig(
-        dimension=args.dim,
-        classes=args.classes_count,
-        sigma_intra=args.sigma_intra,
-        gap=args.gap,
-        seed=args.seed,
-    )
+        return read_json(_require_file(args.space, "--space"), SyntheticSpaceConfig.from_dict)
+    return SyntheticSpaceConfig(**{f.name: getattr(args, f.name)
+                                   for f in fields(SyntheticSpaceConfig)})
 
 
-def cmd_synth_space(args) -> int:
+def cmd_synth_space(args) -> None:
     space = _space_from_args(args)
     items = None
     if args.from_descriptions:
@@ -425,66 +407,19 @@ def cmd_synth_space(args) -> int:
     elif args.per_class is None:
         raise MissingInput("provide --per-class, --from-descriptions, or --from-classes")
     _status(_bundle_stage(space, args.modality, args.out, items, args.per_class))
-    return EXIT_OK
 
 
 # -- run-all -----------------------------------------------------------------------
 
-def _expect(kind: type, what: str):
-    """A manifest value check: the value must be a `kind`."""
-    def check(key, value):
-        if not isinstance(value, kind):
-            raise InvalidConfig(f"{key} must be {what}, got {value!r}")
-        return value
-    return check
-
-
-_string = _expect(str, "a string")
-_flag = _expect(bool, "true or false")
-_object = _expect(dict, "an object")
-_integer = functools.partial(config_number, integral=True)
-
-
-def _at_least(low, number=_integer):
-    """A manifest value check: a `number` no less than `low`."""
-    def check(key, value):
-        value = number(key, value)
-        if not value >= low:
-            raise InvalidConfig(f"{key} must be >= {low}, got {value!r}")
-        return value
-    return check
-
-
 def _path(key, value) -> Path:
     return Path(_string(key, value))
-
-
-def _strings(key, value) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise InvalidConfig(f"{key} must be a list of strings, got {value!r}")
-    return list(value)
-
-
-def _checked(doc, table: dict, prefix: str = "") -> dict:
-    """The values of the object `doc` passed through the checks of `table`
-    (key -> (check, default)), defaults filled in. Where the default is None
-    the key is optional and null means absent. Keys are named with `prefix`."""
-    unknown = sorted(set(_object(prefix.rstrip(".") or "a manifest", doc)) - set(table))
-    if unknown:
-        raise InvalidConfig("unknown key(s): " + ", ".join(repr(prefix + k) for k in unknown))
-    values = {}
-    for key, (check, default) in table.items():
-        value = doc.get(key, default)
-        values[key] = value if value is None and default is None else check(prefix + key, value)
-    return values
 
 
 # The manifest's `llm` block: `requests_from_prompt_records` keywords.
 _LLM_KEYS = {
     "samples_per_prompt": (_at_least(1), DEFAULT_SAMPLES_PER_PROMPT),
     "max_tokens": (_at_least(1), DEFAULT_MAX_TOKENS),
-    "sampling_temperature": (_at_least(0, lambda key, value: float(config_number(key, value))),
-                             DEFAULT_SAMPLING_TEMPERATURE),
+    "sampling_temperature": (_at_least(0, _float), DEFAULT_SAMPLING_TEMPERATURE),
 }
 
 # Every manifest key: the check that turns its JSON value into the one run-all
@@ -501,8 +436,9 @@ _MANIFEST = {
     "fixture": (_path, None),
     "endpoint": (_string, None),
     "cache": (_path, None),
-    "llm": (lambda key, value: _checked(value, _LLM_KEYS, "llm."), {}),
-    "synthetic_space": (lambda key, value: SyntheticSpaceConfig.from_dict(value), None),
+    "llm": (lambda key, value: _checked(value, _LLM_KEYS, key + "."), {}),
+    "synthetic_space": (lambda key, value: SyntheticSpaceConfig.from_dict(value, key + "."),
+                        None),
     "image_samples_per_class": (_at_least(1), 50),
     "text_bundle": (_path, "text.tape"),
     "image_bundle": (_path, "images.tape"),
@@ -520,10 +456,7 @@ _MANIFEST = {
 
 def _load_manifest(path: Path) -> SimpleNamespace:
     """The manifest's checked values, one attribute per `_MANIFEST` key."""
-    try:
-        values = _checked(_read_json(path), _MANIFEST)
-    except InvalidConfig as exc:
-        raise InvalidConfig(f"{path}: {exc}") from None
+    values = read_json(path, lambda doc: _checked(doc, _MANIFEST))
     ws = path.parent / (values["workspace"] or "")
     for key, (check, _) in _MANIFEST.items():
         if check is _path and values[key] is not None:
@@ -540,10 +473,10 @@ def _read_markers(path: Path) -> dict:
     return doc if isinstance(doc, dict) else {}
 
 
-def cmd_run_all(args) -> int:
+def cmd_run_all(args) -> None:
     m = _load_manifest(_require_file(args.manifest, "--manifest"))
     vocab = ClassVocabulary.from_file(_require_file(m.classes, "classes"))
-    train_cfg = TrainConfig.from_dict({"seed": stage_seed(m.seed, "train"), **m.train})
+    train_cfg = TrainConfig.from_dict({"seed": stage_seed(m.seed, "train"), **m.train}, "train.")
     dst_templates = m.dst_templates or list(DEFAULT_GENERIC_TEMPLATES)
     # Built at most once: the text bundle and the head share it, so their rows align.
     dataset = functools.cache(lambda: build_text_dataset(
@@ -591,12 +524,11 @@ def cmd_run_all(args) -> int:
         if i + 1 == len(stages) or stages[i + 1][0] != stage:  # the stage's last step
             markers[stage] = True
             _write_json(m.markers, markers, sort_keys=True)
-    return EXIT_OK
 
 
 # -- demo ---------------------------------------------------------------------------
 
-def cmd_demo(args) -> int:
+def cmd_demo(args) -> None:
     """Scaffold a self-contained synthetic workspace for run-all."""
     space = _space_from_args(args)
     manifest = {
@@ -644,7 +576,6 @@ def cmd_demo(args) -> int:
     _write_json(ws / "manifest.json", manifest)
     _status(f"demo workspace ready: {ws}")
     _status(f"next: textprobe run-all --manifest {ws / 'manifest.json'}")
-    return EXIT_OK
 
 
 # -- parser ------------------------------------------------------------------------
@@ -660,9 +591,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_space_flags(p: argparse.ArgumentParser) -> None:
-    """The synthetic space of synth-space and demo."""
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--classes-count", type=int, default=10)
+    """The synthetic space of synth-space and demo; each dest is a field name."""
+    p.add_argument("--dim", dest="dimension", type=int, default=128)
+    p.add_argument("--classes-count", dest="classes", type=int, default=10)
     p.add_argument("--sigma-intra", type=float, default=0.1)
     p.add_argument("--gap", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
@@ -778,18 +709,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help(sys.stderr)
-        return EXIT_CONFIG
+        return InvalidConfig.exit_code
     try:
-        return args.func(args)
+        args.func(args)
     except FileNotFoundError as exc:
         _status(f"error: missing file: {exc.filename or exc}")
-        return EXIT_MISSING
+        return MissingInput.exit_code
     except TextProbeError as exc:
         _status(f"error: {exc}")
         ids = getattr(exc, "failed_prompt_ids", None)
         if ids:
             _status("failed prompt ids: " + ", ".join(ids))
         return exc.exit_code
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -45,7 +45,9 @@ from .errors import (
     TruncatedFile,
     UnknownClassId,
     ZeroVector,
-    config_number,
+    _checked,
+    _float,
+    _integer,
 )
 from .llm import Description
 from .prompts import ClassVocabulary
@@ -292,20 +294,13 @@ class SyntheticSpaceConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SyntheticSpaceConfig":
-        if not isinstance(doc, dict):
-            raise InvalidConfig(f"synthetic space must be an object, got {doc!r}")
-        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise InvalidConfig(
-                "unknown synthetic space key(s): " + ", ".join(map(repr, unknown))
-            )
-        values = {}
-        for f in fields(cls):
-            whole = isinstance(f.default, int)
-            value = config_number(f.name, doc.get(f.name, f.default), integral=whole)
-            values[f.name] = value if whole else float(value)
-        return cls(**values)
+    def from_dict(cls, doc: dict, prefix: str = "") -> "SyntheticSpaceConfig":
+        """Build from a mapping of field names, float fields as floats. An unknown
+        key or a non-number (non-integer for an int field) raises InvalidConfig."""
+        return cls(**_checked(doc, {
+            f.name: (_integer if isinstance(f.default, int) else _float, f.default)
+            for f in fields(cls)
+        }, prefix))
 
 
 def synthetic_class_means(space: SyntheticSpaceConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -4,9 +4,17 @@ Everything raised on purpose derives from TextProbeError, so callers can
 catch one base class at pipeline boundaries. Each class carries the CLI exit
 code it maps to in `exit_code`: 2 configuration or input format (the
 default), 3 network, 4 numeric or shape, 5 missing input.
+
+`_checked` is the one checker of the JSON config documents (the run-all
+manifest, TrainConfig, SyntheticSpaceConfig, TaskProfile, the class file):
+it rejects unknown keys and passes each value through a check (`config_number`,
+`_integer`, `_float`, `_at_least`, `_string`, `_strings`, `_list`, `_flag`,
+`_object`, `_expect`) that raises InvalidConfig naming the key.
 """
 
 from __future__ import annotations
+
+import functools
 
 
 class TextProbeError(Exception):
@@ -73,6 +81,59 @@ def config_number(key: str, value, integral: bool = False):
     if integral and not float(value).is_integer():
         raise InvalidConfig(f"{key} must be an integer, got {value!r}")
     return int(value) if integral else value
+
+
+_integer = functools.partial(config_number, integral=True)
+
+
+def _float(key, value) -> float:
+    return float(config_number(key, value))
+
+
+def _at_least(low, number=_integer):
+    """A value check: a `number` no less than `low`."""
+    def check(key, value):
+        value = number(key, value)
+        if not value >= low:
+            raise InvalidConfig(f"{key} must be >= {low}, got {value!r}")
+        return value
+    return check
+
+
+def _expect(kind: type, what: str):
+    """A value check: the value must be a `kind`."""
+    def check(key, value):
+        if not isinstance(value, kind):
+            raise InvalidConfig(f"{key} must be {what}, got {value!r}")
+        return value
+    return check
+
+
+_string = _expect(str, "a string")
+_flag = _expect(bool, "true or false")
+_object = _expect(dict, "an object")
+_list = _expect(list, "a list")
+
+
+def _strings(key, value) -> list[str]:
+    return [_string(f"{key}[{i}]", v) for i, v in enumerate(_list(key, value))]
+
+
+def _checked(doc, table: dict, prefix: str = "") -> dict:
+    """The values of the object `doc` passed through the checks of `table`
+    (key -> (check, default)), defaults filled in. Where the default is None
+    the key is optional and null means absent; where it is `...` the key is
+    required. Keys are named with `prefix`."""
+    unknown = sorted(set(_object(prefix.rstrip(".") or "the document", doc)) - set(table))
+    if unknown:
+        raise InvalidConfig("unknown key(s): " + ", ".join(repr(prefix + k) for k in unknown))
+    values = {}
+    for key, (check, default) in table.items():
+        value = doc.get(key, default)
+        if value is ...:
+            raise InvalidConfig(f"missing key {prefix + key!r}")
+        values[key] = value if value is None and default is None else check(prefix + key, value)
+    return values
 
 
 # -- data / format errors ----------------------------------------------------

@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .core import ClassTextEmbeddings, normalize_rows, stable_softmax
 from .data import EmbeddingBundle, TextDataset, class_name_items
 from .errors import (
     DimensionMismatch,
+    EmptyDataset,
     EmptyReport,
     InvalidConfig,
     MissingLabels,
@@ -61,13 +62,7 @@ class EvalRow:
     per_class: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "dataset": self.dataset,
-            "accuracy": self.accuracy,
-            "sample_count": self.sample_count,
-            "per_class": self.per_class,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -219,6 +214,16 @@ def _predict(images: EmbeddingBundle, weights: np.ndarray, bias: np.ndarray) -> 
     return best
 
 
+def _check_scorable(images: EmbeddingBundle, dimension: int, scorer: str) -> None:
+    """Raise unless the bundle is labeled, `dimension`-wide and has a row."""
+    if images.labels is None:
+        raise MissingLabels("image bundle has no labels")
+    if images.dimension != dimension:
+        raise DimensionMismatch(f"{scorer} dimension {dimension} vs bundle {images.dimension}")
+    if images.count == 0:
+        raise EmptyDataset("image bundle has no rows to evaluate")
+
+
 def evaluate_classifier(
     clf: LinearClassifier,
     images: EmbeddingBundle,
@@ -229,12 +234,7 @@ def evaluate_classifier(
 
     The predictions are `clf.predict(images.matrix)`'s (see `_predict`).
     """
-    if images.labels is None:
-        raise MissingLabels("image bundle has no labels")
-    if images.dimension != clf.dimension:
-        raise DimensionMismatch(
-            f"classifier dimension {clf.dimension} vs bundle {images.dimension}"
-        )
+    _check_scorable(images, clf.dimension, "classifier")
     predictions = _predict(images, clf.weights, clf.bias)
     return _accuracy_row(predictions, images.labels_array(), method, dataset)
 
@@ -252,13 +252,7 @@ def evaluate_zero_shot(
     them, so the prediction is the argmax of the similarities themselves
     (ties go to the lowest class index) and no temperature is needed.
     """
-    if images.labels is None:
-        raise MissingLabels("image bundle has no labels")
-    if images.dimension != class_embs.dimension:
-        raise DimensionMismatch(
-            f"class embedding dimension {class_embs.dimension} "
-            f"vs bundle {images.dimension}"
-        )
+    _check_scorable(images, class_embs.dimension, "class embedding")
     embs = class_embs.matrix
     predictions = _predict(images, embs, np.zeros(embs.shape[0]))
     return _accuracy_row(predictions, images.labels_array(), method, dataset)
@@ -361,11 +355,7 @@ class PseudoLabelConfig:
             raise InvalidConfig(f"refine_lr must be > 0, got {self.refine_lr}")
 
     def to_dict(self) -> dict:
-        return {
-            "confidence_threshold": self.confidence_threshold,
-            "refine_steps": self.refine_steps,
-            "refine_lr": self.refine_lr,
-        }
+        return asdict(self)
 
 
 def pseudo_label_refine(
@@ -406,17 +396,7 @@ def pseudo_label_refine(
         )
 
     orig = TrainConfig.from_dict(base_meta.get("config", {}))
-    refine_cfg = TrainConfig(
-        learning_rate=cfg.refine_lr,
-        steps=cfg.refine_steps,
-        label_smoothing=orig.label_smoothing,
-        noise_sigma=orig.noise_sigma,
-        adam_beta1=orig.adam_beta1,
-        adam_beta2=orig.adam_beta2,
-        adam_eps=orig.adam_eps,
-        weight_decay=orig.weight_decay,
-        seed=orig.seed,
-    )
+    refine_cfg = replace(orig, learning_rate=cfg.refine_lr, steps=cfg.refine_steps)
     kept_matrix = unlabeled_images.matrix[keep]
     kept_labels = pseudo[keep]
     pseudo_dataset = TextDataset(

@@ -16,13 +16,11 @@ prompt list is a reproducible artifact.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
-from .atomic import read_jsonl, write_jsonl
-from .errors import InvalidProfile, ParseError
+from .atomic import read_json, read_jsonl, write_jsonl
+from .errors import InvalidConfig, InvalidProfile, _checked, _integer, _list, _string, _strings
 
 SHIFT_FINE_GRAINED = "fine_grained"
 SHIFT_CROSS_DOMAIN = "cross_domain"
@@ -82,26 +80,25 @@ class ClassVocabulary:
 
         Accepted layouts: a JSON array of strings, a JSON array of
         {"class_id": int, "class_name": str} objects (sorted by id), or an
-        object with a "classes" key holding either of the above.
+        object with a "classes" key holding either of the above. Any other
+        key or value type raises InvalidConfig naming it.
         """
-        raw = Path(path).read_text(encoding="utf-8")
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-        if isinstance(doc, dict) and "classes" in doc:
-            doc = doc["classes"]
-        if not isinstance(doc, list):
-            raise ParseError(f"{path}: expected a JSON array of class names")
-        if doc and isinstance(doc[0], dict):
-            try:
-                pairs = sorted((int(e["class_id"]), str(e["class_name"])) for e in doc)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: bad class record ({exc})") from exc
-            if [p[0] for p in pairs] != list(range(len(pairs))):
-                raise ParseError(f"{path}: class_ids must be contiguous from 0")
-            return cls(names=tuple(name for _, name in pairs))
-        return cls(names=tuple(str(n) for n in doc))
+        return read_json(path, cls._from_doc)
+
+    @classmethod
+    def _from_doc(cls, doc) -> "ClassVocabulary":
+        if isinstance(doc, dict):
+            doc = _checked(doc, {"classes": (_list, ...)})["classes"]
+        if not (isinstance(doc, list) and doc and isinstance(doc[0], dict)):
+            return cls(names=tuple(_strings("classes", doc)))
+        pairs = sorted(tuple(_checked(record, _CLASS_RECORD, f"classes[{i}].").values())
+                       for i, record in enumerate(doc))
+        if [p[0] for p in pairs] != list(range(len(pairs))):
+            raise InvalidConfig("class_ids must be contiguous from 0")
+        return cls(names=tuple(name for _, name in pairs))
+
+
+_CLASS_RECORD = {"class_id": (_integer, ...), "class_name": (_string, ...)}
 
 
 @dataclass(frozen=True)
@@ -155,13 +152,11 @@ class TaskProfile:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TaskProfile":
-        return cls(
-            task_name=str(doc.get("task_name", "")),
-            shift_kind=str(doc.get("shift_kind", "")),
-            superclass_token=doc.get("superclass_token"),
-            domain_descriptors=tuple(doc.get("domain_descriptors", ()) or ()),
-            question_templates=tuple(doc.get("question_templates", ()) or ()),
-        )
+        """Build from a profile object; an unknown key or a value of the wrong
+        type raises InvalidConfig naming it. Null means absent, as `to_dict`
+        writes an unset superclass token, and a missing task_name or
+        shift_kind is "", which `validate` rejects."""
+        return cls(**{k: v for k, v in _checked(doc, _PROFILE_KEYS).items() if v is not None})
 
     def to_dict(self) -> dict:
         return {
@@ -174,14 +169,16 @@ class TaskProfile:
 
     @classmethod
     def from_file(cls, path) -> "TaskProfile":
-        raw = Path(path).read_text(encoding="utf-8")
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(doc, dict):
-            raise ParseError(f"{path}: expected a JSON object")
-        return cls.from_dict(doc)
+        return read_json(path, cls.from_dict)
+
+
+_PROFILE_KEYS = {
+    "task_name": (_string, ""),
+    "shift_kind": (_string, ""),
+    "superclass_token": (_string, None),
+    "domain_descriptors": (_strings, None),
+    "question_templates": (_strings, None),
+}
 
 
 @dataclass(frozen=True)
@@ -220,6 +217,21 @@ def make_prompt_id(
     return f"{task_name}/{class_id}/{template_index}/{suffix}"
 
 
+def _expand(task_name: str, vocab: ClassVocabulary, templates, variants) -> list[TargetedPrompt]:
+    """One prompt per class x template x variant, in that order. A variant is
+    (descriptor index, {placeholder: text}); {class} takes the class name."""
+    out: list[TargetedPrompt] = []
+    for class_id, name in vocab.classes:
+        for t_idx, tpl in enumerate(templates):
+            for d_idx, fills in variants:
+                text = tpl.replace("{class}", name)
+                for placeholder, value in fills.items():
+                    text = text.replace(placeholder, value)
+                out.append(TargetedPrompt(make_prompt_id(task_name, class_id, t_idx, d_idx),
+                                          class_id, name, text, t_idx, d_idx))
+    return out
+
+
 def render_prompts(profile: TaskProfile, vocab: ClassVocabulary) -> list[TargetedPrompt]:
     """Expand a task profile over a vocabulary.
 
@@ -228,39 +240,12 @@ def render_prompts(profile: TaskProfile, vocab: ClassVocabulary) -> list[Targete
     class gets exactly the same number of prompts either way.
     """
     profile.validate()
-    templates = profile.resolved_templates()
-    out: list[TargetedPrompt] = []
-    for class_id, name in vocab.classes:
-        for t_idx, tpl in enumerate(templates):
-            if profile.shift_kind == SHIFT_FINE_GRAINED:
-                text = tpl.replace("{class}", name).replace(
-                    "{superclass}", profile.superclass_token or ""
-                )
-                out.append(
-                    TargetedPrompt(
-                        prompt_id=make_prompt_id(profile.task_name, class_id, t_idx, None),
-                        class_id=class_id,
-                        class_name=name,
-                        rendered_text=text,
-                        template_index=t_idx,
-                    )
-                )
-            else:
-                for d_idx, descriptor in enumerate(profile.domain_descriptors):
-                    text = tpl.replace("{class}", name).replace("{domain}", descriptor)
-                    out.append(
-                        TargetedPrompt(
-                            prompt_id=make_prompt_id(
-                                profile.task_name, class_id, t_idx, d_idx
-                            ),
-                            class_id=class_id,
-                            class_name=name,
-                            rendered_text=text,
-                            template_index=t_idx,
-                            descriptor_index=d_idx,
-                        )
-                    )
-    return out
+    if profile.shift_kind == SHIFT_FINE_GRAINED:
+        variants = [(None, {"{superclass}": profile.superclass_token})]
+    else:
+        variants = [(d_idx, {"{domain}": descriptor})
+                    for d_idx, descriptor in enumerate(profile.domain_descriptors)]
+    return _expand(profile.task_name, vocab, profile.resolved_templates(), variants)
 
 
 def render_generic_prompts(
@@ -271,19 +256,7 @@ def render_generic_prompts(
     """Expand task-agnostic templates: no super-class, no domain descriptor."""
     templates = tuple(templates)
     _validate_templates(templates, allowed={"class"})
-    out: list[TargetedPrompt] = []
-    for class_id, name in vocab.classes:
-        for t_idx, tpl in enumerate(templates):
-            out.append(
-                TargetedPrompt(
-                    prompt_id=make_prompt_id(task_name, class_id, t_idx, None),
-                    class_id=class_id,
-                    class_name=name,
-                    rendered_text=tpl.replace("{class}", name),
-                    template_index=t_idx,
-                )
-            )
-    return out
+    return _expand(task_name, vocab, templates, [(None, {})])
 
 
 # -- JSON-lines interchange ----------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,8 @@ from .errors import (
     InvalidSmoothing,
     NonFiniteLoss,
     ShapeMismatch,
+    _checked,
+    _integer,
     config_number,
 )
 from .prompts import ClassVocabulary
@@ -86,19 +88,13 @@ class TrainConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        """Build from a mapping of field names; unknown keys and values that
-        are not numbers (or not integers, for `steps` and `seed`) are errors."""
-        if not isinstance(doc, dict):
-            raise InvalidConfig(
-                f"train config must be an object, got {type(doc).__name__}"
-            )
-        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise InvalidConfig(
-                "unknown train config key(s): " + ", ".join(map(repr, unknown))
-            )
-        return cls(**{k: config_number(k, v, k in ("steps", "seed")) for k, v in doc.items()})
+    def from_dict(cls, doc: dict, prefix: str = "") -> "TrainConfig":
+        """Build from a mapping of field names, numbers kept as given. An unknown
+        key or a non-number (non-integer for `steps`, `seed`) raises InvalidConfig."""
+        return cls(**_checked(doc, {
+            f.name: (_integer if isinstance(f.default, int) else config_number, f.default)
+            for f in fields(cls)
+        }, prefix))
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

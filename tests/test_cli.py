@@ -84,6 +84,31 @@ class TestGenPrompts:
         assert code == 2
         assert "template 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, doc, named", [
+        ("profile.json", {"question_template": ["a {class}"]}, "question_template"),
+        ("profile.json", {"shift_kind": "cross_domain", "domain_descriptors": "origami"},
+         "domain_descriptors"),
+        ("profile.json", {"superclass_token": 5}, "superclass_token"),
+        ("profile.json", {"shift_kind": "cross_domain", "domain_descriptors": ["x", 3]},
+         "domain_descriptors[1]"),
+        ("profile.json", {"question_templates": [1]}, "question_templates[0]"),
+        ("classes.json", [{"class_id": 1.7, "class_name": "b"},
+                          {"class_id": 0, "class_name": "a"}], "classes[0].class_id"),
+        ("classes.json", [{"class_id": True, "class_name": None}], "classes[0].class_id"),
+        ("classes.json", ["a", 3], "classes[1]"),
+    ])
+    def test_bad_profile_or_class_file_exits_2_naming_it(self, workspace, capsys,
+                                                        name, doc, named):
+        path = workspace / name
+        if name == "profile.json":
+            doc = {**json.loads(path.read_text()), **doc}
+        path.write_text(json.dumps(doc))
+        out = workspace / "prompts.jsonl"
+        assert run("gen-prompts", "--profile", workspace / "profile.json",
+                   "--classes", workspace / "classes.json", "--out", out) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generic_flag(self, workspace):
         out = workspace / "generic.jsonl"
         code = run(

@@ -25,6 +25,7 @@ from textprobe.data import (
 )
 from textprobe.errors import (
     DimensionMismatch,
+    EmptyDataset,
     EmptyReport,
     InvalidConfig,
     MissingLabels,
@@ -116,6 +117,15 @@ class TestEvaluateClassifier:
         )
         row = evaluate_classifier(clf, bundle)
         assert abs(row.accuracy - 10.0) <= 3.0
+
+
+@pytest.mark.parametrize("score", [
+    lambda images: evaluate_classifier(constant_classifier(8, 8), images),
+    lambda images: evaluate_zero_shot(ClassTextEmbeddings.from_matrix(np.eye(8)), images),
+], ids=["classifier", "zero-shot"])
+def test_labeled_bundle_without_rows_is_an_empty_dataset(score):
+    with pytest.raises(EmptyDataset):
+        score(EmbeddingBundle.from_matrix(np.zeros((0, 8)), labels=[]))
 
 
 class TestEvaluateZeroShot:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textprobe.errors import InvalidProfile, ParseError
+from textprobe.errors import InvalidConfig, InvalidProfile, ParseError
 from textprobe.prompts import (
     ClassVocabulary,
     DEFAULT_GENERIC_TEMPLATES,
@@ -283,3 +283,38 @@ class TestProfileFiles:
         )
         vocab = ClassVocabulary.from_file(path)
         assert vocab.names == ("a", "b")
+
+    def test_null_means_absent_in_a_profile(self, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_text('{"task_name": "dtd", "shift_kind": "fine_grained", '
+                        '"superclass_token": null, "domain_descriptors": null, '
+                        '"question_templates": null}')
+        assert TaskProfile.from_file(path) == TaskProfile("dtd", "fine_grained")
+
+    @pytest.mark.parametrize("changes, named", [
+        ({"question_template": ["a {class}"]}, "question_template"),
+        ({"domain_descriptors": "origami"}, "domain_descriptors"),
+        ({"superclass_token": 5}, "superclass_token"),
+        ({"domain_descriptors": ["x", 3]}, r"domain_descriptors\[1\]"),
+        ({"question_templates": [1]}, r"question_templates\[0\]"),
+    ])
+    def test_profile_key_or_type_error_is_named(self, tmp_path, changes, named):
+        path = tmp_path / "profile.json"
+        doc = {"task_name": "t", "shift_kind": "cross_domain", "domain_descriptors": ["x"]}
+        path.write_text(json.dumps({**doc, **changes}))
+        with pytest.raises(InvalidConfig, match=named):
+            TaskProfile.from_file(path)
+
+    @pytest.mark.parametrize("doc, named", [
+        ([{"class_id": 1.7, "class_name": "b"}, {"class_id": 0, "class_name": "a"}],
+         r"classes\[0\]\.class_id"),
+        ([{"class_id": True, "class_name": None}], r"classes\[0\]\.class_id"),
+        ([{"class_id": 0, "class_name": None}], r"classes\[0\]\.class_name"),
+        (["a", 3], r"classes\[1\]"),
+        ({"clases": ["a"]}, "clases"),
+    ])
+    def test_class_file_key_or_type_error_is_named(self, tmp_path, doc, named):
+        path = tmp_path / "classes.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidConfig, match=named):
+            ClassVocabulary.from_file(path)
