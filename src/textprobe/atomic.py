@@ -9,9 +9,9 @@ run to mistake for a complete one. A target that is a symlink, device or pipe
 since renaming over it would replace the link or the device node itself.
 
 `write_jsonl` and `read_jsonl` are the one writer and the one reader of the
-JSON-lines artifacts (prompts, descriptions, text datasets, fixtures), and
-`read_json` is the one reader of the JSON config documents (manifest, train
-config, synthetic space, task profile, class file).
+JSON-lines artifacts (prompts, descriptions, text datasets, fixtures);
+`write_json` writes every JSON document but an LLM cache entry (no final
+newline), and `read_json` reads every one that must be valid (see errors.py).
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ def _replaceable(path: Path) -> bool:
 
 
 @contextmanager
-def atomic_write(path, mode: str = "w", encoding: str | None = "utf-8"):
+def atomic_write(path, mode: str = "w"):
     """Yield a file object whose content replaces `path` on a clean exit."""
     path = Path(path)
-    encoding = None if "b" in mode else encoding
+    encoding = None if "b" in mode else "utf-8"
     if not _replaceable(path):
         with open(path, mode, encoding=encoding) as fh:
             yield fh
@@ -73,6 +73,12 @@ def write_jsonl(path, records) -> None:
     with atomic_write(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def write_json(path, doc, **dumps_options) -> None:
+    """Write `doc` as `json.dumps(doc, **dumps_options)` and a newline, atomically."""
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, **dumps_options) + "\n")
 
 
 def read_json(path, load):

@@ -23,7 +23,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
-from .atomic import atomic_write, read_json, write_jsonl
+from .atomic import read_json, write_json, write_jsonl
 from .data import (
     SyntheticSpaceConfig,
     build_text_dataset,
@@ -113,11 +113,6 @@ def _read_images(path, flag: str):
     if images.count == 0:
         raise EmptyDataset(f"{path}: image bundle has no rows to evaluate")
     return images
-
-
-def _write_json(path, doc, **options) -> None:
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(doc, indent=2, **options) + "\n")
 
 
 def stage_seed(master: int, stage: str) -> int:
@@ -308,7 +303,6 @@ def cmd_train(args) -> None:
             for j in range(args.synth_samples)
         ]
         dataset = TextDataset(items=items, vocab=vocab)
-        bundle = synthetic_encode(items, space, modality="text")
         # The space and the weight init would otherwise share one stream, and
         # the initial weights would be the class means scaled by 1/sqrt(d).
         cfg = replace(cfg, seed=stage_seed(cfg.seed, "train"))
@@ -327,9 +321,10 @@ def cmd_train(args) -> None:
             )
         else:
             raise MissingInput("provide --descriptions, --text-dataset, or --synthetic")
-        bundle = _read_text_bundle(args.text_bundle, "--text-bundle", dataset)
-    if args.dataset_out:
+    if args.dataset_out:  # first: an external encoder needs this row order to make the bundle
         write_text_dataset_jsonl(dataset, args.dataset_out)
+    bundle = (synthetic_encode(items, space, modality="text") if args.synthetic
+              else _read_text_bundle(args.text_bundle, "--text-bundle", dataset))
     _status(_train_stage(dataset, bundle, cfg, args.out))
 
 
@@ -523,7 +518,7 @@ def cmd_run_all(args) -> None:
             _status(f"[{stage}] {out} is up to date")
         if i + 1 == len(stages) or stages[i + 1][0] != stage:  # the stage's last step
             markers[stage] = True
-            _write_json(m.markers, markers, sort_keys=True)
+            write_json(m.markers, markers, indent=2, sort_keys=True)
 
 
 # -- demo ---------------------------------------------------------------------------
@@ -557,13 +552,13 @@ def cmd_demo(args) -> None:
     ws = Path(args.workspace)
     ws.mkdir(parents=True, exist_ok=True)
     names = [f"class_{i:02d}" for i in range(space.classes)]
-    _write_json(ws / "classes.json", names)
+    write_json(ws / "classes.json", names, indent=2)
     profile = TaskProfile(
         task_name="synthetic-demo",
         shift_kind="fine_grained",
         superclass_token="object",
     )
-    _write_json(ws / "profile.json", profile.to_dict())
+    write_json(ws / "profile.json", profile.to_dict(), indent=2)
     write_jsonl(ws / "fixture.jsonl", ({
         "prompt_id": p.prompt_id,
         "class_id": p.class_id,
@@ -573,7 +568,7 @@ def cmd_demo(args) -> None:
                 f"for template {p.template_index}",
     } for p in render_prompts(profile, ClassVocabulary(tuple(names)))
         for i in range(args.samples)))
-    _write_json(ws / "manifest.json", manifest)
+    write_json(ws / "manifest.json", manifest, indent=2)
     _status(f"demo workspace ready: {ws}")
     _status(f"next: textprobe run-all --manifest {ws / 'manifest.json'}")
 

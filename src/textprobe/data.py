@@ -26,7 +26,6 @@ einsum) can differ in the last bit, and the rows must not change with it.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
@@ -34,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write, read_jsonl, write_jsonl
+from .atomic import atomic_write, read_json, read_jsonl, write_json, write_jsonl
+from .core import ZERO_NORM_EPS
 from .errors import (
     EmptyDataset,
     FormatError,
@@ -48,6 +48,9 @@ from .errors import (
     _checked,
     _float,
     _integer,
+    _list,
+    _string,
+    _strings,
 )
 from .llm import Description
 from .prompts import ClassVocabulary
@@ -55,8 +58,6 @@ from .prompts import ClassVocabulary
 BUNDLE_MAGIC = b"TAPE"
 BUNDLE_VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
-
-_ZERO_EPS = 1e-12
 
 
 @dataclass
@@ -159,12 +160,9 @@ class EmbeddingBundle:
         if not np.all(np.isfinite(mat)):
             raise NonFiniteValue("bundle matrix contains NaN or Inf")
         if self.labels is not None:
-            labels = tuple(int(c) for c in self.labels)
-            if len(labels) != self.count:
-                raise ShapeMismatch(
-                    f"{len(labels)} labels for {self.count} rows"
-                )
-            self.labels = labels
+            self.labels = _labels("labels", list(self.labels))
+            if len(self.labels) != self.count:
+                raise ShapeMismatch(f"{len(self.labels)} labels for {self.count} rows")
         self.matrix = mat
 
     @classmethod
@@ -176,7 +174,7 @@ class EmbeddingBundle:
             dimension=int(mat.shape[1]),
             count=int(mat.shape[0]),
             matrix=mat,
-            labels=tuple(int(c) for c in labels) if labels is not None else None,
+            labels=labels,
             provenance=dict(provenance or {}),
         )
 
@@ -184,6 +182,21 @@ class EmbeddingBundle:
         if self.labels is None:
             raise ShapeMismatch("bundle has no labels")
         return np.asarray(self.labels, dtype=np.int64)
+
+
+def _labels(key, value) -> tuple[int, ...]:
+    """The list `value` as a tuple of ints, checked in one pass; a NumPy integer
+    converts, and InvalidConfig names the first item that is not an integer."""
+    if not all(type(c) is int for c in _list(key, value)):
+        for i, c in enumerate(value):
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                raise InvalidConfig(f"{key}[{i}] must be an integer, got {c!r}")
+    return tuple(map(int, value))
+
+
+# Every sidecar key and its check; each is optional, and null means absent.
+_SIDECAR = {"labels": (_labels, None), "class_names": (_strings, None),
+            "encoder": (_string, None), "source": (_string, None), "created_at": (_string, None)}
 
 
 def write_bundle(bundle: EmbeddingBundle, path) -> None:
@@ -196,16 +209,13 @@ def write_bundle(bundle: EmbeddingBundle, path) -> None:
     with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(mat.data)
-    manifest: dict = {}
+    manifest = {key: bundle.provenance[key] for key in _SIDECAR
+                if key != "labels" and key in bundle.provenance}
     if bundle.labels is not None:
         manifest["labels"] = list(bundle.labels)
-    for key in ("class_names", "encoder", "source", "created_at"):
-        if key in bundle.provenance:
-            manifest[key] = bundle.provenance[key]
     manifest_path = Path(str(path) + ".manifest.json")
     if manifest:
-        with atomic_write(manifest_path) as fh:
-            fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        write_json(manifest_path, manifest, sort_keys=True, indent=2)
     elif manifest_path.is_file():
         # Do not let a stale sidecar from a previous write describe this bundle.
         manifest_path.unlink()
@@ -239,29 +249,18 @@ def read_bundle(path) -> EmbeddingBundle:
     if not np.all(np.isfinite(mat)):
         raise NonFiniteValue(f"{path}: matrix contains NaN or Inf")
 
-    labels = None
-    provenance: dict = {}
     manifest_path = Path(str(path) + ".manifest.json")
-    if manifest_path.is_file():
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
-        if "labels" in manifest and manifest["labels"] is not None:
-            labels = tuple(int(c) for c in manifest["labels"])
-            if len(labels) != count:
-                raise FormatError(
-                    f"{manifest_path}: {len(labels)} labels for {count} rows"
-                )
-        for key in ("class_names", "encoder", "source", "created_at"):
-            if key in manifest:
-                provenance[key] = manifest[key]
+    sidecar = (read_json(manifest_path, lambda doc: _checked(doc, _SIDECAR))
+               if manifest_path.is_file() else {})
+    labels = sidecar.pop("labels", None)
+    if labels is not None and len(labels) != count:
+        raise FormatError(f"{manifest_path}: {len(labels)} labels for {count} rows")
     return EmbeddingBundle(
         dimension=int(dimension),
         count=int(count),
         matrix=mat,
         labels=labels,
-        provenance=provenance,
+        provenance={k: v for k, v in sidecar.items() if v is not None},
     )
 
 
@@ -347,7 +346,7 @@ def synthetic_encode(
     rows *= space.sigma_intra
     rows += means[np.asarray(labels[:n], dtype=np.intp)]
     norms = np.sqrt([row.dot(row) for row in rows])
-    zero = np.flatnonzero(norms < _ZERO_EPS)
+    zero = np.flatnonzero(norms < ZERO_NORM_EPS)
     if zero.size:
         raise ZeroVector(f"item {int(zero[0])} collapsed to a zero vector")
     if bad is not None:

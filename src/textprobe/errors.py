@@ -5,11 +5,11 @@ catch one base class at pipeline boundaries. Each class carries the CLI exit
 code it maps to in `exit_code`: 2 configuration or input format (the
 default), 3 network, 4 numeric or shape, 5 missing input.
 
-`_checked` is the one checker of the JSON config documents (the run-all
-manifest, TrainConfig, SyntheticSpaceConfig, TaskProfile, the class file):
+`_checked` is the one checker of the JSON documents read back (manifest, train
+config, synthetic space, task profile, class file, classifier, bundle sidecar):
 it rejects unknown keys and passes each value through a check (`config_number`,
 `_integer`, `_float`, `_at_least`, `_string`, `_strings`, `_list`, `_flag`,
-`_object`, `_expect`) that raises InvalidConfig naming the key.
+`_object`, `_expect`, `data._labels`, `train._numbers`) that raises InvalidConfig.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_json
 from .core import ClassTextEmbeddings, normalize_rows, stable_softmax
 from .data import EmbeddingBundle, TextDataset, class_name_items
 from .errors import (
@@ -74,9 +74,7 @@ class EvalReport:
         return {"rows": [r.to_dict() for r in self.rows], "config": self.config}
 
     def save(self, path) -> None:
-        with atomic_write(path) as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        write_json(path, self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def _accuracy_row(

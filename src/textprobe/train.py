@@ -26,15 +26,13 @@ order, so the stream and the trained parameters do not depend on timing.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import read_json, write_json
 from .core import normalize, normalize_rows
 from .data import EmbeddingBundle, TextDataset
 from .errors import (
@@ -44,8 +42,12 @@ from .errors import (
     InvalidSmoothing,
     NonFiniteLoss,
     ShapeMismatch,
+    _at_least,
     _checked,
     _integer,
+    _list,
+    _object,
+    _strings,
     config_number,
 )
 from .prompts import ClassVocabulary
@@ -241,6 +243,23 @@ def _adamw_update(param, grad, m, v, scratch, cfg: TrainConfig, step: int,
     param -= grad
 
 
+def _numbers(key, value) -> np.ndarray:
+    """The list `value` as a float64 vector, checked by the dtype NumPy infers
+    for the list rather than item by item."""
+    try:
+        flat = np.asarray(_list(key, value))
+        if flat.ndim == 1 and flat.dtype.kind in "iuf":
+            return flat.astype(np.float64, copy=False)
+    except ValueError:  # nested lists of unequal length
+        pass
+    raise InvalidConfig(f"{key} must be a list of numbers")
+
+
+# Every key of a classifier file and its check; all but train_meta are required.
+_CLASSIFIER = {"dimension": (_at_least(1), ...), "class_names": (_strings, ...),
+               "weights": (_numbers, ...), "bias": (_numbers, ...), "train_meta": (_object, {})}
+
+
 @dataclass(eq=False)
 class LinearClassifier:
     """A trained single-layer head: logits = W x (+ b)."""
@@ -296,34 +315,17 @@ class LinearClassifier:
             "bias": [float(x) for x in self.bias],
             "train_meta": self.train_meta,
         }
-        with atomic_write(path) as fh:
-            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        write_json(path, doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def load(cls, path) -> "LinearClassifier":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-        try:
-            dim = int(doc["dimension"])
-            names = [str(n) for n in doc["class_names"]]
-            flat = np.asarray(doc["weights"], dtype=np.float64)
-            bias = np.asarray(doc["bias"], dtype=np.float64)
-            meta = dict(doc.get("train_meta", {}))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: bad classifier record ({exc})") from exc
-        k = len(names)
+        doc = read_json(path, lambda doc: _checked(doc, _CLASSIFIER))
+        k, dim, flat = len(doc["class_names"]), doc["dimension"], doc["weights"]
         if flat.size != k * dim:
-            raise FormatError(
-                f"{path}: weights hold {flat.size} values, expected {k * dim}"
-            )
-        return cls(
-            weights=flat.reshape(k, dim),
-            bias=bias,
-            vocab=ClassVocabulary(names=tuple(names)),
-            train_meta=meta,
-        )
+            raise FormatError(f"{path}: weights hold {flat.size} values, expected {k * dim}")
+        return cls(weights=flat.reshape(k, dim), bias=doc["bias"],
+                   vocab=ClassVocabulary(names=tuple(doc["class_names"])),
+                   train_meta=dict(doc["train_meta"]))
 
 
 def classifier_logits(clf: LinearClassifier, emb, normalize_input: bool = True) -> np.ndarray:

@@ -15,6 +15,7 @@ from textprobe.data import (
     write_bundle,
 )
 from textprobe.evaluate import ALL_METHODS
+from textprobe.prompts import ClassVocabulary
 from textprobe.train import LinearClassifier
 
 
@@ -303,6 +304,62 @@ class TestTrain:
                    "--text-bundle", bundle, "--steps", 100, "--out", clf_path)
         assert code == 0
         assert LinearClassifier.load(clf_path).num_classes == 2
+
+    def test_dataset_out_gives_an_encoder_the_row_order_before_a_bundle_exists(
+            self, workspace, capsys):
+        prompts, fixture = workspace / "prompts.jsonl", workspace / "fixture.jsonl"
+        descriptions, classes = workspace / "descriptions.jsonl", workspace / "classes.json"
+        run("gen-prompts", "--profile", workspace / "profile.json",
+            "--classes", classes, "--out", prompts)
+        write_fixture_for_prompts(prompts, fixture, samples=3)
+        run("fetch", "--prompts", prompts, "--fixture", fixture,
+            "--samples", 3, "--out", descriptions)
+        dataset, a, b = workspace / "ds.jsonl", workspace / "a.json", workspace / "b.json"
+        assert run("train", "--descriptions", descriptions, "--classes", classes,
+                   "--dataset-out", dataset, "--out", a) == 5
+        assert "--text-bundle" in capsys.readouterr().err
+        assert dataset.is_file() and not a.exists()
+        bundle = workspace / "text.tape"
+        assert run("synth-space", "--modality", "text", "--classes-count", 2, "--dim", 16,
+                   "--from-descriptions", descriptions, "--out", bundle) == 0
+        assert run("train", "--text-dataset", dataset, "--classes", classes,
+                   "--text-bundle", bundle, "--steps", 20, "--out", a) == 0
+        assert run("train", "--descriptions", descriptions, "--classes", classes,
+                   "--text-bundle", bundle, "--steps", 20, "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("target, edit, named", [
+    ("sidecar", {"labels": [1.7, True, "2"]}, "labels[0]"),
+    ("sidecar", {"lables": [0, 1, 2]}, "'lables'"),
+    ("sidecar", {"source": 5}, "source"),
+    ("classifier", {"class_names": [1, None, True]}, "class_names[0]"),
+    ("classifier", {"dimension": 2.9}, "dimension"),
+    ("classifier", {"wieghts": []}, "'wieghts'"),
+    ("classifier", {"weights": [1.0, "1.5", 0.0, 0.0, 0.0, 0.0]}, "weights"),
+])
+def test_bad_classifier_or_sidecar_exits_2_naming_file_and_key(tmp_path, capsys,
+                                                               target, edit, named):
+    classes, dataset = tmp_path / "classes.json", tmp_path / "ds.jsonl"
+    classes.write_text(json.dumps(["a", "b", "c"]))
+    dataset.write_text("".join(json.dumps({"text": f"t{c}", "class_id": c}) + "\n"
+                               for c in range(3)))
+    bundle, clf = tmp_path / "b.tape", tmp_path / "clf.json"
+    write_bundle(EmbeddingBundle.from_matrix(np.eye(3, 2) + 0.5, labels=[0, 1, 2]), bundle)
+    LinearClassifier(weights=np.ones((3, 2)), bias=np.zeros(3),
+                     vocab=ClassVocabulary(("a", "b", "c"))).save(clf)
+    path = clf if target == "classifier" else Path(f"{bundle}.manifest.json")
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    out = tmp_path / "out.json"
+    if target == "classifier":
+        argv = ["eval", "--images", bundle, "--classifier", clf, "--methods", "tap"]
+    else:
+        argv = ["train", "--text-dataset", dataset, "--classes", classes,
+                "--text-bundle", bundle, "--steps", 1]
+    assert run(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and named in err
+    assert not out.exists()
 
 
 @pytest.fixture

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,6 +199,34 @@ class TestBundleFormat:
         manifest.write_text('{"labels": [0, 1]}')
         with pytest.raises(FormatError):
             read_bundle(path)
+
+    @pytest.mark.parametrize("sidecar, named", [
+        ({"labels": [1.7, True, "2"]}, "labels[0]"),
+        ({"labels": [0, True, 2]}, "labels[1]"),
+        ({"labels": [0, 1, 2], "lables": [0, 1, 2]}, "'lables'"),
+        ({"labels": [0, 1, 2], "source": 5}, "source"),
+    ])
+    def test_mistyped_or_unknown_sidecar_key_names_file_and_key(self, tmp_path, rng,
+                                                               sidecar, named):
+        path = tmp_path / "b.tape"
+        write_bundle(EmbeddingBundle.from_matrix(rng.standard_normal((3, 2))), path)
+        manifest = tmp_path / "b.tape.manifest.json"
+        manifest.write_text(json.dumps(sidecar))
+        with pytest.raises(InvalidConfig, match=re.escape(named)) as raised:
+            read_bundle(path)
+        assert str(raised.value).startswith(f"{manifest}: ")
+
+    @pytest.mark.parametrize("labels, named", [
+        ([0, 1.7], "labels[1]"), ([True, 0], "labels[0]"), ([0, "2"], "labels[1]"),
+    ])
+    def test_non_integer_labels_rejected_by_index(self, labels, named):
+        with pytest.raises(InvalidConfig, match=re.escape(named)):
+            EmbeddingBundle.from_matrix(np.zeros((2, 2)), labels=labels)
+
+    def test_numpy_integer_labels_become_python_ints(self):
+        bundle = EmbeddingBundle.from_matrix(np.zeros((2, 2)), labels=np.array([1, 0]))
+        assert bundle.labels == (1, 0)
+        assert all(type(c) is int for c in bundle.labels)
 
     def test_read_returns_a_writable_array_of_its_own(self, tmp_path, rng):
         path = tmp_path / "b.tape"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import threading
 
 import numpy as np
@@ -453,6 +454,22 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         assert doc["weights"] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         assert doc["dimension"] == 3
+
+    @pytest.mark.parametrize("edit, named", [
+        ({"class_names": [1, None, True]}, "class_names[0]"),
+        ({"dimension": 2.9}, "dimension"),
+        ({"wieghts": [0.0] * 6}, "'wieghts'"),
+        ({"weights": [1.0, "1.5", 0.0, 0.0, 0.0, 0.0]}, "weights"),
+    ])
+    def test_mistyped_or_unknown_key_names_file_and_key(self, tmp_path, edit, named):
+        clf = LinearClassifier(weights=np.ones((3, 2)), bias=np.zeros(3),
+                               vocab=ClassVocabulary(("a", "b", "c")))
+        path = tmp_path / "clf.json"
+        clf.save(path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        with pytest.raises(InvalidConfig, match=re.escape(named)) as raised:
+            LinearClassifier.load(path)
+        assert str(raised.value).startswith(f"{path}: ")
 
 
 class TestTrainConfig:
