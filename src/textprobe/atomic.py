@@ -11,7 +11,9 @@ since renaming over it would replace the link or the device node itself.
 `write_jsonl` and `read_jsonl` are the one writer and the one reader of the
 JSON-lines artifacts (prompts, descriptions, text datasets, fixtures);
 `write_json` writes every JSON document but an LLM cache entry (no final
-newline), and `read_json` reads every one that must be valid (see errors.py).
+newline), and `read_json` reads every one that must be valid. Both readers
+check values with `errors._checked`, and input that is not UTF-8 or not JSON
+is a ParseError naming the file or the line.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import stat
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import InvalidConfig, ParseError, config_number
+from .errors import InvalidConfig, ParseError, _checked
 
 _temp_ids = itertools.count()
 
@@ -82,11 +84,13 @@ def write_json(path, doc, **dumps_options) -> None:
 
 
 def read_json(path, load):
-    """`load` applied to the JSON document in `path`. Invalid JSON, and an
-    InvalidConfig from `load`, raise an error naming the file."""
+    """`load` applied to the JSON document in `path`. Invalid UTF-8 or JSON,
+    and an InvalidConfig from `load`, raise an error naming the file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8 ({exc})") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     try:
         return load(doc)
@@ -94,45 +98,26 @@ def read_json(path, load):
         raise InvalidConfig(f"{path}: {exc}") from None
 
 
-def read_jsonl(path, fields: dict):
+def read_jsonl(path, table: dict):
     """Yield (line number, record) for each non-blank line of a JSON-lines file.
 
-    `fields` maps each key to the type its value is converted to, or to a
-    (type, default) pair for a key a line may omit; a record holds exactly
-    these keys. An `int` field takes a whole number (by the rule of
-    `config_number`) or a string of digits; 1.7 or true is not 1. A `str`
-    field takes only a string; null, 7 or ["x"] is not one. A line that is not
-    a JSON object, lacks a key or holds a value that does not convert raises
-    ParseError naming the line.
+    Each line is a JSON object checked by `_checked` against `table` (key ->
+    (check, default), `...` for a required key), so a record holds exactly
+    the table's keys. Each line is decoded on its own, so a line that is not
+    UTF-8 is named like one that is not JSON, lacks a key, holds an unknown
+    key or a value its check refuses: each raises ParseError naming the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
+                record = _checked(json.loads(line), table)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"line {lineno}: invalid UTF-8 ({exc})", lineno) from exc
+            except ValueError as exc:  # as in read_json
                 raise ParseError(f"line {lineno}: invalid JSON ({exc})", lineno) from exc
-            if not isinstance(doc, dict):
-                raise ParseError(f"line {lineno}: expected a JSON object", lineno)
-            rec = {}
-            for key, kind in fields.items():
-                kind, default = kind if isinstance(kind, tuple) else (kind, None)
-                if key in doc:
-                    value = doc[key]
-                    try:
-                        if kind is int and not isinstance(value, str):
-                            value = config_number(key, value, integral=True)
-                        elif kind is str and not isinstance(value, str):
-                            raise TypeError(f"expected a string, got {json.dumps(value)}")
-                        rec[key] = kind(value)
-                    except (InvalidConfig, TypeError, ValueError, OverflowError) as exc:
-                        raise ParseError(
-                            f"line {lineno}: bad value for '{key}' ({exc})", lineno
-                        ) from exc
-                elif default is None:
-                    raise ParseError(f"line {lineno}: missing '{key}'", lineno)
-                else:
-                    rec[key] = default
-            yield lineno, rec
+            except InvalidConfig as exc:
+                raise ParseError(f"line {lineno}: {exc}", lineno) from exc
+            yield lineno, record

@@ -46,7 +46,6 @@ from .errors import (
     _at_least,
     _checked,
     _flag,
-    _float,
     _integer,
     _object,
     _string,
@@ -76,6 +75,7 @@ from .llm import (
     DEFAULT_SAMPLING_TEMPERATURE,
     FixtureTransport,
     HttpTransport,
+    SAMPLING_FIELDS,
     fetch_descriptions,
     fetch_descriptions_partial,
     load_fixture_descriptions,
@@ -410,13 +410,6 @@ def _path(key, value) -> Path:
     return Path(_string(key, value))
 
 
-# The manifest's `llm` block: `requests_from_prompt_records` keywords.
-_LLM_KEYS = {
-    "samples_per_prompt": (_at_least(1), DEFAULT_SAMPLES_PER_PROMPT),
-    "max_tokens": (_at_least(1), DEFAULT_MAX_TOKENS),
-    "sampling_temperature": (_at_least(0, _float), DEFAULT_SAMPLING_TEMPERATURE),
-}
-
 # Every manifest key: the check that turns its JSON value into the one run-all
 # uses, and its default. Paths resolve against `workspace`, whose default is
 # the manifest's directory.
@@ -431,7 +424,7 @@ _MANIFEST = {
     "fixture": (_path, None),
     "endpoint": (_string, None),
     "cache": (_path, None),
-    "llm": (lambda key, value: _checked(value, _LLM_KEYS, key + "."), {}),
+    "llm": (lambda key, value: _checked(value, SAMPLING_FIELDS, key + "."), {}),
     "synthetic_space": (lambda key, value: SyntheticSpaceConfig.from_dict(value, key + "."),
                         None),
     "image_samples_per_class": (_at_least(1), 50),

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +45,15 @@ from .errors import (
     TruncatedFile,
     UnknownClassId,
     ZeroVector,
+    _Config,
+    _at_least,
     _checked,
     _float,
     _integer,
     _list,
     _string,
     _strings,
+    _whole,
 )
 from .llm import Description
 from .prompts import ClassVocabulary
@@ -129,9 +132,12 @@ def write_text_dataset_jsonl(dataset: TextDataset, path) -> None:
                        for text, class_id in dataset.items))
 
 
+_TEXT_DATASET_FIELDS = {"text": (_string, ...), "class_id": (_whole, ...)}
+
+
 def read_text_dataset_jsonl(path, vocab: ClassVocabulary) -> TextDataset:
     items = [(rec["text"], rec["class_id"])
-             for _, rec in read_jsonl(path, {"text": str, "class_id": int})]
+             for _, rec in read_jsonl(path, _TEXT_DATASET_FIELDS)]
     for _, cid in items:
         if not 0 <= cid < len(vocab):
             raise UnknownClassId(f"class_id {cid} outside vocabulary")
@@ -205,14 +211,15 @@ def write_bundle(bundle: EmbeddingBundle, path) -> None:
     mat = np.ascontiguousarray(bundle.matrix, dtype="<f4")
     if not np.all(np.isfinite(mat)):
         raise NonFiniteValue("refusing to write non-finite embeddings")
+    manifest = {key: bundle.provenance[key] for key in _SIDECAR
+                if key != "labels" and key in bundle.provenance}
+    _checked(manifest, _SIDECAR)  # the labels were checked when the bundle was made
+    if bundle.labels is not None:
+        manifest["labels"] = list(bundle.labels)
     header = _HEADER.pack(BUNDLE_MAGIC, BUNDLE_VERSION, bundle.dimension, bundle.count)
     with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(mat.data)
-    manifest = {key: bundle.provenance[key] for key in _SIDECAR
-                if key != "labels" and key in bundle.provenance}
-    if bundle.labels is not None:
-        manifest["labels"] = list(bundle.labels)
     manifest_path = Path(str(path) + ".manifest.json")
     if manifest:
         write_json(manifest_path, manifest, sort_keys=True, indent=2)
@@ -272,7 +279,7 @@ _MODALITY_STREAM = {MODALITY_TEXT: 1, MODALITY_IMAGE: 2}
 
 
 @dataclass(frozen=True)
-class SyntheticSpaceConfig:
+class SyntheticSpaceConfig(_Config):
     """Deterministic stand-in for a shared text-image embedding space."""
 
     dimension: int = 128
@@ -281,25 +288,8 @@ class SyntheticSpaceConfig:
     gap: float = 0.0
     seed: int = 0
 
-    def __post_init__(self):
-        if self.dimension < 2:
-            raise InvalidConfig(f"dimension must be >= 2, got {self.dimension}")
-        if self.classes < 1:
-            raise InvalidConfig(f"classes must be >= 1, got {self.classes}")
-        if self.sigma_intra < 0:
-            raise InvalidConfig(f"sigma_intra must be >= 0, got {self.sigma_intra}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict, prefix: str = "") -> "SyntheticSpaceConfig":
-        """Build from a mapping of field names, float fields as floats. An unknown
-        key or a non-number (non-integer for an int field) raises InvalidConfig."""
-        return cls(**_checked(doc, {
-            f.name: (_integer if isinstance(f.default, int) else _float, f.default)
-            for f in fields(cls)
-        }, prefix))
+    _CHECKS = {"dimension": _at_least(2), "classes": _at_least(1),
+               "sigma_intra": _at_least(0, _float), "gap": _float, "seed": _integer}
 
 
 def synthetic_class_means(space: SyntheticSpaceConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -370,8 +360,7 @@ def synthetic_bundle(
     modality: str = MODALITY_IMAGE,
 ) -> EmbeddingBundle:
     """Labeled bundle with `samples_per_class` rows per class, class-major."""
-    if samples_per_class < 1:
-        raise InvalidConfig("samples_per_class must be >= 1")
+    samples_per_class = _at_least(1)("samples_per_class", samples_per_class)
     items = [
         (f"{modality} sample {j} of class {c}", c)
         for c in range(space.classes)

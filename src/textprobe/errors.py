@@ -5,16 +5,20 @@ catch one base class at pipeline boundaries. Each class carries the CLI exit
 code it maps to in `exit_code`: 2 configuration or input format (the
 default), 3 network, 4 numeric or shape, 5 missing input.
 
-`_checked` is the one checker of the JSON documents read back (manifest, train
-config, synthetic space, task profile, class file, classifier, bundle sidecar):
-it rejects unknown keys and passes each value through a check (`config_number`,
-`_integer`, `_float`, `_at_least`, `_string`, `_strings`, `_list`, `_flag`,
-`_object`, `_expect`, `data._labels`, `train._numbers`) that raises InvalidConfig.
+`_checked` is the one checker of every input value: the JSON documents
+(manifest, train config, synthetic space, task profile, class file,
+classifier, bundle sidecar), each JSON-lines record and, through `_Config`,
+each config dataclass field. It rejects unknown keys and passes each value
+through a check that raises InvalidConfig (`config_number`, `_integer`,
+`_whole`, `_float`, a `_rule` such as `_at_least`, `_string`, `_strings`,
+`_list`, `_flag`, `_object`, `_expect`, `data._labels`, `train._numbers`).
 """
 
 from __future__ import annotations
 
 import functools
+import sys
+from dataclasses import fields
 
 
 class TextProbeError(Exception):
@@ -74,10 +78,12 @@ class InvalidProfile(TextProbeError):
 
 def config_number(key: str, value, integral: bool = False):
     """`value` as given, or as an int when `integral`. Anything that is not a
-    number (or not a whole number when `integral`) raises InvalidConfig
+    finite number (or not a whole number when `integral`) raises InvalidConfig
     naming `key`, so a mistyped config value exits 2, not with a TypeError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidConfig(f"{key} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, ±Infinity or an int no float holds
+        raise InvalidConfig(f"{key} must be a finite number, got {value!r}")
     if integral and not float(value).is_integer():
         raise InvalidConfig(f"{key} must be an integer, got {value!r}")
     return int(value) if integral else value
@@ -86,18 +92,31 @@ def config_number(key: str, value, integral: bool = False):
 _integer = functools.partial(config_number, integral=True)
 
 
+def _whole(key, value) -> int:
+    """An integer or a string of digits ("2" is 2), as the JSON-lines files take."""
+    return _integer(key, int(value) if isinstance(value, str) and value.isdecimal() else value)
+
+
 def _float(key, value) -> float:
     return float(config_number(key, value))
 
 
-def _at_least(low, number=_integer):
-    """A value check: a `number` no less than `low`."""
+def _rule(number, holds, text: str, error=InvalidConfig):
+    """A value check: a `number` that `holds`, else `error` "<key> <text>, got <value>"."""
     def check(key, value):
         value = number(key, value)
-        if not value >= low:
-            raise InvalidConfig(f"{key} must be >= {low}, got {value!r}")
+        if not holds(value):
+            raise error(f"{key} {text}, got {value!r}")
         return value
     return check
+
+
+def _at_least(low, number=_integer):
+    """A value check: a `number` no less than `low`."""
+    return _rule(number, lambda value: value >= low, f"must be >= {low}")
+
+
+_positive = _rule(config_number, lambda value: value > 0, "must be > 0")
 
 
 def _expect(kind: type, what: str):
@@ -134,6 +153,25 @@ def _checked(doc, table: dict, prefix: str = "") -> dict:
             raise InvalidConfig(f"missing key {prefix + key!r}")
         values[key] = value if value is None and default is None else check(prefix + key, value)
     return values
+
+
+class _Config:
+    """Base of a frozen dataclass whose `_CHECKS` maps each field to its check:
+    building one checks every field, `from_dict` checks a mapping through
+    `_checked` (keys named with `prefix`) and `to_dict` returns the fields."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            check = self._CHECKS[f.name]
+            object.__setattr__(self, f.name, check(f.name, getattr(self, f.name)))
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, doc, prefix: str = ""):
+        return cls(**_checked(doc, {f.name: (cls._CHECKS[f.name], f.default)
+                                    for f in fields(cls)}, prefix))
 
 
 # -- data / format errors ----------------------------------------------------

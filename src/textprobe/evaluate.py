@@ -35,6 +35,11 @@ from .errors import (
     MissingLabels,
     ShapeMismatch,
     ZeroVector,
+    _Config,
+    _at_least,
+    _positive,
+    _rule,
+    config_number,
 )
 from .prompts import ClassVocabulary, render_generic_prompts
 from .train import LinearClassifier, TrainConfig, train_text_classifier
@@ -337,23 +342,14 @@ def train_tot_dst(
 
 
 @dataclass(frozen=True)
-class PseudoLabelConfig:
+class PseudoLabelConfig(_Config):
     confidence_threshold: float = 0.95
     refine_steps: int = 300
     refine_lr: float = 0.001
 
-    def __post_init__(self):
-        if not 0.0 < self.confidence_threshold <= 1.0:
-            raise InvalidConfig(
-                f"confidence_threshold must be in (0, 1], got {self.confidence_threshold}"
-            )
-        if self.refine_steps < 1:
-            raise InvalidConfig(f"refine_steps must be >= 1, got {self.refine_steps}")
-        if not self.refine_lr > 0:
-            raise InvalidConfig(f"refine_lr must be > 0, got {self.refine_lr}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    _CHECKS = {"confidence_threshold": _rule(config_number, lambda p: 0 < p <= 1,
+                                             "must be in (0, 1]"),
+               "refine_steps": _at_least(1), "refine_lr": _positive}
 
 
 def pseudo_label_refine(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import threading
 import time
@@ -29,6 +28,11 @@ from .errors import (
     MalformedResponse,
     ParseError,
     TransportError,
+    _at_least,
+    _float,
+    _string,
+    _whole,
+    config_number,
 )
 
 DEFAULT_SAMPLES_PER_PROMPT = 5
@@ -46,6 +50,14 @@ SOURCE_CACHE = "cache"
 SOURCE_FIXTURE = "fixture"
 
 
+# A request's sampling fields, each with its check and default; also the manifest's `llm` block.
+SAMPLING_FIELDS = {
+    "samples_per_prompt": (_at_least(1), DEFAULT_SAMPLES_PER_PROMPT),
+    "max_tokens": (_at_least(1), DEFAULT_MAX_TOKENS),
+    "sampling_temperature": (_at_least(0, _float), DEFAULT_SAMPLING_TEMPERATURE),
+}
+
+
 @dataclass(frozen=True)
 class LlmRequest:
     """One prompt to complete, plus the class it was generated for."""
@@ -59,12 +71,8 @@ class LlmRequest:
     sampling_temperature: float = DEFAULT_SAMPLING_TEMPERATURE
 
     def __post_init__(self):
-        if self.samples_per_prompt < 1:
-            raise InvalidConfig("samples_per_prompt must be >= 1")
-        if self.max_tokens < 1:
-            raise InvalidConfig("max_tokens must be >= 1")
-        if self.sampling_temperature < 0:
-            raise InvalidConfig("sampling_temperature must be >= 0")
+        for key, (check, _) in SAMPLING_FIELDS.items():
+            object.__setattr__(self, key, check(key, getattr(self, key)))
 
 
 @dataclass(frozen=True)
@@ -409,12 +417,9 @@ def fetch_descriptions_partial(
     `max_in_flight` requests can wait out a backoff while as many others are
     on the wire; if more back off at once, slots sit idle until one returns.
     """
-    if max_in_flight < 1:
-        raise InvalidConfig(f"max_in_flight must be >= 1, got {max_in_flight}")
-    if retries < 1:
-        raise InvalidConfig(f"retries must be >= 1, got {retries}")
-    if not (backoff_base >= 0 and math.isfinite(backoff_base)):
-        raise InvalidConfig(f"backoff_base must be a finite number >= 0, got {backoff_base}")
+    max_in_flight = _at_least(1)("max_in_flight", max_in_flight)
+    retries = _at_least(1)("retries", retries)
+    backoff_base = _at_least(0, config_number)("backoff_base", backoff_base)
     seen: set[str] = set()
     for req in requests_list:
         if req.prompt_id in seen:
@@ -504,8 +509,9 @@ def write_descriptions_jsonl(descriptions: list[Description], path) -> None:
     } for d in descriptions))
 
 
-_DESCRIPTION_FIELDS = {"prompt_id": str, "class_id": int, "class_name": (str, ""),
-                       "sample_index": int, "text": str}
+_DESCRIPTION_FIELDS = {"prompt_id": (_string, ...), "class_id": (_whole, ...),
+                       "class_name": (_string, ""), "sample_index": (_whole, ...),
+                       "text": (_string, ...)}
 
 
 def load_fixture_descriptions(path) -> list[Description]:

@@ -20,7 +20,8 @@ import re
 from dataclasses import dataclass
 
 from .atomic import read_json, read_jsonl, write_jsonl
-from .errors import InvalidConfig, InvalidProfile, _checked, _integer, _list, _string, _strings
+from .errors import (InvalidConfig, InvalidProfile, _checked, _integer, _list, _string,
+                     _strings, _whole)
 
 SHIFT_FINE_GRAINED = "fine_grained"
 SHIFT_CROSS_DOMAIN = "cross_domain"
@@ -271,7 +272,8 @@ def write_prompts_jsonl(prompts: list[TargetedPrompt], path) -> None:
     } for p in prompts))
 
 
-_PROMPT_FIELDS = {"prompt_id": str, "class_id": int, "class_name": (str, ""), "text": str}
+_PROMPT_FIELDS = {"prompt_id": (_string, ...), "class_id": (_whole, ...),
+                  "class_name": (_string, ""), "text": (_string, ...)}
 
 
 def read_prompts_jsonl(path) -> list[dict]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,11 +42,14 @@ from .errors import (
     InvalidSmoothing,
     NonFiniteLoss,
     ShapeMismatch,
+    _Config,
     _at_least,
     _checked,
     _integer,
     _list,
     _object,
+    _positive,
+    _rule,
     _strings,
     config_number,
 )
@@ -56,8 +59,16 @@ from .prompts import ClassVocabulary
 NOISE_THREAD_PREFIX = "textprobe-noise"
 
 
+_smoothing = _rule(config_number, lambda eps: 0 <= eps < 1, "must be in [0, 1)",
+                   InvalidSmoothing)
+_beta = _rule(config_number, lambda beta: 0 < beta < 1, "must be in (0, 1)")
+
+
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(_Config):
+    """Training hyperparameters. Numbers are kept as given (an int learning rate
+    stays an int), since they are written to train_meta and the report."""
+
     learning_rate: float = 0.001
     steps: int = 500
     label_smoothing: float = 0.1
@@ -68,35 +79,10 @@ class TrainConfig:
     weight_decay: float = 0.01
     seed: int = 0
 
-    def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise InvalidConfig(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.steps < 0:
-            raise InvalidConfig(f"steps must be >= 0, got {self.steps}")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise InvalidSmoothing(
-                f"label_smoothing must be in [0, 1), got {self.label_smoothing}"
-            )
-        if self.noise_sigma < 0:
-            raise InvalidConfig(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        for name in ("adam_beta1", "adam_beta2"):
-            beta = getattr(self, name)
-            if not 0.0 < beta < 1.0:
-                raise InvalidConfig(f"{name} must be in (0, 1), got {beta}")
-        if self.weight_decay < 0:
-            raise InvalidConfig(f"weight_decay must be >= 0, got {self.weight_decay}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict, prefix: str = "") -> "TrainConfig":
-        """Build from a mapping of field names, numbers kept as given. An unknown
-        key or a non-number (non-integer for `steps`, `seed`) raises InvalidConfig."""
-        return cls(**_checked(doc, {
-            f.name: (_integer if isinstance(f.default, int) else config_number, f.default)
-            for f in fields(cls)
-        }, prefix))
+    _CHECKS = {"learning_rate": _positive, "steps": _at_least(0),
+               "label_smoothing": _smoothing, "noise_sigma": _at_least(0, config_number),
+               "adam_beta1": _beta, "adam_beta2": _beta, "adam_eps": config_number,
+               "weight_decay": _at_least(0, config_number), "seed": _integer}
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -106,10 +92,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def smoothing_targets(num_classes: int, labels, label_smoothing: float) -> np.ndarray:
     """Rows q = (1 - eps) * onehot(label) + eps / K."""
-    if not 0.0 <= label_smoothing < 1.0:
-        raise InvalidSmoothing(
-            f"label_smoothing must be in [0, 1), got {label_smoothing}"
-        )
+    _smoothing("label_smoothing", label_smoothing)
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     q = np.full((labels.shape[0], num_classes), label_smoothing / num_classes)
     q[np.arange(labels.shape[0]), labels] += 1.0 - label_smoothing
@@ -245,11 +228,13 @@ def _adamw_update(param, grad, m, v, scratch, cfg: TrainConfig, step: int,
 
 def _numbers(key, value) -> np.ndarray:
     """The list `value` as a float64 vector, checked by the dtype NumPy infers
-    for the list rather than item by item."""
+    for the list rather than item by item; a bool among numbers would infer a
+    number, so the item types are looked at first."""
     try:
-        flat = np.asarray(_list(key, value))
-        if flat.ndim == 1 and flat.dtype.kind in "iuf":
-            return flat.astype(np.float64, copy=False)
+        if bool not in set(map(type, _list(key, value))):
+            flat = np.asarray(value)
+            if flat.ndim == 1 and flat.dtype.kind in "iuf":
+                return flat.astype(np.float64, copy=False)
     except ValueError:  # nested lists of unequal length
         pass
     raise InvalidConfig(f"{key} must be a list of numbers")

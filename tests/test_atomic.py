@@ -4,9 +4,17 @@ import os
 import pytest
 
 from textprobe.atomic import atomic_write, read_jsonl, write_jsonl
-from textprobe.errors import ParseError
+from textprobe.cli import main
+from textprobe.data import build_text_dataset, read_text_dataset_jsonl, write_text_dataset_jsonl
+from textprobe.errors import ParseError, _string, _whole
 from textprobe.llm import Description, load_fixture_descriptions, write_descriptions_jsonl
-from textprobe.prompts import read_prompts_jsonl
+from textprobe.prompts import (
+    DEFAULT_GENERIC_TEMPLATES,
+    ClassVocabulary,
+    read_prompts_jsonl,
+    render_generic_prompts,
+    write_prompts_jsonl,
+)
 
 
 def leftovers(directory):
@@ -57,23 +65,23 @@ class TestJsonLines:
         path = tmp_path / "r.jsonl"
         write_jsonl(path, iter([{"b": 1, "a": "x"}, {"a": "y", "b": "2"}]))
         assert path.read_text() == '{"a": "x", "b": 1}\n{"a": "y", "b": "2"}\n'
-        fields = {"a": str, "b": int, "c": (str, "-")}
-        assert list(read_jsonl(path, fields)) == [
+        table = {"a": (_string, ...), "b": (_whole, ...), "c": (_string, "-")}
+        assert list(read_jsonl(path, table)) == [
             (1, {"a": "x", "b": 1, "c": "-"}), (2, {"a": "y", "b": 2, "c": "-"})]
 
     @pytest.mark.parametrize("line, message", [
-        ("[1]", "JSON object"), ('{"a": "x"}', "missing 'b'"),
-        ('{"a": "x", "b": "two"}', "'b'"), ('{"a": "x", "b": Infinity}', "'b'"),
-        ('{"a": "x", "b": 1.7}', "'b'"), ('{"a": "x", "b": true}', "'b'"),
-        ('{"a": "x", "b": "1.7"}', "'b'"),
-        ('{"a": null, "b": 1}', "'a'"), ('{"a": {"x": 1}, "b": 1}', "'a'"),
-        ('{"a": 7, "b": 1}', "'a'"), ('{"a": ["x"], "b": 1}', "'a'"),
+        ("[1]", "must be an object"), ('{"a": "x"}', "missing key 'b'"),
+        ('{"a": "x", "b": "two"}', "b must be"), ('{"a": "x", "b": Infinity}', "b must be"),
+        ('{"a": "x", "b": 1.7}', "b must be"), ('{"a": "x", "b": true}', "b must be"),
+        ('{"a": "x", "b": "1.7"}', "b must be"),
+        ('{"a": null, "b": 1}', "a must be"), ('{"a": {"x": 1}, "b": 1}', "a must be"),
+        ('{"a": 7, "b": 1}', "a must be"), ('{"a": ["x"], "b": 1}', "a must be"),
     ])
     def test_bad_line_is_a_parse_error_naming_it(self, tmp_path, line, message):
         path = tmp_path / "r.jsonl"
         path.write_text('{"a": "x", "b": 1}\n\n' + line + "\n")
         with pytest.raises(ParseError, match=message) as excinfo:
-            list(read_jsonl(path, {"a": str, "b": int}))
+            list(read_jsonl(path, {"a": (_string, ...), "b": (_whole, ...)}))
         assert excinfo.value.lineno == 3
 
     @pytest.mark.parametrize("reader, record, key", [
@@ -88,5 +96,23 @@ class TestJsonLines:
     def test_str_field_takes_only_a_string(self, tmp_path, reader, record, key):
         path = tmp_path / "r.jsonl"
         path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(ParseError, match=f"line 1: bad value for '{key}'"):
+        with pytest.raises(ParseError, match=f"line 1: {key} must be a string"):
             reader(path)
+
+    def test_every_writer_is_read_back_by_its_reader(self, tmp_path):
+        vocab = ClassVocabulary(("a", "b"))
+        prompts = render_generic_prompts(vocab, DEFAULT_GENERIC_TEMPLATES)
+        write_prompts_jsonl(prompts, tmp_path / "p.jsonl")
+        assert [rec["text"] for rec in read_prompts_jsonl(tmp_path / "p.jsonl")] == [
+            p.rendered_text for p in prompts]
+        descs = [Description(prompt_id=p.prompt_id, class_id=p.class_id, text=f"t{i}",
+                             sample_index=i, source="fixture", class_name=p.class_name)
+                 for p in prompts for i in range(2)]
+        write_descriptions_jsonl(descs, tmp_path / "d.jsonl")
+        assert load_fixture_descriptions(tmp_path / "d.jsonl") == descs
+        dataset = build_text_dataset(descs, vocab)
+        write_text_dataset_jsonl(dataset, tmp_path / "t.jsonl")
+        assert read_text_dataset_jsonl(tmp_path / "t.jsonl", vocab).items == dataset.items
+        assert main(["demo", "--workspace", str(tmp_path / "ws"), "--classes-count", "2",
+                     "--samples", "2"]) == 0
+        assert len(load_fixture_descriptions(tmp_path / "ws" / "fixture.jsonl")) == 8

@@ -97,13 +97,14 @@ class TestGenPrompts:
                           {"class_id": 0, "class_name": "a"}], "classes[0].class_id"),
         ("classes.json", [{"class_id": True, "class_name": None}], "classes[0].class_id"),
         ("classes.json", ["a", 3], "classes[1]"),
+        ("classes.json", b'["a", "\xff"]', "classes.json: invalid UTF-8"),
     ])
     def test_bad_profile_or_class_file_exits_2_naming_it(self, workspace, capsys,
                                                         name, doc, named):
         path = workspace / name
         if name == "profile.json":
             doc = {**json.loads(path.read_text()), **doc}
-        path.write_text(json.dumps(doc))
+        path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         out = workspace / "prompts.jsonl"
         assert run("gen-prompts", "--profile", workspace / "profile.json",
                    "--classes", workspace / "classes.json", "--out", out) == 2
@@ -198,13 +199,16 @@ class TestFetch:
 
 
 class TestBadPromptLines:
+    # "\udcff" is written as the byte 0xff, which is not UTF-8.
     @pytest.mark.parametrize("line", ['{"prompt_id":"a","class_id":"x","text":"t"}', "5",
                                       '{"prompt_id":"a","class_id":1.7,"text":"t"}',
                                       '{"prompt_id":"a","class_id":true,"text":"t"}',
-                                      '{"prompt_id":"a","class_id":0,"text":null}'])
+                                      '{"prompt_id":"a","class_id":0,"text":null}',
+                                      '{"prompt_id":"a","class_id":0,"text":"t","clas":"x"}',
+                                      '{"prompt_id":"a","class_id":0,"text":"\udcff"}'])
     def test_fetch_exits_2_and_writes_nothing(self, tmp_path, capsys, line):
         prompts = tmp_path / "prompts.jsonl"
-        prompts.write_text(line + "\n")
+        prompts.write_bytes(line.encode("utf-8", "surrogateescape") + b"\n")
         out = tmp_path / "d.jsonl"
         assert run("fetch", "--prompts", prompts, "--fixture", tmp_path / "none.jsonl",
                    "--out", out) == 2
@@ -276,7 +280,10 @@ class TestTrain:
         assert not (tmp_path / "clf.json").exists()
 
     @pytest.mark.parametrize("text", ['{"steps": 5', '{"steps": "5"}', '{"steps": 2.5}',
-                                      '{"learning_rate": true}', '[1, 2]'])
+                                      '{"learning_rate": true}', '[1, 2]',
+                                      '{"adam_eps": NaN}',
+                                      pytest.param('{"learning_rate": 1%s}' % ("0" * 400),
+                                                   id="learning_rate-10**400")])
     def test_malformed_or_mistyped_config_exits_2(self, tmp_path, text):
         config = tmp_path / "train.json"
         config.write_text(text)
@@ -284,6 +291,21 @@ class TestTrain:
                    "--out", tmp_path / "clf.json")
         assert code == 2
         assert not (tmp_path / "clf.json").exists()
+
+    @pytest.mark.parametrize("flag, record, key", [
+        ("--descriptions", {"prompt_id": "a", "class_id": 0, "sample_index": 0, "text": "t"},
+         "sample_idx"),
+        ("--text-dataset", {"text": "t", "class_id": 0}, "clas_id"),
+    ])
+    def test_unknown_key_in_a_training_line_exits_2_naming_it(self, workspace, capsys,
+                                                              flag, record, key):
+        path = workspace / "lines.jsonl"
+        path.write_text(json.dumps(record) + "\n" + json.dumps({**record, key: 1}) + "\n")
+        out = workspace / "clf.json"
+        assert run("train", flag, path, "--classes", workspace / "classes.json",
+                   "--text-bundle", workspace / "none.tape", "--out", out) == 2
+        assert f"line 2: unknown key(s): '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_full_file_pipeline(self, workspace):
         prompts = workspace / "prompts.jsonl"
@@ -337,6 +359,7 @@ class TestTrain:
     ("classifier", {"dimension": 2.9}, "dimension"),
     ("classifier", {"wieghts": []}, "'wieghts'"),
     ("classifier", {"weights": [1.0, "1.5", 0.0, 0.0, 0.0, 0.0]}, "weights"),
+    ("classifier", {"weights": [1.5, True, 0.0, 0.0, 0.0, 0.0]}, "weights"),
 ])
 def test_bad_classifier_or_sidecar_exits_2_naming_file_and_key(tmp_path, capsys,
                                                                target, edit, named):
@@ -567,6 +590,7 @@ class TestRunAll:
         ({"llm": {"samples_per_prompt": 0}}, "llm.samples_per_prompt"),
         ({"llm": {"max_tokens": 0}}, "llm.max_tokens"),
         ({"llm": {"sampling_temperature": -0.5}}, "llm.sampling_temperature"),
+        ({"train": {"adam_beta1": 1.0}}, "train.adam_beta1"),
     ])
     def test_bad_manifest_exits_2_before_any_stage(self, tmp_path, capsys, changes, named):
         ws = tmp_path / "ws"

@@ -223,6 +223,17 @@ class TestBundleFormat:
         with pytest.raises(InvalidConfig, match=re.escape(named)):
             EmbeddingBundle.from_matrix(np.zeros((2, 2)), labels=labels)
 
+    @pytest.mark.parametrize("provenance, named", [
+        ({"source": 5}, "source"), ({"class_names": ["a", None]}, "class_names[1]"),
+    ])
+    def test_mistyped_provenance_is_refused_before_anything_is_written(
+            self, tmp_path, provenance, named):
+        path = tmp_path / "b.tape"
+        bundle = EmbeddingBundle.from_matrix(np.zeros((2, 2)), provenance=provenance)
+        with pytest.raises(InvalidConfig, match=re.escape(named)):
+            write_bundle(bundle, path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_numpy_integer_labels_become_python_ints(self):
         bundle = EmbeddingBundle.from_matrix(np.zeros((2, 2)), labels=np.array([1, 0]))
         assert bundle.labels == (1, 0)
