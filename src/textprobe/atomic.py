@@ -13,7 +13,7 @@ JSON-lines artifacts (prompts, descriptions, text datasets, fixtures);
 `write_json` writes every JSON document but an LLM cache entry (no final
 newline), and `read_json` reads every one that must be valid. Both readers
 check values with `errors._checked`, and input that is not UTF-8 or not JSON
-is a ParseError naming the file or the line.
+is a ParseError naming the file, and the line in a JSON-lines file.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def read_jsonl(path, table: dict):
     Each line is a JSON object checked by `_checked` against `table` (key ->
     (check, default), `...` for a required key), so a record holds exactly
     the table's keys. Each line is decoded on its own, so a line that is not
-    UTF-8 is named like one that is not JSON, lacks a key, holds an unknown
-    key or a value its check refuses: each raises ParseError naming the line.
+    UTF-8 is named like one that is not JSON, lacks a key, holds an unknown key
+    or a value its check refuses: each raises ParseError naming file and line.
     """
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -115,9 +115,9 @@ def read_jsonl(path, table: dict):
                     continue
                 record = _checked(json.loads(line), table)
             except UnicodeDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid UTF-8 ({exc})", lineno) from exc
+                raise ParseError(f"{path}: line {lineno}: invalid UTF-8 ({exc})", lineno) from exc
             except ValueError as exc:  # as in read_json
-                raise ParseError(f"line {lineno}: invalid JSON ({exc})", lineno) from exc
+                raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc})", lineno) from exc
             except InvalidConfig as exc:
-                raise ParseError(f"line {lineno}: {exc}", lineno) from exc
+                raise ParseError(f"{path}: line {lineno}: {exc}", lineno) from exc
             yield lineno, record

@@ -23,7 +23,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
-from .atomic import read_json, write_json, write_jsonl
+from .atomic import read_json, write_json
 from .data import (
     SyntheticSpaceConfig,
     build_text_dataset,
@@ -73,6 +73,7 @@ from .llm import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_SAMPLES_PER_PROMPT,
     DEFAULT_SAMPLING_TEMPERATURE,
+    Description,
     FixtureTransport,
     HttpTransport,
     SAMPLING_FIELDS,
@@ -105,6 +106,16 @@ def _require_file(path, flag: str) -> Path:
     if not p.is_file():
         raise MissingInput(f"{flag}: no such file: {p}")
     return p
+
+
+def _read_classes(path, flag: str, space=None) -> ClassVocabulary:
+    """The class file; a synthetic space it is encoded in must have as many classes."""
+    vocab = ClassVocabulary.from_file(_require_file(path, flag))
+    if space is not None and len(vocab) != space.classes:
+        raise ShapeMismatch(
+            f"vocabulary has {len(vocab)} classes, space declares {space.classes}"
+        )
+    return vocab
 
 
 def _read_images(path, flag: str):
@@ -251,7 +262,7 @@ def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
 # -- subcommands -------------------------------------------------------------------
 
 def cmd_gen_prompts(args) -> None:
-    vocab = ClassVocabulary.from_file(_require_file(args.classes, "--classes"))
+    vocab = _read_classes(args.classes, "--classes")
     _status(_prompts_stage(vocab, (args.profile, "--profile (or --generic)"), args.out,
                            args.generic, args.template or DEFAULT_GENERIC_TEMPLATES,
                            args.task_name))
@@ -307,7 +318,7 @@ def cmd_train(args) -> None:
         # the initial weights would be the class means scaled by 1/sqrt(d).
         cfg = replace(cfg, seed=stage_seed(cfg.seed, "train"))
     else:
-        vocab = ClassVocabulary.from_file(_require_file(args.classes, "--classes"))
+        vocab = _read_classes(args.classes, "--classes")
         if args.text_dataset:
             dataset = read_text_dataset_jsonl(
                 _require_file(args.text_dataset, "--text-dataset"), vocab
@@ -333,9 +344,7 @@ def cmd_eval(args) -> None:
     vocab = cfg = None
     tot = [m for m in methods if m in (METHOD_TOT_CLS, METHOD_TOT_DST)]
     if tot:
-        vocab = ClassVocabulary.from_file(
-            _require_file(args.classes, f"--classes (method {tot[0]})")
-        )
+        vocab = _read_classes(args.classes, f"--classes (method {tot[0]})")
         cfg = _train_config_from_args(args)
     inputs = {
         "classifier": (args.classifier, "--classifier"),
@@ -393,12 +402,7 @@ def cmd_synth_space(args) -> None:
             _require_file(args.from_descriptions, "--from-descriptions")
         ))
     elif args.from_classes:
-        vocab = ClassVocabulary.from_file(_require_file(args.from_classes, "--from-classes"))
-        if len(vocab) != space.classes:
-            raise ShapeMismatch(
-                f"vocabulary has {len(vocab)} classes, space declares {space.classes}"
-            )
-        items = class_name_items(vocab)
+        items = class_name_items(_read_classes(args.from_classes, "--from-classes", space))
     elif args.per_class is None:
         raise MissingInput("provide --per-class, --from-descriptions, or --from-classes")
     _status(_bundle_stage(space, args.modality, args.out, items, args.per_class))
@@ -463,7 +467,7 @@ def _read_markers(path: Path) -> dict:
 
 def cmd_run_all(args) -> None:
     m = _load_manifest(_require_file(args.manifest, "--manifest"))
-    vocab = ClassVocabulary.from_file(_require_file(m.classes, "classes"))
+    vocab = _read_classes(m.classes, "classes", m.synthetic_space)
     train_cfg = TrainConfig.from_dict({"seed": stage_seed(m.seed, "train"), **m.train}, "train.")
     dst_templates = m.dst_templates or list(DEFAULT_GENERIC_TEMPLATES)
     # Built at most once: the text bundle and the head share it, so their rows align.
@@ -552,15 +556,15 @@ def cmd_demo(args) -> None:
         superclass_token="object",
     )
     write_json(ws / "profile.json", profile.to_dict(), indent=2)
-    write_jsonl(ws / "fixture.jsonl", ({
-        "prompt_id": p.prompt_id,
-        "class_id": p.class_id,
-        "class_name": p.class_name,
-        "sample_index": i,
-        "text": f"a {p.class_name} object, deterministic variant {i} "
-                f"for template {p.template_index}",
-    } for p in render_prompts(profile, ClassVocabulary(tuple(names)))
-        for i in range(args.samples)))
+    write_descriptions_jsonl([Description(
+        prompt_id=p.prompt_id,
+        class_id=p.class_id,
+        class_name=p.class_name,
+        sample_index=i,
+        text=f"a {p.class_name} object, deterministic variant {i} "
+             f"for template {p.template_index}",
+    ) for p in render_prompts(profile, ClassVocabulary(tuple(names)))
+        for i in range(args.samples)], ws / "fixture.jsonl")
     write_json(ws / "manifest.json", manifest, indent=2)
     _status(f"demo workspace ready: {ws}")
     _status(f"next: textprobe run-all --manifest {ws / 'manifest.json'}")

@@ -19,9 +19,9 @@ constant gap direction first, normalize(mu_c + gap*g + sigma*eps), modeling
 the systematic text/image offset of real dual-encoder spaces. Same seed,
 same inputs: bytewise-identical bundles. The noise of all n items is one
 (n, d) block draw, which consumes the stream exactly as n row draws do.
-Each row's norm is sqrt(row.dot(row)), computed row by row: that is what
-np.linalg.norm of one vector computes, while a vectorized norm (axis=1 or
-einsum) can differ in the last bit, and the rows must not change with it.
+Then each row is shifted and normalized in place, with no second (n, d)
+array. A row's norm is sqrt(row.dot(row)), as np.linalg.norm of one vector
+computes it; a vectorized norm (axis=1 or einsum) can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -320,38 +320,28 @@ def synthetic_encode(
     """
     if modality not in _MODALITY_STREAM:
         raise InvalidConfig(f"modality must be 'text' or 'image', got {modality!r}")
+    labels = _labels("labels", [class_id for _, class_id in items])
     means, gap_dir = synthetic_class_means(space)
     if modality == MODALITY_IMAGE:
         means = means + space.gap * gap_dir
     noise_rng = np.random.default_rng(
         np.random.SeedSequence([space.seed, _MODALITY_STREAM[modality]])
     )
-    labels = [class_id for _, class_id in items]
-    bad = next(
-        (idx for idx, c in enumerate(labels) if not 0 <= c < space.classes), None
-    )
-    n = len(labels) if bad is None else bad
-    # One block draw, then norms row by row (see the module docstring).
-    rows = noise_rng.standard_normal((n, space.dimension))
+    # The row loop of the module docstring; the first bad item in order raises.
+    rows = noise_rng.standard_normal((len(labels), space.dimension))
     rows *= space.sigma_intra
-    rows += means[np.asarray(labels[:n], dtype=np.intp)]
-    norms = np.sqrt([row.dot(row) for row in rows])
-    zero = np.flatnonzero(norms < ZERO_NORM_EPS)
-    if zero.size:
-        raise ZeroVector(f"item {int(zero[0])} collapsed to a zero vector")
-    if bad is not None:
-        raise UnknownClassId(
-            f"item {bad} has class_id {labels[bad]}, space has {space.classes} classes"
-        )
-    rows /= norms[:, None]
-    return EmbeddingBundle.from_matrix(
-        rows,
-        labels=labels,
-        provenance={
-            "encoder": "synthetic",
-            "source": f"synthetic:{modality}",
-        },
-    )
+    for idx, (row, c) in enumerate(zip(rows, labels)):
+        if not 0 <= c < space.classes:
+            raise UnknownClassId(
+                f"item {idx} has class_id {c}, space has {space.classes} classes"
+            )
+        row += means[c]
+        norm = np.sqrt(row.dot(row))
+        if norm < ZERO_NORM_EPS:
+            raise ZeroVector(f"item {idx} collapsed to a zero vector")
+        row /= norm
+    return EmbeddingBundle.from_matrix(rows, labels=labels, provenance={
+        "encoder": "synthetic", "source": f"synthetic:{modality}"})
 
 
 def synthetic_bundle(

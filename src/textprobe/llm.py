@@ -526,11 +526,11 @@ def load_fixture_descriptions(path) -> list[Description]:
     for lineno, rec in read_jsonl(path, _DESCRIPTION_FIELDS):
         rec["text"] = rec["text"].strip()
         if not rec["text"]:
-            raise ParseError(f"line {lineno}: empty text", lineno)
+            raise ParseError(f"{path}: line {lineno}: empty text", lineno)
         pair = (rec["prompt_id"], rec["sample_index"])
         if pair in seen:
             raise ParseError(
-                f"line {lineno}: duplicate (prompt_id, sample_index) {pair}", lineno
+                f"{path}: line {lineno}: duplicate (prompt_id, sample_index) {pair}", lineno
             )
         seen.add(pair)
         out.append(Description(**rec, source=SOURCE_FIXTURE))

@@ -304,7 +304,9 @@ class TestTrain:
         out = workspace / "clf.json"
         assert run("train", flag, path, "--classes", workspace / "classes.json",
                    "--text-bundle", workspace / "none.tape", "--out", out) == 2
-        assert f"line 2: unknown key(s): '{key}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"line 2: unknown key(s): '{key}'" in err
+        assert f"{path}: line 2" in err
         assert not out.exists()
 
     def test_full_file_pipeline(self, workspace):
@@ -620,6 +622,20 @@ class TestRunAll:
                    "--classes", ws / "classes.json", "--text-bundle", ws / "text.tape",
                    "--out", tmp_path / "clf.json") == 4
 
+    def test_class_file_that_disagrees_with_the_space_exits_4_before_any_stage(
+            self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        assert run("demo", "--workspace", ws, "--image-samples", 20, "--steps", 30) == 0
+        classes = ws / "classes.json"
+        classes.write_text(json.dumps(json.loads(classes.read_text())[:8]))
+        capsys.readouterr()
+        assert run("run-all", "--manifest", ws / "manifest.json") == 4
+        assert "vocabulary has 8 classes, space declares 10" in capsys.readouterr().err
+        assert not (ws / "prompts.jsonl").exists()
+        # `textprobe synth-space` rejects the same pair with the same message.
+        assert run("synth-space", "--from-classes", classes, "--classes-count", 10,
+                   "--out", tmp_path / "names.tape") == 4
+        assert "vocabulary has 8 classes, space declares 10" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[]", "5", "{not json"])
     def test_markers_that_are_not_an_object_start_afresh(self, tmp_path, text):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,6 +416,29 @@ class TestSyntheticEncodeMatchesRowLoop:
             synthetic_encode(items[:3] + [("e", 9)], space)
         with pytest.raises(UnknownClassId, match=r"item 1 "):
             synthetic_encode([("a", 0), ("e", 9), ("c", 1)], space)
+
+    @pytest.mark.parametrize("class_id", ["2", True, 1.0])
+    def test_class_ids_are_checked_before_any_draw(self, monkeypatch, class_id):
+        monkeypatch.setattr(data, "synthetic_class_means",
+                            lambda space: pytest.fail("drew before checking the class ids"))
+        space = SyntheticSpaceConfig(dimension=8, classes=3, seed=0)
+        message = re.escape(f"labels[1] must be an integer, got {class_id!r}")
+        with pytest.raises(InvalidConfig, match=message):
+            synthetic_encode([("a", 0), ("b", class_id)], space)
+
+    def test_no_n_by_d_temporary_beyond_the_block(self):
+        n, d = 4000, 256
+        space = SyntheticSpaceConfig(dimension=d, classes=10, seed=0)
+        items = [(f"x{i}", i % 10) for i in range(n)]
+        synthetic_encode(items[:2], space)  # first-call allocations are not the encoder's
+        tracemalloc.start()
+        try:
+            synthetic_encode(items, space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The float64 block (1), the bundle's float32 copy (0.5) and its isfinite mask (0.125).
+        assert peak < 1.8 * n * d * 8
 
 
 class TestSyntheticSpaceKeys:
