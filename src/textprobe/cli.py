@@ -118,12 +118,13 @@ def _read_classes(path, flag: str, space=None) -> ClassVocabulary:
     return vocab
 
 
-def _read_images(path, flag: str):
-    """The image bundle to score; one with no rows exits 2 before any scoring."""
-    images = read_bundle(_require_file(path, flag))
-    if images.count == 0:
-        raise EmptyDataset(f"{path}: image bundle has no rows to evaluate")
-    return images
+def _read_rows(path, flag: str, kind: str = "image"):
+    """A bundle to score (images) or to ensemble (text); one with no rows exits
+    2 before any scoring."""
+    bundle = read_bundle(_require_file(path, flag))
+    if bundle.count == 0:
+        raise EmptyDataset(f"{path}: {kind} bundle has no rows to evaluate")
+    return bundle
 
 
 def stage_seed(master: int, stage: str) -> int:
@@ -234,13 +235,13 @@ def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
     methods train a baseline head over `vocab` with `train_cfg`. `config` is
     added to the report's config block.
     """
-    images = _read_images(*images)
+    images = _read_rows(*images)
     rows = []
     for method in methods:
         path, name = inputs[_METHOD_INPUT[method]]
         path = _require_file(path, f"{name} (method {method})")
         if method in (METHOD_CLIP_SINGLE, METHOD_CLIP_DST):
-            embs = class_text_embeddings_from_bundle(read_bundle(path))
+            embs = class_text_embeddings_from_bundle(_read_rows(path, name, "text"))
             rows.append(evaluate_zero_shot(embs, images, method, dataset_name))
             continue
         if method == METHOD_TAP:
@@ -360,7 +361,7 @@ def cmd_refine(args) -> None:
     clf = LinearClassifier.load(_require_file(args.classifier, "--classifier"))
     unlabeled = read_bundle(_require_file(args.unlabeled, "--unlabeled"))
     # Read before refining, so a bad --eval-images writes no --out.
-    images = _read_images(args.eval_images, "--eval-images") if args.eval_images else None
+    images = _read_rows(args.eval_images, "--eval-images") if args.eval_images else None
     plcfg = PseudoLabelConfig(
         confidence_threshold=args.threshold,
         refine_steps=args.steps,

@@ -5,6 +5,8 @@ class; class probabilities are the softmax of the cosine similarities divided
 by a temperature. All arithmetic runs in float64 regardless of the storage
 dtype of the inputs, and the softmax subtracts the max logit before
 exponentiating so CLIP-scale temperatures (tau ~ 0.01) stay stable.
+`normalize_rows` is the package's one row normalizer: training, eval and
+class embeddings all make unit rows with it.
 
 All functions here are pure and safe for concurrent read-only use.
 """
@@ -29,8 +31,7 @@ ZERO_NORM_EPS = 1e-12
 # Tolerance when validating that stored class embeddings are unit norm.
 UNIT_NORM_TOL = 1e-6
 
-# Row norms are summed over blocks of about this many elements (1 MB of
-# float64), so no temporary the size of the matrix is allocated.
+# Rows are normalized in blocks of about this many elements (1 MB of float64).
 _NORM_BLOCK_ELEMS = 1 << 17
 
 # Default softmax temperature, matching the usual learned logit scale of
@@ -61,26 +62,32 @@ def normalize(values) -> np.ndarray:
     return vec / norm
 
 
-def normalize_rows(matrix) -> np.ndarray:
-    """Unit-normalize every row of a 2-D array in float64, into a new array."""
-    mat = np.array(matrix, dtype=np.float64)
+def normalize_rows(matrix, dtype=np.float64) -> np.ndarray:
+    """Unit-normalize every row of a 2-D array in float64, into a new `dtype`
+    array: the one row normalizer of the package.
+
+    Rows are normalized in blocks of about 1 MB of float64, each written
+    into the result as it is done, so no other temporary the size of the
+    matrix exists. A float32 result is the float64 one rounded, bit for bit.
+    """
+    mat = np.asarray(matrix)
     if mat.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise NonFiniteValue("matrix contains NaN or Inf")
-    # What np.linalg.norm(mat, axis=1) computes, block by block: each row
-    # reduces on its own, so the norms are the same to the bit.
-    norms = np.empty((mat.shape[0], 1))
+    out = np.empty(mat.shape, dtype=dtype)
     step = max(1, _NORM_BLOCK_ELEMS // max(1, mat.shape[1]))
     for lo in range(0, mat.shape[0], step):
-        block = mat[lo:lo + step]
-        np.sqrt(np.add.reduce(block * block, axis=1, keepdims=True),
-                out=norms[lo:lo + step])
-    if np.any(norms < ZERO_NORM_EPS):
-        bad = int(np.flatnonzero(norms.ravel() < ZERO_NORM_EPS)[0])
-        raise ZeroVector(f"row {bad} has (near-)zero norm")
-    mat /= norms
-    return mat
+        block = mat[lo:lo + step].astype(np.float64)
+        if not np.all(np.isfinite(block)):
+            raise NonFiniteValue("matrix contains NaN or Inf")
+        # What np.linalg.norm(block, axis=1) computes: each row reduces on
+        # its own, so the norms do not depend on the block size.
+        norms = np.sqrt(np.add.reduce(block * block, axis=1, keepdims=True))
+        if np.any(norms < ZERO_NORM_EPS):
+            bad = lo + int(np.flatnonzero(norms.ravel() < ZERO_NORM_EPS)[0])
+            raise ZeroVector(f"row {bad} has (near-)zero norm")
+        block /= norms
+        out[lo:lo + step] = block
+    return out
 
 
 def cosine_similarity(a, b) -> float:
@@ -125,25 +132,15 @@ class ZeroShotConfig:
 
 @dataclass(frozen=True, eq=False)
 class ClassTextEmbeddings:
-    """One unit-normalized text embedding per class, in vocabulary order.
+    """One unit-normalized text embedding per class, in vocabulary order:
+    row c of `matrix` embeds class c."""
 
-    `class_ids` must be the contiguous range 0..K-1 and `matrix` holds the
-    corresponding rows.
-    """
-
-    class_ids: tuple[int, ...]
     matrix: np.ndarray  # (K, d)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=np.float64)
         if mat.ndim != 2:
             raise DimensionMismatch(f"expected (K, d) matrix, got {mat.shape}")
-        if len(self.class_ids) != mat.shape[0]:
-            raise DimensionMismatch(
-                f"{len(self.class_ids)} class ids for {mat.shape[0]} rows"
-            )
-        if tuple(self.class_ids) != tuple(range(len(self.class_ids))):
-            raise InvalidConfig("class_ids must be contiguous from 0")
         if not np.all(np.isfinite(mat)):
             raise NonFiniteValue("class embeddings contain NaN or Inf")
         norms = np.linalg.norm(mat, axis=1)
@@ -153,15 +150,15 @@ class ClassTextEmbeddings:
                 f"class embedding {bad} is not unit norm (|v|={norms[bad]:.8f})"
             )
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "class_ids", tuple(int(c) for c in self.class_ids))
 
     @classmethod
     def from_matrix(cls, matrix, renormalize: bool = True) -> "ClassTextEmbeddings":
         """Build from a (K, d) matrix, optionally renormalizing each row."""
-        mat = np.asarray(matrix, dtype=np.float64)
-        if renormalize:
-            mat = normalize_rows(mat)
-        return cls(class_ids=tuple(range(mat.shape[0])), matrix=mat)
+        return cls(normalize_rows(matrix) if renormalize else matrix)
+
+    @property
+    def class_ids(self) -> tuple[int, ...]:
+        return tuple(range(self.num_classes))
 
     @property
     def num_classes(self) -> int:

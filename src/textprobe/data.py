@@ -11,7 +11,10 @@ Bundle binary layout (little-endian):
 
 An optional sidecar manifest "<file>.manifest.json" carries row labels and
 provenance ({labels, class_names, encoder, source, created_at}). Matrices
-are stored in float32; all computation elsewhere promotes to float64.
+are stored in float32; all computation elsewhere promotes to float64. An
+EmbeddingBundle's count and dimension are its matrix's shape, and a matrix
+with no columns is refused when the bundle is made, as the reader refuses
+it. Scoring a bundle in `textprobe.evaluate` makes its matrix read-only.
 
 The synthetic space draws one unit-normalized Gaussian mean per class from a
 seed. Text samples are normalize(mu_c + sigma*eps); image samples add a
@@ -148,41 +151,37 @@ def read_text_dataset_jsonl(path, vocab: ClassVocabulary) -> TextDataset:
 
 @dataclass(eq=False)
 class EmbeddingBundle:
-    """A (count, dimension) float32 matrix with optional row labels."""
+    """A (count, dimension) float32 matrix with optional row labels; the
+    count and dimension are the matrix's shape."""
 
-    dimension: int
-    count: int
     matrix: np.ndarray
     labels: tuple[int, ...] | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         mat = np.ascontiguousarray(np.asarray(self.matrix), dtype="<f4")
-        if mat.ndim != 2 or mat.shape != (self.count, self.dimension):
+        if mat.ndim != 2 or mat.shape[1] < 1:
             raise ShapeMismatch(
-                f"matrix shape {mat.shape} does not match "
-                f"(count={self.count}, dimension={self.dimension})"
-            )
+                f"expected a 2-D matrix of at least one column, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise NonFiniteValue("bundle matrix contains NaN or Inf")
         if self.labels is not None:
             self.labels = _labels("labels", list(self.labels))
-            if len(self.labels) != self.count:
-                raise ShapeMismatch(f"{len(self.labels)} labels for {self.count} rows")
+            if len(self.labels) != mat.shape[0]:
+                raise ShapeMismatch(f"{len(self.labels)} labels for {mat.shape[0]} rows")
         self.matrix = mat
 
     @classmethod
     def from_matrix(cls, matrix, labels=None, provenance=None) -> "EmbeddingBundle":
-        mat = np.asarray(matrix)
-        if mat.ndim != 2:
-            raise ShapeMismatch(f"expected a 2-D matrix, got shape {mat.shape}")
-        return cls(
-            dimension=int(mat.shape[1]),
-            count=int(mat.shape[0]),
-            matrix=mat,
-            labels=labels,
-            provenance=dict(provenance or {}),
-        )
+        return cls(matrix, labels, dict(provenance or {}))
+
+    @property
+    def count(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
 
     def labels_array(self) -> np.ndarray:
         if self.labels is None:
@@ -262,13 +261,8 @@ def read_bundle(path) -> EmbeddingBundle:
     labels = sidecar.pop("labels", None)
     if labels is not None and len(labels) != count:
         raise FormatError(f"{manifest_path}: {len(labels)} labels for {count} rows")
-    return EmbeddingBundle(
-        dimension=int(dimension),
-        count=int(count),
-        matrix=mat,
-        labels=labels,
-        provenance={k: v for k, v in sidecar.items() if v is not None},
-    )
+    return EmbeddingBundle.from_matrix(
+        mat, labels, {k: v for k, v in sidecar.items() if v is not None})
 
 
 # -- synthetic shared space ---------------------------------------------------------

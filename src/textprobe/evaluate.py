@@ -11,7 +11,10 @@ first scores all image rows with one float32 product. A row whose float32
 top-two margin exceeds twice a proven error bound keeps its float32 argmax,
 which is then the float64 argmax, strictly; the other rows (about 1% on the
 benchmark's data) are scored again in float64 with the expression above.
-`_float32_logits` derives the bound.
+`_float32_logits` derives the bound. The float32 rows are the same
+normalization rounded, `normalize_rows(X, dtype=np.float32)`, made once per
+image bundle; scoring makes the bundle's matrix read-only, so writing into
+it raises instead of leaving those rows stale.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import (
     InvalidConfig,
     MissingLabels,
     ShapeMismatch,
-    ZeroVector,
     _Config,
     _at_least,
     _positive,
@@ -106,40 +108,23 @@ def _accuracy_row(
     )
 
 
-# Image rows are made unit vectors this many at a time, so no float64 copy of
-# the whole matrix exists.
-_UNIT_BLOCK_ROWS = 1024
-
 _EPS32 = 2.0 ** -24  # float32 unit roundoff
 
 
 def _unit_rows(images: EmbeddingBundle) -> np.ndarray:
-    """The bundle's float64 unit rows rounded to float32, read-only.
+    """`normalize_rows(images.matrix, dtype=np.float32)`, read-only.
 
-    Bit for bit `normalize_rows(images.matrix).astype(np.float32)`, built
-    block by block. Computed once per matrix object and kept on the bundle,
-    so every method scored against one bundle shares a single normalization;
-    rebinding `images.matrix` recomputes them, writing into it in place does
-    not.
+    Computed once per matrix object and kept on the bundle, so every method
+    scored against one bundle shares a single normalization. The matrix is
+    made read-only when its rows are kept, so writing into it raises instead
+    of leaving stale rows; rebinding `images.matrix` recomputes them.
     """
     memo = getattr(images, "_unit_rows_memo", None)
     if memo is None or memo[0] is not images.matrix:
-        matrix = images.matrix
-        rows = np.empty(matrix.shape, dtype=np.float32)
-        for lo in range(0, matrix.shape[0], _UNIT_BLOCK_ROWS):
-            block = matrix[lo:lo + _UNIT_BLOCK_ROWS]
-            try:
-                rows[lo:lo + _UNIT_BLOCK_ROWS] = normalize_rows(block)
-            except ZeroVector:
-                # Name the row by its index in the whole matrix, not the block.
-                for i in range(block.shape[0]):
-                    try:
-                        normalize_rows(block[i:i + 1])
-                    except ZeroVector:
-                        raise ZeroVector(
-                            f"row {lo + i} has (near-)zero norm") from None
+        rows = normalize_rows(images.matrix, dtype=np.float32)
         rows.setflags(write=False)
-        memo = images._unit_rows_memo = (matrix, rows)
+        images.matrix.setflags(write=False)
+        memo = images._unit_rows_memo = (images.matrix, rows)
     return memo[1]
 
 
@@ -270,6 +255,8 @@ def class_text_embeddings_from_bundle(bundle: EmbeddingBundle) -> ClassTextEmbed
     """
     if bundle.labels is None:
         raise MissingLabels("text bundle has no labels")
+    if bundle.count == 0:
+        raise EmptyDataset("text bundle has no rows to ensemble")
     labels = bundle.labels_array()
     classes = np.unique(labels)
     k = int(classes.max()) + 1

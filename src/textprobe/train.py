@@ -296,8 +296,8 @@ class LinearClassifier:
         doc = {
             "dimension": self.dimension,
             "class_names": list(self.vocab.names),
-            "weights": [float(x) for x in self.weights.ravel(order="C")],
-            "bias": [float(x) for x in self.bias],
+            "weights": self.weights.ravel().tolist(),
+            "bias": self.bias.tolist(),
             "train_meta": self.train_meta,
         }
         write_json(path, doc, sort_keys=True, separators=(",", ":"))

@@ -1,5 +1,7 @@
 import importlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -464,6 +466,18 @@ class TestEval:
         assert f"error: {empty}: image bundle has no rows" in captured.err
         assert captured.out == "" and not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("method, flag", [("clip-single", "--class-embeddings"),
+                                              ("clip-dst", "--dst-embeddings")])
+    def test_text_bundle_without_rows_exits_2_naming_it(self, eval_setup, capsys,
+                                                        method, flag):
+        tmp_path, images, clf, classnames = eval_setup
+        empty = tmp_path / "text.tape"
+        write_bundle(EmbeddingBundle.from_matrix(np.zeros((0, 128)), labels=[]), empty)
+        assert run("eval", "--images", images, "--methods", method, flag, empty) == 2
+        captured = capsys.readouterr()
+        assert f"error: {empty}: text bundle has no rows" in captured.err
+        assert captured.out == ""
+
     def test_methods_checked_before_inputs(self, tmp_path):
         assert run("eval", "--images", tmp_path / "missing.tape",
                    "--methods", "tap,warp") == 2
@@ -800,6 +814,15 @@ def test_benchmark_tracer_sees_every_layer(tmp_path, monkeypatch):
     assert expected <= names, sorted(expected - names)
 
 
+def test_benchmark_selftest_passes():
+    # The benchmark runs every workload through the installed package; a
+    # renamed traced function or a changed file layout fails here first.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+
+
 class TestManifestBlocks:
     @pytest.mark.parametrize("block, key, value", [
         ("synthetic_space", "dimesion", 64),
@@ -843,7 +866,8 @@ def test_images_are_normalized_once_per_invocation(tmp_path, monkeypatch, capsys
     shapes = []
     for module in (evaluate, train):
         monkeypatch.setattr(module, "normalize_rows",
-                            lambda m, f=module.normalize_rows: shapes.append(np.shape(m)) or f(m))
+                            lambda m, f=module.normalize_rows, **kw:
+                            shapes.append(np.shape(m)) or f(m, **kw))
     assert run("run-all", "--manifest", ws / "manifest.json") == 0
     image_shape = read_bundle(ws / "images.tape").matrix.shape
     assert image_shape == (230, 128)

@@ -89,6 +89,16 @@ class TestNormalizeRows:
         with pytest.raises(ZeroVector, match="row 1"):
             normalize_rows([[1.0, 0.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_defect_past_the_first_block_is_named_by_its_index(self, dtype):
+        x = np.ones((40000, 4))
+        x[39000] = 0.0
+        with pytest.raises(ZeroVector, match=r"^row 39000 has \(near-\)zero norm$"):
+            normalize_rows(x, dtype=dtype)
+        x[39000] = np.nan
+        with pytest.raises(NonFiniteValue, match="^matrix contains NaN or Inf$"):
+            normalize_rows(x, dtype=dtype)
+
 
 class TestCosineSimilarity:
     def test_orthogonal(self):
@@ -219,15 +229,14 @@ class TestZeroShotProbabilities:
 class TestClassTextEmbeddings:
     def test_rows_must_be_unit(self):
         with pytest.raises(InvalidConfig):
-            ClassTextEmbeddings(class_ids=(0, 1), matrix=np.array([[2.0, 0.0], [0.0, 1.0]]))
+            ClassTextEmbeddings(matrix=np.array([[2.0, 0.0], [0.0, 1.0]]))
 
     def test_from_matrix_renormalizes(self):
         ce = ClassTextEmbeddings.from_matrix(np.array([[2.0, 0.0], [0.0, 3.0]]))
         np.testing.assert_allclose(ce.matrix, np.eye(2), atol=1e-12)
 
-    def test_contiguous_ids_required(self):
-        with pytest.raises(InvalidConfig):
-            ClassTextEmbeddings(class_ids=(0, 2), matrix=np.eye(2))
+    def test_class_ids_are_the_row_indices(self):
+        assert ClassTextEmbeddings(np.eye(3)).class_ids == (0, 1, 2)
 
 
 class TestPredictClass:

@@ -179,6 +179,18 @@ class TestBundleFormat:
         with pytest.raises(ShapeMismatch):
             EmbeddingBundle.from_matrix(np.zeros((3, 2)), labels=[0, 1])
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0)])
+    def test_zero_width_matrix_rejected_at_construction(self, shape):
+        # read_bundle refuses a declared dimension of 0, so no bundle may have one.
+        with pytest.raises(ShapeMismatch, match="at least one column"):
+            EmbeddingBundle.from_matrix(np.zeros(shape), labels=[0] * shape[0])
+
+    def test_count_and_dimension_are_the_matrix_shape(self, rng):
+        bundle = EmbeddingBundle.from_matrix(rng.standard_normal((5, 3)))
+        assert (bundle.count, bundle.dimension) == (5, 3)
+        bundle.matrix = bundle.matrix[:2]
+        assert (bundle.count, bundle.dimension) == (2, 3)
+
     def test_overwrite_removes_stale_manifest(self, tmp_path, rng):
         path = tmp_path / "b.tape"
         write_bundle(

@@ -122,7 +122,8 @@ class TestEvaluateClassifier:
 @pytest.mark.parametrize("score", [
     lambda images: evaluate_classifier(constant_classifier(8, 8), images),
     lambda images: evaluate_zero_shot(ClassTextEmbeddings.from_matrix(np.eye(8)), images),
-], ids=["classifier", "zero-shot"])
+    class_text_embeddings_from_bundle,
+], ids=["classifier", "zero-shot", "ensemble"])
 def test_labeled_bundle_without_rows_is_an_empty_dataset(score):
     with pytest.raises(EmptyDataset):
         score(EmbeddingBundle.from_matrix(np.zeros((0, 8)), labels=[]))
@@ -370,7 +371,7 @@ class TestImagesNormalizedOnce:
     def test_methods_share_one_normalization_until_matrix_is_rebound(self, monkeypatch):
         calls = []
         monkeypatch.setattr(evaluate, "normalize_rows",
-                            lambda m: calls.append(1) or normalize_rows(m))
+                            lambda m, **kw: calls.append(1) or normalize_rows(m, **kw))
         embs = ClassTextEmbeddings.from_matrix(np.eye(3, 4))
         images = EmbeddingBundle.from_matrix(3.0 * np.eye(3, 4), labels=[0, 1, 2])
         clf = LinearClassifier(weights=np.eye(3, 4), bias=np.zeros(3),
@@ -491,7 +492,7 @@ class TestFloat32Screen:
         evaluate._unit_rows(images)
         rescored = []
         monkeypatch.setattr(evaluate, "normalize_rows",
-                            lambda m: rescored.append(len(m)) or normalize_rows(m))
+                            lambda m, **kw: rescored.append(len(m)) or normalize_rows(m, **kw))
         np.testing.assert_array_equal(evaluate._predict(images, weights, bias),
                                       reference_predictions(images.matrix, weights, bias))
         if scale < 1e-300:
@@ -504,20 +505,31 @@ class TestFloat32Screen:
         evaluate._unit_rows(images)
         calls = []
         monkeypatch.setattr(evaluate, "normalize_rows",
-                            lambda m: calls.append(1) or normalize_rows(m))
+                            lambda m, **kw: calls.append(1) or normalize_rows(m, **kw))
         predictions = evaluate._predict(images, rng.standard_normal((1, 5)), np.array([0.3]))
         assert predictions.tolist() == [0] * 50 and calls == []
 
     def test_unit_rows_bit_match_one_normalization(self, rng):
-        n = 2 * evaluate._UNIT_BLOCK_ROWS + 37
+        # 2.5 of normalize_rows' blocks at d=24.
+        n = 13690
         x = rng.standard_normal((n, 24)) * rng.uniform(1e-3, 1e3, size=(n, 1))
         images = EmbeddingBundle.from_matrix(x)
         rows = evaluate._unit_rows(images)
         assert rows.dtype == np.float32 and not rows.flags.writeable
         np.testing.assert_array_equal(rows, normalize_rows(images.matrix).astype(np.float32))
 
+    def test_a_scored_matrix_cannot_be_edited_in_place(self):
+        embs = ClassTextEmbeddings.from_matrix(np.eye(3, 4))
+        images = EmbeddingBundle.from_matrix(3.0 * np.eye(3, 4), labels=[0, 1, 2])
+        assert evaluate_zero_shot(embs, images).accuracy == 100.0
+        with pytest.raises(ValueError, match="read-only"):
+            images.matrix[:] = images.matrix[::-1].copy()
+        fresh = EmbeddingBundle.from_matrix(3.0 * np.eye(3, 4)[::-1], labels=[0, 1, 2])
+        assert evaluate_zero_shot(embs, fresh).accuracy == pytest.approx(100.0 / 3)
+
     def test_zero_row_past_the_first_block_is_named_by_its_index(self, rng):
-        n = evaluate._UNIT_BLOCK_ROWS + 500
+        # More than 32768 rows at d=4 spans two of normalize_rows' blocks.
+        n = 32768 + 500
         x = rng.standard_normal((n, 4))
         x[n - 7] = 0.0
         images = EmbeddingBundle.from_matrix(x, labels=[0] * n)
@@ -561,7 +573,7 @@ class TestFloat32Screen:
         evaluate._unit_rows(images)
         calls = []
         monkeypatch.setattr(evaluate, "normalize_rows",
-                            lambda m: calls.append(len(m)) or normalize_rows(m))
+                            lambda m, **kw: calls.append(len(m)) or normalize_rows(m, **kw))
         assert evaluate_classifier(clf, images).accuracy == 100.0
         assert evaluate_zero_shot(ClassTextEmbeddings.from_matrix(means),
                                   images).accuracy == 100.0
