@@ -9,6 +9,11 @@ Every stage is one `_*_stage` function from resolved inputs to one written
 file that returns its status line. Its subcommand maps flags onto those
 inputs, and `run-all` maps manifest keys onto them and runs the stages in
 one loop, so both run the same code.
+
+Each setting is declared once: a flag that sets a config field or a library
+parameter has its name as its dest and takes its default from the config
+class or the `llm` constant, and `_MANIFEST` holds every manifest rule,
+which `demo` applies before it writes anything.
 """
 
 from __future__ import annotations
@@ -70,12 +75,13 @@ from .evaluate import (
     train_tot_dst,
 )
 from .llm import (
-    DEFAULT_MAX_TOKENS,
-    DEFAULT_SAMPLES_PER_PROMPT,
-    DEFAULT_SAMPLING_TEMPERATURE,
+    DEFAULT_BACKOFF_S,
+    DEFAULT_MAX_IN_FLIGHT,
+    DEFAULT_RETRIES,
     Description,
     FixtureTransport,
     HttpTransport,
+    LlmRequest,
     SAMPLING_FIELDS,
     fetch_descriptions,
     fetch_descriptions_partial,
@@ -88,6 +94,7 @@ from .prompts import (
     DEFAULT_GENERIC_TEMPLATES,
     TaskProfile,
     read_prompts_jsonl,
+    _validate_templates,
     render_generic_prompts,
     render_prompts,
     write_prompts_jsonl,
@@ -127,6 +134,12 @@ def _read_rows(path, flag: str, kind: str = "image"):
     return bundle
 
 
+def _given(args, config, prefix: str = "") -> dict:
+    """The given (not None) flag values of `config`'s fields, whose dests are `prefix` + name."""
+    return {f.name: value for f in fields(config)
+            if (value := getattr(args, prefix + f.name, None)) is not None}
+
+
 def stage_seed(master: int, stage: str) -> int:
     """Fan a master seed out to per-stage sub-seeds by stage-name hashing."""
     digest = hashlib.sha256(f"{master}:{stage}".encode("utf-8")).digest()
@@ -138,10 +151,10 @@ def stage_seed(master: int, stage: str) -> int:
 # An input file that may be missing is passed as a (path, name) pair, so the
 # error names the flag or the manifest key it came from.
 
-def _prompts_stage(vocab, profile, out, generic=False,
-                   templates=DEFAULT_GENERIC_TEMPLATES, task_name="generic") -> str:
+def _prompts_stage(vocab, profile, out, generic=False, **options) -> str:
+    """The profile's prompts; with `generic`, `render_generic_prompts(vocab, **options)`."""
     if generic:
-        prompts = render_generic_prompts(vocab, templates, task_name=task_name)
+        prompts = render_generic_prompts(vocab, **options)
     else:
         prompts = render_prompts(TaskProfile.from_file(_require_file(*profile)), vocab)
     write_prompts_jsonl(prompts, out)
@@ -265,49 +278,34 @@ def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
 def cmd_gen_prompts(args) -> None:
     vocab = _read_classes(args.classes, "--classes")
     _status(_prompts_stage(vocab, (args.profile, "--profile (or --generic)"), args.out,
-                           args.generic, args.template or DEFAULT_GENERIC_TEMPLATES,
-                           args.task_name))
+                           args.generic, templates=args.template or DEFAULT_GENERIC_TEMPLATES,
+                           task_name=args.task_name))
 
 
 def cmd_fetch(args) -> None:
-    llm = dict(samples_per_prompt=args.samples, max_tokens=args.max_tokens,
-               sampling_temperature=args.temperature)
     _status(_fetch_stage(
         (args.prompts, "--prompts"), (args.fixture, "--fixture"),
-        (args.endpoint, "--endpoint"), args.cache, args.out, llm, args.allow_partial,
-        max_in_flight=args.max_in_flight, retries=args.retries, backoff_base=args.backoff,
+        (args.endpoint, "--endpoint"), args.cache, args.out,
+        {key: getattr(args, key) for key in SAMPLING_FIELDS}, args.allow_partial,
+        max_in_flight=args.max_in_flight, retries=args.retries, backoff_base=args.backoff_base,
     ))
 
 
 def _train_config_from_args(args) -> TrainConfig:
+    """The --config file, if any, with each train flag given laid over it."""
     base: dict = {}
-    if getattr(args, "train_config", None):
+    if args.train_config:
         base = read_json(_require_file(args.train_config, "--config"),
                          functools.partial(_object, "--config"))
-    overrides = {
-        "learning_rate": args.lr,
-        "steps": args.steps,
-        "label_smoothing": args.smoothing,
-        "noise_sigma": args.sigma,
-        "weight_decay": args.weight_decay,
-        "seed": args.seed,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            base[key] = value
-    return TrainConfig.from_dict(base)
+    return TrainConfig.from_dict({**base, **_given(args, TrainConfig)})
 
 
 def cmd_train(args) -> None:
     cfg = _train_config_from_args(args)
     if args.synthetic:
-        space = SyntheticSpaceConfig(
-            dimension=args.synth_dim,
-            classes=args.synth_classes,
-            sigma_intra=args.synth_sigma,
-            gap=args.synth_gap,
-            seed=cfg.seed,
-        )
+        _at_least(1)("--synth-samples", args.synth_samples)
+        space = SyntheticSpaceConfig(**_given(args, SyntheticSpaceConfig, "synth_"),
+                                     seed=cfg.seed)
         vocab = ClassVocabulary(tuple(f"class_{i:02d}" for i in range(space.classes)))
         items = [
             (f"synthetic description {j} of {vocab.name_of(c)}", c)
@@ -362,15 +360,11 @@ def cmd_refine(args) -> None:
     unlabeled = read_bundle(_require_file(args.unlabeled, "--unlabeled"))
     # Read before refining, so a bad --eval-images writes no --out.
     images = _read_rows(args.eval_images, "--eval-images") if args.eval_images else None
-    plcfg = PseudoLabelConfig(
-        confidence_threshold=args.threshold,
-        refine_steps=args.steps,
-        refine_lr=args.lr,
-    )
+    plcfg = PseudoLabelConfig(**_given(args, PseudoLabelConfig))
     refined = pseudo_label_refine(clf, unlabeled, plcfg)
     refined.save(args.out)
     kept = refined.train_meta.get("refine", {}).get("kept", 0)
-    delta_doc = {"kept": kept, "threshold": args.threshold}
+    delta_doc = {"kept": kept, "threshold": args.confidence_threshold}
     if images is not None:
         initial = evaluate_classifier(clf, images, "initial", args.dataset_name)
         after = evaluate_classifier(refined, images, "refined", args.dataset_name)
@@ -391,8 +385,7 @@ def cmd_refine(args) -> None:
 def _space_from_args(args) -> SyntheticSpaceConfig:
     if getattr(args, "space", None):
         return read_json(_require_file(args.space, "--space"), SyntheticSpaceConfig.from_dict)
-    return SyntheticSpaceConfig(**{f.name: getattr(args, f.name)
-                                   for f in fields(SyntheticSpaceConfig)})
+    return SyntheticSpaceConfig(**_given(args, SyntheticSpaceConfig))
 
 
 def cmd_synth_space(args) -> None:
@@ -413,6 +406,11 @@ def cmd_synth_space(args) -> None:
 
 def _path(key, value) -> Path:
     return Path(_string(key, value))
+
+
+def _train_block(key, value) -> dict:
+    TrainConfig.from_dict(value, key + ".")
+    return value  # as written: run-all adds the stage seed unless it sets one
 
 
 # Every manifest key: the check that turns its JSON value into the one run-all
@@ -437,8 +435,9 @@ _MANIFEST = {
     "image_bundle": (_path, "images.tape"),
     "class_name_bundle": (_path, None),
     "dst_bundle": (_path, None),
-    "dst_templates": (_strings, []),
-    "train": (_object, {}),
+    "dst_templates": (lambda key, value: _validate_templates(_strings(key, value), {"class"}),
+                      []),
+    "train": (_train_block, {}),
     "methods": (lambda key, value: _check_methods(_strings(key, value)), [METHOD_TAP]),
     "classifier": (_path, "classifier.json"),
     "report": (_path, "report.json"),
@@ -533,7 +532,7 @@ def cmd_demo(args) -> None:
         "descriptions": "descriptions.jsonl",
         "fixture": "fixture.jsonl",
         "cache": "cache",
-        "llm": {"samples_per_prompt": args.samples},
+        "llm": {"samples_per_prompt": args.samples_per_prompt},
         "synthetic_space": space.to_dict(),
         "image_samples_per_class": args.image_samples,
         "text_bundle": "text.tape",
@@ -565,7 +564,7 @@ def cmd_demo(args) -> None:
         text=f"a {p.class_name} object, deterministic variant {i} "
              f"for template {p.template_index}",
     ) for p in render_prompts(profile, ClassVocabulary(tuple(names)))
-        for i in range(args.samples)], ws / "fixture.jsonl")
+        for i in range(args.samples_per_prompt)], ws / "fixture.jsonl")
     write_json(ws / "manifest.json", manifest, indent=2)
     _status(f"demo workspace ready: {ws}")
     _status(f"next: textprobe run-all --manifest {ws / 'manifest.json'}")
@@ -574,22 +573,28 @@ def cmd_demo(args) -> None:
 # -- parser ------------------------------------------------------------------------
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """TrainConfig flags; each dest is a field name, and one not given is None."""
     p.add_argument("--config", dest="train_config", help="TrainConfig JSON file")
-    p.add_argument("--lr", type=float, default=None, help="learning rate")
-    p.add_argument("--steps", type=int, default=None, help="optimization steps")
-    p.add_argument("--smoothing", type=float, default=None, help="label smoothing in [0,1)")
-    p.add_argument("--sigma", type=float, default=None, help="training noise sigma")
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
+    p.add_argument("--steps", type=int, help="optimization steps")
+    p.add_argument("--smoothing", dest="label_smoothing", type=float,
+                   help="label smoothing in [0,1)")
+    p.add_argument("--sigma", dest="noise_sigma", type=float, help="training noise sigma")
+    p.add_argument("--weight-decay", type=float)
+    p.add_argument("--seed", type=int)
 
 
-def _add_space_flags(p: argparse.ArgumentParser) -> None:
-    """The synthetic space of synth-space and demo; each dest is a field name."""
-    p.add_argument("--dim", dest="dimension", type=int, default=128)
-    p.add_argument("--classes-count", dest="classes", type=int, default=10)
-    p.add_argument("--sigma-intra", type=float, default=0.1)
-    p.add_argument("--gap", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+def _add_field_flags(p: argparse.ArgumentParser, config, flags: dict, prefix: str = "") -> None:
+    """A flag for each field of the dataclass `config` that `flags` maps to
+    one: its dest is `prefix` + the field name, its default the field's."""
+    for name, flag in flags.items():
+        default = getattr(config, name)
+        p.add_argument(flag, dest=prefix + name, type=type(default), default=default)
+
+
+# The synthetic space of synth-space and demo.
+_SPACE_FLAGS = {"dimension": "--dim", "classes": "--classes-count",
+                "sigma_intra": "--sigma-intra", "gap": "--gap", "seed": "--seed"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -616,12 +621,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint", help="completion endpoint URL")
     p.add_argument("--fixture", help="JSONL fixture replay file")
     p.add_argument("--cache", help="cache directory")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES_PER_PROMPT)
-    p.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS)
-    p.add_argument("--temperature", type=float, default=DEFAULT_SAMPLING_TEMPERATURE)
-    p.add_argument("--retries", type=int, default=3)
-    p.add_argument("--backoff", type=float, default=0.5)
-    p.add_argument("--max-in-flight", type=int, default=4)
+    _add_field_flags(p, LlmRequest, {"samples_per_prompt": "--samples",
+                                     "max_tokens": "--max-tokens",
+                                     "sampling_temperature": "--temperature"})
+    p.add_argument("--retries", type=int, default=DEFAULT_RETRIES)
+    p.add_argument("--backoff", dest="backoff_base", type=float, default=DEFAULT_BACKOFF_S)
+    p.add_argument("--max-in-flight", type=int, default=DEFAULT_MAX_IN_FLIGHT)
     p.add_argument("--allow-partial", action="store_true",
                    help="write what succeeded, log the rest, exit 0")
     p.set_defaults(func=cmd_fetch)
@@ -636,10 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-missing-classes", action="store_true")
     p.add_argument("--synthetic", action="store_true",
                    help="train on a self-generated synthetic task")
-    p.add_argument("--synth-classes", type=int, default=10)
-    p.add_argument("--synth-dim", type=int, default=128)
-    p.add_argument("--synth-sigma", type=float, default=0.1)
-    p.add_argument("--synth-gap", type=float, default=0.0)
+    _add_field_flags(p, SyntheticSpaceConfig, {
+        "classes": "--synth-classes", "dimension": "--synth-dim",
+        "sigma_intra": "--synth-sigma", "gap": "--synth-gap"}, "synth_")
     p.add_argument("--synth-samples", type=int, default=50)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
@@ -664,9 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", required=True)
     p.add_argument("--unlabeled", required=True, help="unlabeled image bundle")
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=0.95)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.001)
+    _add_field_flags(p, PseudoLabelConfig, {"confidence_threshold": "--threshold",
+                                            "refine_steps": "--steps", "refine_lr": "--lr"})
     p.add_argument("--eval-images", help="labeled bundle for the before/after delta")
     p.add_argument("--dataset-name", default="dataset")
     p.set_defaults(func=cmd_refine)
@@ -675,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--modality", choices=("text", "image"), default="image")
     p.add_argument("--space", help="SyntheticSpaceConfig JSON file")
-    _add_space_flags(p)
+    _add_field_flags(p, SyntheticSpaceConfig, _SPACE_FLAGS)
     p.add_argument("--per-class", type=int, help="emit N samples per class")
     p.add_argument("--from-descriptions", help="encode a descriptions JSONL")
     p.add_argument("--from-classes", help="encode one sample per class name")
@@ -688,8 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="scaffold a synthetic demo workspace")
     p.add_argument("--workspace", required=True)
-    _add_space_flags(p)
-    p.add_argument("--samples", type=int, default=5)
+    _add_field_flags(p, SyntheticSpaceConfig, _SPACE_FLAGS)
+    _add_field_flags(p, LlmRequest, {"samples_per_prompt": "--samples"})
     p.add_argument("--image-samples", type=int, default=100)
     p.add_argument("--steps", type=int, default=300)
     p.set_defaults(func=cmd_demo)

@@ -152,9 +152,9 @@ class ClassTextEmbeddings:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def from_matrix(cls, matrix, renormalize: bool = True) -> "ClassTextEmbeddings":
-        """Build from a (K, d) matrix, optionally renormalizing each row."""
-        return cls(normalize_rows(matrix) if renormalize else matrix)
+    def from_matrix(cls, matrix) -> "ClassTextEmbeddings":
+        """Build from a (K, d) matrix by normalizing each row."""
+        return cls(normalize_rows(matrix))
 
     @property
     def class_ids(self) -> tuple[int, ...]:

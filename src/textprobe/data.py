@@ -14,7 +14,8 @@ provenance ({labels, class_names, encoder, source, created_at}). Matrices
 are stored in float32; all computation elsewhere promotes to float64. An
 EmbeddingBundle's count and dimension are its matrix's shape, and a matrix
 with no columns is refused when the bundle is made, as the reader refuses
-it. Scoring a bundle in `textprobe.evaluate` makes its matrix read-only.
+it. A bundle made from a view copies it, and scoring a bundle in
+`textprobe.evaluate` makes its matrix read-only.
 
 The synthetic space draws one unit-normalized Gaussian mean per class from a
 seed. Text samples are normalize(mu_c + sigma*eps); image samples add a
@@ -160,6 +161,8 @@ class EmbeddingBundle:
 
     def __post_init__(self):
         mat = np.ascontiguousarray(np.asarray(self.matrix), dtype="<f4")
+        if mat.base is not None:  # a view: writes to its base would reach scored rows
+            mat = mat.copy()
         if mat.ndim != 2 or mat.shape[1] < 1:
             raise ShapeMismatch(
                 f"expected a 2-D matrix of at least one column, got shape {mat.shape}")

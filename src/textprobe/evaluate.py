@@ -268,7 +268,7 @@ def class_text_embeddings_from_bundle(bundle: EmbeddingBundle) -> ClassTextEmbed
     means = np.empty((k, bundle.dimension), dtype=np.float64)
     for cid in range(k):
         means[cid] = rows[labels == cid].mean(axis=0)
-    return ClassTextEmbeddings.from_matrix(means, renormalize=True)
+    return ClassTextEmbeddings.from_matrix(means)
 
 
 def train_tot_cls(
@@ -277,8 +277,6 @@ def train_tot_cls(
     cfg: TrainConfig | None = None,
 ) -> LinearClassifier:
     """Baseline head trained on one class-name embedding per class (K items)."""
-    if cfg is None:
-        cfg = TrainConfig()
     if cls_bundle.labels is None:
         raise MissingLabels("class-name bundle has no labels")
     cls_labels = list(cls_bundle.labels)
@@ -310,8 +308,6 @@ def train_tot_dst(
     texts fall back to class names (text content does not affect training,
     labels and embeddings do).
     """
-    if cfg is None:
-        cfg = TrainConfig()
     if dst_bundle.labels is None:
         raise MissingLabels("template bundle has no labels")
     dst_labels = list(dst_bundle.labels)
@@ -359,7 +355,7 @@ def pseudo_label_refine(
         raise DimensionMismatch(
             f"classifier dimension {clf.dimension} vs bundle {unlabeled_images.dimension}"
         )
-    probs = stable_softmax(clf.batch_logits(unlabeled_images.matrix, normalize_input=True))
+    probs = stable_softmax(clf.batch_logits(unlabeled_images.matrix))
     confidence = probs.max(axis=1)
     pseudo = np.argmax(probs, axis=1)
     keep = confidence >= cfg.confidence_threshold

@@ -5,7 +5,8 @@ endpoints, a fixture transport that replays a JSON-lines file, and an
 in-memory mock for tests. Responses are cached on disk, one file per
 request keyed by a hash of (prompt text, max tokens, temperature) and holding
 that request's samples in sample order, so a warmed cache makes reruns
-deterministic and free of network traffic.
+deterministic and free of network traffic. The `DEFAULT_*` constants are the
+one declaration of the sampling and fetch defaults.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ DEFAULT_MAX_TOKENS = 60
 DEFAULT_SAMPLING_TEMPERATURE = 0.9
 DEFAULT_MAX_IN_FLIGHT = 4
 DEFAULT_RETRIES = 3
+DEFAULT_BACKOFF_S = 0.5
 # Longest wait a server's Retry-After header can impose between two attempts.
 MAX_RETRY_AFTER_S = 60.0
 
@@ -94,22 +96,16 @@ class FetchFailure:
     message: str
 
 
-def requests_from_prompt_records(
-    records: list[dict],
-    samples_per_prompt: int = DEFAULT_SAMPLES_PER_PROMPT,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
-    sampling_temperature: float = DEFAULT_SAMPLING_TEMPERATURE,
-) -> list[LlmRequest]:
-    """Turn prompt JSONL records into requests with shared sampling params."""
+def requests_from_prompt_records(records: list[dict], **sampling) -> list[LlmRequest]:
+    """Turn prompt JSONL records into requests sharing the `sampling` fields
+    (keys of SAMPLING_FIELDS); a field not given takes LlmRequest's default."""
     return [
         LlmRequest(
             prompt_id=rec["prompt_id"],
             prompt_text=rec["text"],
             class_id=rec["class_id"],
             class_name=rec.get("class_name", ""),
-            samples_per_prompt=samples_per_prompt,
-            max_tokens=max_tokens,
-            sampling_temperature=sampling_temperature,
+            **sampling,
         )
         for rec in records
     ]
@@ -399,7 +395,7 @@ def fetch_descriptions_partial(
     cache_dir=None,
     max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
     retries: int = DEFAULT_RETRIES,
-    backoff_base: float = 0.5,
+    backoff_base: float = DEFAULT_BACKOFF_S,
 ) -> tuple[list[Description], list[FetchFailure]]:
     """Fetch what can be fetched; report the rest.
 
@@ -469,15 +465,12 @@ def fetch_descriptions(
     requests_list: list[LlmRequest],
     transport,
     cache_dir=None,
-    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
     retries: int = DEFAULT_RETRIES,
-    backoff_base: float = 0.5,
+    **options,
 ) -> list[Description]:
-    """Strict variant: raises if any request could not be completed."""
+    """`fetch_descriptions_partial`, but raising if any request could not be completed."""
     descriptions, failures = fetch_descriptions_partial(
-        requests_list, transport, cache_dir,
-        max_in_flight=max_in_flight, retries=retries, backoff_base=backoff_base,
-    )
+        requests_list, transport, cache_dir, retries=retries, **options)
     if failures:
         unreachable = [f.prompt_id for f in failures if f.kind == "unreachable"]
         if unreachable:

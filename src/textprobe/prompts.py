@@ -194,7 +194,7 @@ class TargetedPrompt:
     descriptor_index: int | None = None
 
 
-def _validate_templates(templates, allowed: set[str]) -> None:
+def _validate_templates(templates, allowed: set[str]):
     for idx, tpl in enumerate(templates):
         names = _PLACEHOLDER_RE.findall(tpl)
         if names.count("class") != 1:
@@ -208,6 +208,7 @@ def _validate_templates(templates, allowed: set[str]) -> None:
                 f"template {idx} uses unsupported placeholder(s) "
                 f"{unknown} for this profile kind: {tpl!r}"
             )
+    return templates
 
 
 def make_prompt_id(

@@ -278,18 +278,17 @@ class LinearClassifier:
     def dimension(self) -> int:
         return self.weights.shape[1]
 
-    def batch_logits(self, matrix, normalize_input: bool = True) -> np.ndarray:
+    def batch_logits(self, matrix) -> np.ndarray:
+        """Logits of the rows of `matrix`, each normalized first, as in training."""
         X = np.asarray(matrix, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dimension:
             raise DimensionMismatch(
                 f"expected (n, {self.dimension}) matrix, got shape {X.shape}"
             )
-        if normalize_input:
-            X = normalize_rows(X)
-        return X @ self.weights.T + self.bias
+        return normalize_rows(X) @ self.weights.T + self.bias
 
-    def predict(self, matrix, normalize_input: bool = True) -> np.ndarray:
-        return np.argmax(self.batch_logits(matrix, normalize_input), axis=1)
+    def predict(self, matrix) -> np.ndarray:
+        return np.argmax(self.batch_logits(matrix), axis=1)
 
     def save(self, path) -> None:
         """Serialize as JSON with the weight matrix flattened row-major."""

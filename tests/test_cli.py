@@ -257,6 +257,14 @@ class TestTrain:
         clf = LinearClassifier.load(out)
         assert clf.train_meta["final_loss"] == clf.train_meta["initial_loss"]
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_synth_samples_below_one_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                value):
+        out = tmp_path / "clf.json"
+        assert run("train", "--synthetic", "--synth-samples", value, "--out", out) == 2
+        assert f"--synth-samples must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run("train", "--synthetic", "--steps", 50, "--seed", 7, "--out", a) == 0
@@ -601,6 +609,7 @@ class TestRunAll:
         ({"generic": "no"}, "generic"),
         ({"dst_templates": "a photo of a {class}."}, "dst_templates"),
         ({"dst_templates": [1]}, "dst_templates"),
+        ({"dst_templates": ["a photo of something."]}, "template 0"),
         ({"llm": 5}, "llm"),
         ({"image_samples_per_class": 0}, "image_samples_per_class"),
         ({"llm": {"samples_per_prompt": 0}}, "llm.samples_per_prompt"),
@@ -728,9 +737,56 @@ def test_demo_with_a_count_below_one_exits_2_and_creates_nothing(tmp_path, capsy
     assert not ws.exists()
 
 
+def test_demo_with_negative_steps_exits_2_and_creates_nothing(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert run("demo", "--workspace", ws, "--steps", -1) == 2
+    assert "train.steps must be >= 0, got -1" in capsys.readouterr().err
+    assert not ws.exists()
+
+
+SUBCOMMANDS = ("gen-prompts", "fetch", "train", "eval", "refine", "synth-space", "run-all",
+               "demo")
+
+
+def _typed(values: dict) -> dict:
+    # 0 == 0.0, but a default's type decides what a manifest or report writes.
+    return {key: (type(value), value) for key, value in values.items()}
+
+
 class TestParser:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv", [[], *([c] for c in SUBCOMMANDS)])
+    def test_help_exits_0(self, capsys, argv):
+        # argparse formats each dest and default only when it renders help.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: textprobe")
+
+    def test_defaults_are_the_declarations(self):
+        parse = cli.build_parser().parse_args
+        space = SyntheticSpaceConfig().to_dict()
+        fetch = {"samples_per_prompt": llm.DEFAULT_SAMPLES_PER_PROMPT,
+                 "max_tokens": llm.DEFAULT_MAX_TOKENS,
+                 "sampling_temperature": llm.DEFAULT_SAMPLING_TEMPERATURE,
+                 "retries": llm.DEFAULT_RETRIES, "backoff_base": llm.DEFAULT_BACKOFF_S,
+                 "max_in_flight": llm.DEFAULT_MAX_IN_FLIGHT}
+        cases = {
+            ("synth-space", "--out", "x"): space,
+            ("demo", "--workspace", "x"):
+                {**space, "samples_per_prompt": llm.DEFAULT_SAMPLES_PER_PROMPT},
+            ("train", "--out", "x"): {"synth_" + k: v for k, v in space.items() if k != "seed"},
+            ("refine", "--classifier", "c", "--unlabeled", "u", "--out", "x"):
+                evaluate.PseudoLabelConfig().to_dict(),
+            ("fetch", "--prompts", "p", "--out", "x"): fetch,
+        }
+        for argv, declared in cases.items():
+            args = vars(parse(argv))
+            assert _typed({key: args[key] for key in declared}) == _typed(declared), argv
+        for argv in (["train", "--out", "x"], ["eval", "--images", "i"]):
+            assert cli._train_config_from_args(parse(argv)) == train.TrainConfig()
 
 
 # The exit code `main` returns for each error class. A new class must be added

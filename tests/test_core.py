@@ -147,12 +147,12 @@ class TestZeroShotProbabilities:
         mat = np.zeros((k, d))
         for i in range(k):
             mat[i, i] = 1.0
-        return ClassTextEmbeddings.from_matrix(mat, renormalize=False)
+        return ClassTextEmbeddings(mat)
 
     def test_equal_similarities_are_uniform(self):
         # All classes identical => all similarities equal => uniform by symmetry.
         mat = np.tile(normalize(np.ones(8)), (5, 1))
-        ce = ClassTextEmbeddings.from_matrix(mat, renormalize=False)
+        ce = ClassTextEmbeddings(mat)
         probs = zero_shot_probabilities(np.ones(8), ce, ZeroShotConfig(temperature=0.07))
         np.testing.assert_allclose(probs, np.full(5, 0.2), atol=1e-12)
 

@@ -139,7 +139,7 @@ class TestEvaluateZeroShot:
     def test_orthogonal_classes_small_noise(self):
         rng = np.random.default_rng(0)
         k, d, per_class = 8, 32, 25
-        ce = ClassTextEmbeddings.from_matrix(np.eye(d)[:k], renormalize=False)
+        ce = ClassTextEmbeddings(np.eye(d)[:k])
         imgs = np.repeat(np.eye(d)[:k], per_class, axis=0)
         imgs = imgs + 0.01 * rng.standard_normal(imgs.shape)
         bundle = EmbeddingBundle.from_matrix(
@@ -391,7 +391,7 @@ class TestImagesNormalizedOnce:
         clf = LinearClassifier(weights=rng.standard_normal((5, 32)),
                                bias=rng.standard_normal(5),
                                vocab=ClassVocabulary(tuple("abcde")))
-        expected = clf.predict(images.matrix, normalize_input=True)
+        expected = clf.predict(images.matrix)
         row = evaluate_classifier(clf, images)
         assert row.accuracy == 100.0 * np.mean(expected == images.labels_array())
         for _ in range(2):
@@ -526,6 +526,17 @@ class TestFloat32Screen:
             images.matrix[:] = images.matrix[::-1].copy()
         fresh = EmbeddingBundle.from_matrix(3.0 * np.eye(3, 4)[::-1], labels=[0, 1, 2])
         assert evaluate_zero_shot(embs, fresh).accuracy == pytest.approx(100.0 / 3)
+
+    def test_a_bundle_of_a_view_does_not_share_its_base(self):
+        embs = ClassTextEmbeddings.from_matrix(np.eye(3, 4))
+        base = (3 * np.eye(3, 4)).astype(np.float32)
+        images = EmbeddingBundle.from_matrix(base[:], labels=[0, 1, 2])
+        assert evaluate_zero_shot(embs, images).accuracy == 100.0
+        base[:] = base[::-1].copy()
+        np.testing.assert_array_equal(images.matrix, 3 * np.eye(3, 4))
+        fresh = EmbeddingBundle.from_matrix(images.matrix.copy(), labels=[0, 1, 2])
+        assert (evaluate_zero_shot(embs, images).accuracy
+                == evaluate_zero_shot(embs, fresh).accuracy)
 
     def test_zero_row_past_the_first_block_is_named_by_its_index(self, rng):
         # More than 32768 rows at d=4 spans two of normalize_rows' blocks.
