@@ -358,15 +358,16 @@ def cmd_eval(args) -> None:
 def cmd_refine(args) -> None:
     clf = LinearClassifier.load(_require_file(args.classifier, "--classifier"))
     unlabeled = read_bundle(_require_file(args.unlabeled, "--unlabeled"))
-    # Read before refining, so a bad --eval-images writes no --out.
-    images = _read_rows(args.eval_images, "--eval-images") if args.eval_images else None
+    images = initial = None
+    if args.eval_images:  # scored before refining, so a bad --eval-images writes no --out
+        images = _read_rows(args.eval_images, "--eval-images")
+        initial = evaluate_classifier(clf, images, "initial", args.dataset_name)
     plcfg = PseudoLabelConfig(**_given(args, PseudoLabelConfig))
     refined = pseudo_label_refine(clf, unlabeled, plcfg)
     refined.save(args.out)
     kept = refined.train_meta.get("refine", {}).get("kept", 0)
     delta_doc = {"kept": kept, "threshold": args.confidence_threshold}
     if images is not None:
-        initial = evaluate_classifier(clf, images, "initial", args.dataset_name)
         after = evaluate_classifier(refined, images, "refined", args.dataset_name)
         delta_doc.update(
             initial_accuracy=initial.accuracy,
@@ -449,6 +450,8 @@ _MANIFEST = {
 def _load_manifest(path: Path) -> SimpleNamespace:
     """The manifest's checked values, one attribute per `_MANIFEST` key."""
     values = read_json(path, lambda doc: _checked(doc, _MANIFEST))
+    if values["fixture"] is not None and values["endpoint"] is not None:
+        raise InvalidConfig(f"{path}: set 'fixture' or 'endpoint', not both")
     ws = path.parent / (values["workspace"] or "")
     for key, (check, _) in _MANIFEST.items():
         if check is _path and values[key] is not None:
@@ -618,8 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fetch", help="fetch descriptions for rendered prompts")
     p.add_argument("--prompts", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--endpoint", help="completion endpoint URL")
-    p.add_argument("--fixture", help="JSONL fixture replay file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--endpoint", help="completion endpoint URL")
+    source.add_argument("--fixture", help="JSONL fixture replay file")
     p.add_argument("--cache", help="cache directory")
     _add_field_flags(p, LlmRequest, {"samples_per_prompt": "--samples",
                                      "max_tokens": "--max-tokens",

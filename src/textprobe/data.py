@@ -12,10 +12,10 @@ Bundle binary layout (little-endian):
 An optional sidecar manifest "<file>.manifest.json" carries row labels and
 provenance ({labels, class_names, encoder, source, created_at}). Matrices
 are stored in float32; all computation elsewhere promotes to float64. An
-EmbeddingBundle's count and dimension are its matrix's shape, and a matrix
-with no columns is refused when the bundle is made, as the reader refuses
-it. A bundle made from a view copies it, and scoring a bundle in
-`textprobe.evaluate` makes its matrix read-only.
+EmbeddingBundle's count and dimension are its matrix's shape; a matrix with
+no columns is refused when the bundle is made, as the reader refuses it. A
+bundle made from a view copies it. Scoring in `textprobe.evaluate` makes the
+matrix read-only; a view of it taken before the bundle was built still writes.
 
 The synthetic space draws one unit-normalized Gaussian mean per class from a
 seed. Text samples are normalize(mu_c + sigma*eps); image samples add a
@@ -44,6 +44,7 @@ from .errors import (
     FormatError,
     InvalidConfig,
     MissingClassDescriptions,
+    MissingLabels,
     NonFiniteValue,
     ShapeMismatch,
     TruncatedFile,
@@ -186,9 +187,10 @@ class EmbeddingBundle:
     def dimension(self) -> int:
         return self.matrix.shape[1]
 
-    def labels_array(self) -> np.ndarray:
+    def labels_array(self, what: str = "embedding") -> np.ndarray:
+        """The row labels as int64; MissingLabels("<what> bundle has no labels") if none."""
         if self.labels is None:
-            raise ShapeMismatch("bundle has no labels")
+            raise MissingLabels(f"{what} bundle has no labels")
         return np.asarray(self.labels, dtype=np.int64)
 
 

@@ -11,10 +11,10 @@ first scores all image rows with one float32 product. A row whose float32
 top-two margin exceeds twice a proven error bound keeps its float32 argmax,
 which is then the float64 argmax, strictly; the other rows (about 1% on the
 benchmark's data) are scored again in float64 with the expression above.
-`_float32_logits` derives the bound. The float32 rows are the same
-normalization rounded, `normalize_rows(X, dtype=np.float32)`, made once per
-image bundle; scoring makes the bundle's matrix read-only, so writing into
-it raises instead of leaving those rows stale.
+`_float32_logits` derives the bound. The float32 rows are the same normalization
+rounded, `normalize_rows(X, dtype=np.float32)`, made once per image bundle;
+scoring makes its matrix read-only, so writing into it raises instead of leaving
+those rows stale (not through a view of it taken before the bundle was built).
 """
 
 from __future__ import annotations
@@ -35,15 +35,15 @@ from .errors import (
     EmptyDataset,
     EmptyReport,
     InvalidConfig,
-    MissingLabels,
     ShapeMismatch,
+    UnknownClassId,
     _Config,
     _at_least,
     _positive,
     _rule,
     config_number,
 )
-from .prompts import ClassVocabulary, render_generic_prompts
+from .prompts import DEFAULT_GENERIC_TEMPLATES, ClassVocabulary, render_generic_prompts
 from .train import LinearClassifier, TrainConfig, train_text_classifier
 
 METHOD_TAP = "tap"
@@ -202,14 +202,17 @@ def _predict(images: EmbeddingBundle, weights: np.ndarray, bias: np.ndarray) -> 
     return best
 
 
-def _check_scorable(images: EmbeddingBundle, dimension: int, scorer: str) -> None:
-    """Raise unless the bundle is labeled, `dimension`-wide and has a row."""
-    if images.labels is None:
-        raise MissingLabels("image bundle has no labels")
-    if images.dimension != dimension:
-        raise DimensionMismatch(f"{scorer} dimension {dimension} vs bundle {images.dimension}")
+def _check_scorable(images: EmbeddingBundle, scorer, name: str) -> None:
+    """Raise unless the bundle is labeled, as wide as `scorer`, non-empty and in its classes."""
+    labels = images.labels_array("image")
+    d, k = scorer.dimension, scorer.num_classes
+    if images.dimension != d:
+        raise DimensionMismatch(f"{name} dimension {d} vs bundle {images.dimension}")
     if images.count == 0:
         raise EmptyDataset("image bundle has no rows to evaluate")
+    for label in (int(labels.min()), int(labels.max())):
+        if not 0 <= label < k:
+            raise UnknownClassId(f"image label {label} is outside the {name}'s {k} classes")
 
 
 def evaluate_classifier(
@@ -222,7 +225,7 @@ def evaluate_classifier(
 
     The predictions are `clf.predict(images.matrix)`'s (see `_predict`).
     """
-    _check_scorable(images, clf.dimension, "classifier")
+    _check_scorable(images, clf, "classifier")
     predictions = _predict(images, clf.weights, clf.bias)
     return _accuracy_row(predictions, images.labels_array(), method, dataset)
 
@@ -240,7 +243,7 @@ def evaluate_zero_shot(
     them, so the prediction is the argmax of the similarities themselves
     (ties go to the lowest class index) and no temperature is needed.
     """
-    _check_scorable(images, class_embs.dimension, "class embedding")
+    _check_scorable(images, class_embs, "class embedding")
     embs = class_embs.matrix
     predictions = _predict(images, embs, np.zeros(embs.shape[0]))
     return _accuracy_row(predictions, images.labels_array(), method, dataset)
@@ -253,11 +256,9 @@ def class_text_embeddings_from_bundle(bundle: EmbeddingBundle) -> ClassTextEmbed
     renormalized (standard prompt ensembling). Labels must cover the
     contiguous range 0..K-1.
     """
-    if bundle.labels is None:
-        raise MissingLabels("text bundle has no labels")
+    labels = bundle.labels_array("text")
     if bundle.count == 0:
         raise EmptyDataset("text bundle has no rows to ensemble")
-    labels = bundle.labels_array()
     classes = np.unique(labels)
     k = int(classes.max()) + 1
     if list(classes) != list(range(k)):
@@ -271,21 +272,23 @@ def class_text_embeddings_from_bundle(bundle: EmbeddingBundle) -> ClassTextEmbed
     return ClassTextEmbeddings.from_matrix(means)
 
 
+def _train_baseline(vocab: ClassVocabulary, bundle: EmbeddingBundle, cfg: TrainConfig | None,
+                    items: list[tuple[str, int]], what: str, mismatch: str) -> LinearClassifier:
+    """A head trained on `TextDataset(items, vocab)` and the `what` bundle, whose labels
+    must be the items' class ids in order, else ShapeMismatch("<what> bundle <mismatch>")."""
+    if bundle.labels_array(what).tolist() != [c for _, c in items]:
+        raise ShapeMismatch(f"{what} bundle {mismatch}")
+    return train_text_classifier(TextDataset(items, vocab), bundle, cfg)
+
+
 def train_tot_cls(
     vocab: ClassVocabulary,
     cls_bundle: EmbeddingBundle,
     cfg: TrainConfig | None = None,
 ) -> LinearClassifier:
     """Baseline head trained on one class-name embedding per class (K items)."""
-    if cls_bundle.labels is None:
-        raise MissingLabels("class-name bundle has no labels")
-    cls_labels = list(cls_bundle.labels)
-    if cls_labels != list(range(len(vocab))):
-        raise ShapeMismatch(
-            "class-name bundle must have exactly one row per class, in order"
-        )
-    dataset = TextDataset(items=class_name_items(vocab), vocab=vocab)
-    return train_text_classifier(dataset, cls_bundle, cfg)
+    return _train_baseline(vocab, cls_bundle, cfg, class_name_items(vocab), "class-name",
+                           "must have exactly one row per class, in order")
 
 
 def template_items(vocab: ClassVocabulary, templates) -> list[tuple[str, int]]:
@@ -303,25 +306,14 @@ def train_tot_dst(
 ) -> LinearClassifier:
     """Baseline head trained on every rendered template text (K * m items).
 
-    When `dst_templates` is given, the bundle rows must follow the class-major
-    render order and the dataset texts are the rendered strings; otherwise
-    texts fall back to class names (text content does not affect training,
-    labels and embeddings do).
+    The bundle rows must be `template_items(vocab, dst_templates)`'s, one per template per
+    class in class-major order; the default templates are the generic ones, as in run-all.
     """
-    if dst_bundle.labels is None:
-        raise MissingLabels("template bundle has no labels")
-    dst_labels = list(dst_bundle.labels)
-    if dst_templates:
-        items = template_items(vocab, dst_templates)
-        if dst_labels != [c for _, c in items]:
-            raise ShapeMismatch(
-                "template bundle rows do not match the class-major render order "
-                f"of {len(dst_templates)} template(s) over {len(vocab)} classes"
-            )
-    else:
-        items = [(vocab.name_of(c), c) for c in dst_labels]
-    dataset = TextDataset(items=items, vocab=vocab)
-    return train_text_classifier(dataset, dst_bundle, cfg)
+    templates = dst_templates or DEFAULT_GENERIC_TEMPLATES
+    return _train_baseline(
+        vocab, dst_bundle, cfg, template_items(vocab, templates), "template",
+        "rows do not match the class-major render order "
+        f"of {len(templates)} template(s) over {len(vocab)} classes")
 
 
 @dataclass(frozen=True)

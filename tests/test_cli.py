@@ -178,6 +178,22 @@ class TestFetch:
         err = capsys.readouterr().err
         assert "dtd/0/0/-" in err  # failed prompt ids are listed
 
+    def test_fixture_and_endpoint_together_exit_2_naming_both(self, workspace, capsys):
+        prompts = workspace / "prompts.jsonl"
+        run("gen-prompts", "--profile", workspace / "profile.json",
+            "--classes", workspace / "classes.json", "--out", prompts)
+        fixture = workspace / "fixture.jsonl"
+        write_fixture_for_prompts(prompts, fixture, samples=2)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run("fetch", "--prompts", prompts, "--fixture", fixture,
+                "--endpoint", "http://127.0.0.1:1/unreachable", "--samples", 2,
+                "--cache", workspace / "cache", "--out", workspace / "d.jsonl")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--fixture" in err and "--endpoint" in err
+        assert not (workspace / "d.jsonl").exists() and not (workspace / "cache").exists()
+
     def test_partial_fixture_with_allow_partial(self, workspace, capsys):
         prompts = workspace / "prompts.jsonl"
         run("gen-prompts", "--profile", workspace / "profile.json",
@@ -513,6 +529,75 @@ class TestRefine:
         assert code == 5
 
 
+class TestTotDstTemplateLayout:
+    """`eval --methods tot-dst` without `--dst-template` checks the bundle against
+    the generic templates: two rows per class, class-major."""
+
+    @pytest.mark.parametrize("labels", [
+        [0, 0, 1, 1, 3, 3, 3, 3],  # no row of class 2
+        [0, 1, 2, 3, 0, 1, 2, 3],  # template-major
+    ], ids=["missing-class", "template-major"])
+    def test_bundle_off_the_layout_exits_4(self, tmp_path, capsys, labels):
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["a", "b", "c", "d"]))
+        images, dst = tmp_path / "images.tape", tmp_path / "dst.tape"
+        assert run("synth-space", "--classes-count", 4, "--dim", 16, "--per-class", 5,
+                   "--out", images) == 0
+        rows = np.random.default_rng(0).standard_normal((8, 16))
+        write_bundle(EmbeddingBundle.from_matrix(rows, labels=labels), dst)
+        capsys.readouterr()
+        assert run("eval", "--images", images, "--methods", "tot-dst", "--dst-embeddings", dst,
+                   "--classes", classes, "--steps", 5) == 4
+        captured = capsys.readouterr()
+        assert ("template bundle rows do not match the class-major render order "
+                "of 2 template(s) over 4 classes") in captured.err
+        assert captured.out == ""
+
+
+class TestImageLabelsOutsideTheScorer:
+    """Images of 5 classes scored by 3-class scorers: labels 3 and 4 can never be
+    predicted, so every method exits 2 before it scores or writes anything."""
+
+    @pytest.fixture
+    def five_class_images(self, tmp_path):
+        images = tmp_path / "images.tape"
+        assert run("synth-space", "--classes-count", 5, "--per-class", 4, "--out", images) == 0
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["a", "b", "c"]))
+        names = tmp_path / "classnames.tape"
+        assert run("synth-space", "--modality", "text", "--classes-count", 3,
+                   "--from-classes", classes, "--out", names) == 0
+        clf = tmp_path / "clf.json"
+        assert run("train", "--synthetic", "--synth-classes", 3, "--steps", 5,
+                   "--out", clf) == 0
+        return tmp_path, images, classes, names, clf
+
+    @pytest.mark.parametrize("method, scorer", [("tap", "classifier"),
+                                                ("clip-single", "class embedding"),
+                                                ("tot-cls", "classifier")])
+    def test_eval_exits_2_naming_label_and_class_count(self, five_class_images, capsys,
+                                                        method, scorer):
+        tmp_path, images, classes, names, clf = five_class_images
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("eval", "--images", images, "--methods", method, "--classifier", clf,
+                   "--class-embeddings", names, "--classes", classes, "--steps", 5,
+                   "--out", report) == 2
+        captured = capsys.readouterr()
+        assert f"image label 4 is outside the {scorer}'s 3 classes" in captured.err
+        assert captured.out == "" and not report.exists()
+
+    def test_refine_eval_images_exits_2_before_writing(self, five_class_images, capsys):
+        tmp_path, images, classes, names, clf = five_class_images
+        out = tmp_path / "refined.json"
+        capsys.readouterr()
+        assert run("refine", "--classifier", clf, "--unlabeled", images,
+                   "--eval-images", images, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert "image label 4 is outside the classifier's 3 classes" in captured.err
+        assert captured.out == "" and not out.exists()
+
+
 class TestSynthSpace:
     def test_bundle_written_with_labels(self, tmp_path):
         out = tmp_path / "b.tape"
@@ -616,6 +701,8 @@ class TestRunAll:
         ({"llm": {"max_tokens": 0}}, "llm.max_tokens"),
         ({"llm": {"sampling_temperature": -0.5}}, "llm.sampling_temperature"),
         ({"train": {"adam_beta1": 1.0}}, "train.adam_beta1"),
+        # The demo manifest already names a fixture.
+        ({"endpoint": "http://127.0.0.1:1/x"}, "set 'fixture' or 'endpoint', not both"),
     ])
     def test_bad_manifest_exits_2_before_any_stage(self, tmp_path, capsys, changes, named):
         ws = tmp_path / "ws"
@@ -625,6 +712,37 @@ class TestRunAll:
         assert run("run-all", "--manifest", manifest) == 2
         assert named in capsys.readouterr().err
         assert not (ws / "prompts.jsonl").exists()
+
+    def test_eval_reproduces_run_all(self, tmp_path, capsys):
+        # The step-5 eval of the README, on the files run-all wrote and with the
+        # manifest's training settings: no --dst-template, so tot-dst checks the
+        # template bundle against the default templates.
+        ws = tmp_path / "ws"
+        assert run("demo", "--workspace", ws, "--image-samples", 20, "--steps", 30) == 0
+        assert run("run-all", "--manifest", ws / "manifest.json") == 0
+        doc = json.loads((ws / "manifest.json").read_text())
+        train = doc["train"]
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("eval", "--images", ws / "images.tape",
+                   "--classifier", ws / "classifier.json",
+                   "--class-embeddings", ws / "classnames.tape",
+                   "--dst-embeddings", ws / "dst.tape", "--classes", ws / "classes.json",
+                   "--methods", ",".join(ALL_METHODS),
+                   "--steps", train["steps"], "--sigma", train["noise_sigma"],
+                   "--smoothing", train["label_smoothing"],
+                   "--seed", cli.stage_seed(doc["seed"], "train"),
+                   "--dataset-name", doc["dataset_name"],
+                   "--format", "json", "--out", report) == 0
+
+        def rows(path):
+            return {r["method"]: r for r in json.loads(path.read_text())["rows"]}
+
+        by_eval, by_run_all = rows(report), rows(ws / "report.json")
+        assert sorted(by_eval) == sorted(ALL_METHODS)
+        for method in ALL_METHODS:
+            for key in ("accuracy", "per_class"):
+                assert by_eval[method][key] == by_run_all[method][key], (method, key)
 
     def test_misaligned_text_bundle_exits_4(self, tmp_path, capsys):
         ws = tmp_path / "ws"

@@ -28,6 +28,7 @@ from textprobe.errors import (
     FormatError,
     InvalidConfig,
     MissingClassDescriptions,
+    MissingLabels,
     NonFiniteValue,
     ShapeMismatch,
     TruncatedFile,
@@ -251,6 +252,16 @@ class TestBundleFormat:
         bundle = EmbeddingBundle.from_matrix(np.zeros((2, 2)), labels=np.array([1, 0]))
         assert bundle.labels == (1, 0)
         assert all(type(c) is int for c in bundle.labels)
+
+    def test_labels_array_of_an_unlabelled_bundle_raises_missing_labels(self):
+        bundle = EmbeddingBundle.from_matrix(np.zeros((2, 2)))
+        with pytest.raises(MissingLabels, match="^embedding bundle has no labels$"):
+            bundle.labels_array()
+        with pytest.raises(MissingLabels, match="^template bundle has no labels$"):
+            bundle.labels_array("template")
+        assert MissingLabels.exit_code == 5
+        labelled = EmbeddingBundle.from_matrix(np.zeros((2, 2)), labels=[1, 0])
+        np.testing.assert_array_equal(labelled.labels_array(), np.array([1, 0], dtype=np.int64))
 
     def test_read_returns_a_writable_array_of_its_own(self, tmp_path, rng):
         path = tmp_path / "b.tape"

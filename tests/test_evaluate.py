@@ -30,6 +30,7 @@ from textprobe.errors import (
     InvalidConfig,
     MissingLabels,
     ShapeMismatch,
+    UnknownClassId,
     ZeroVector,
 )
 from textprobe.evaluate import (
@@ -85,6 +86,17 @@ class TestEvaluateClassifier:
         bundle = EmbeddingBundle.from_matrix(rng.standard_normal((4, 9)), labels=[0] * 4)
         with pytest.raises(DimensionMismatch):
             evaluate_classifier(constant_classifier(3, 8), bundle)
+
+    @pytest.mark.parametrize("labels, named", [([0, 1, 2, 4], "4"), ([-1, 0, 1, 2], "-1")])
+    def test_label_outside_the_scorer_classes(self, rng, labels, named):
+        # A label no class of the scorer can predict is refused before scoring.
+        bundle = EmbeddingBundle.from_matrix(rng.standard_normal((4, 8)), labels=labels)
+        with pytest.raises(UnknownClassId,
+                           match=f"image label {named} is outside the classifier's 3 classes"):
+            evaluate_classifier(constant_classifier(3, 8), bundle)
+        embs = ClassTextEmbeddings.from_matrix(rng.standard_normal((3, 8)))
+        with pytest.raises(UnknownClassId, match="class embedding's 3 classes"):
+            evaluate_zero_shot(embs, bundle)
 
     def test_trained_head_on_noise_free_means(self, vocab10, base_space, text_bundle_50):
         ds = dataset_for(text_bundle_50, vocab10)
