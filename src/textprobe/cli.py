@@ -65,6 +65,7 @@ from .evaluate import (
     METHOD_TOT_CLS,
     METHOD_TOT_DST,
     PseudoLabelConfig,
+    _check_scorable,
     class_text_embeddings_from_bundle,
     evaluate_classifier,
     evaluate_zero_shot,
@@ -249,6 +250,11 @@ def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
     added to the report's config block.
     """
     images = _read_rows(*images)
+
+    def checked(bundle):  # a tot head trains only if it can score the images
+        _check_scorable(images, bundle.dimension, len(vocab), "classifier")
+        return bundle
+
     rows = []
     for method in methods:
         path, name = inputs[_METHOD_INPUT[method]]
@@ -260,9 +266,9 @@ def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
         if method == METHOD_TAP:
             clf = LinearClassifier.load(path)
         elif method == METHOD_TOT_CLS:
-            clf = train_tot_cls(vocab, read_bundle(path), train_cfg)
+            clf = train_tot_cls(vocab, checked(read_bundle(path)), train_cfg)
         else:
-            clf = train_tot_dst(vocab, read_bundle(path), train_cfg, dst_templates)
+            clf = train_tot_dst(vocab, checked(read_bundle(path)), train_cfg, dst_templates)
         rows.append(evaluate_classifier(clf, images, method, dataset_name))
     report = EvalReport(rows=rows, config={"methods": list(methods),
                                            "dataset": dataset_name, **config})

@@ -1,4 +1,4 @@
-"""Embedding algebra and the temperature-scaled softmax zero-shot classifier.
+"""Unit normalization and the temperature-scaled softmax zero-shot classifier.
 
 An image embedding is scored against one unit-normalized text embedding per
 class; class probabilities are the softmax of the cosine similarities divided
@@ -6,7 +6,8 @@ by a temperature. All arithmetic runs in float64 regardless of the storage
 dtype of the inputs, and the softmax subtracts the max logit before
 exponentiating so CLIP-scale temperatures (tau ~ 0.01) stay stable.
 `normalize_rows` is the package's one row normalizer: training, eval and
-class embeddings all make unit rows with it.
+class embeddings all make unit rows with it. `normalize` is its one-vector
+counterpart, for the image of `zero_shot_probabilities`.
 
 All functions here are pure and safe for concurrent read-only use.
 """
@@ -39,23 +40,19 @@ _NORM_BLOCK_ELEMS = 1 << 17
 DEFAULT_TEMPERATURE = 0.01
 
 
-def as_vector(values) -> np.ndarray:
-    """Coerce input to a 1-D float64 vector, rejecting non-finite entries."""
+def normalize(values) -> np.ndarray:
+    """Return v / ||v||_2 for a 1-D vector, in float64.
+
+    Raises:
+        DimensionMismatch: if v is not 1-D.
+        NonFiniteValue: if v holds NaN or Inf.
+        ZeroVector: if ||v||_2 < 1e-12.
+    """
     vec = np.asarray(values, dtype=np.float64)
     if vec.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise NonFiniteValue("vector contains NaN or Inf")
-    return vec
-
-
-def normalize(values) -> np.ndarray:
-    """Return v / ||v||_2.
-
-    Raises:
-        ZeroVector: if ||v||_2 < 1e-12.
-    """
-    vec = as_vector(values)
     norm = float(np.linalg.norm(vec))
     if norm < ZERO_NORM_EPS:
         raise ZeroVector("cannot normalize a vector with (near-)zero norm")
@@ -88,25 +85,6 @@ def normalize_rows(matrix, dtype=np.float64) -> np.ndarray:
         block /= norms
         out[lo:lo + step] = block
     return out
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine similarity of two nonzero vectors of equal dimension.
-
-    Symmetric in its arguments; the result lies in [-1, 1] up to float64
-    rounding (|value| <= 1 + 1e-9).
-    """
-    va = as_vector(a)
-    vb = as_vector(b)
-    if va.shape[0] != vb.shape[0]:
-        raise DimensionMismatch(
-            f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}"
-        )
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        raise ZeroVector("cosine similarity is undefined for zero vectors")
-    return float(np.dot(va, vb) / (na * nb))
 
 
 def stable_softmax(logits) -> np.ndarray:

@@ -202,10 +202,9 @@ def _predict(images: EmbeddingBundle, weights: np.ndarray, bias: np.ndarray) -> 
     return best
 
 
-def _check_scorable(images: EmbeddingBundle, scorer, name: str) -> None:
-    """Raise unless the bundle is labeled, as wide as `scorer`, non-empty and in its classes."""
+def _check_scorable(images: EmbeddingBundle, d: int, k: int, name: str) -> None:
+    """Raise unless the bundle is labeled, d wide, non-empty and in the `name`'s k classes."""
     labels = images.labels_array("image")
-    d, k = scorer.dimension, scorer.num_classes
     if images.dimension != d:
         raise DimensionMismatch(f"{name} dimension {d} vs bundle {images.dimension}")
     if images.count == 0:
@@ -225,7 +224,7 @@ def evaluate_classifier(
 
     The predictions are `clf.predict(images.matrix)`'s (see `_predict`).
     """
-    _check_scorable(images, clf, "classifier")
+    _check_scorable(images, clf.dimension, clf.num_classes, "classifier")
     predictions = _predict(images, clf.weights, clf.bias)
     return _accuracy_row(predictions, images.labels_array(), method, dataset)
 
@@ -243,7 +242,7 @@ def evaluate_zero_shot(
     them, so the prediction is the argmax of the similarities themselves
     (ties go to the lowest class index) and no temperature is needed.
     """
-    _check_scorable(images, class_embs, "class embedding")
+    _check_scorable(images, class_embs.dimension, class_embs.num_classes, "class embedding")
     embs = class_embs.matrix
     predictions = _predict(images, embs, np.zeros(embs.shape[0]))
     return _accuracy_row(predictions, images.labels_array(), method, dataset)

@@ -12,7 +12,9 @@ with decoupled weight decay applied to the weight matrix only, never the
 bias. Everything runs in float64 and is driven by one seeded generator, so a
 given (dataset, embeddings, config, seed) always produces bit-identical
 parameters; reproducibility relies on numpy's deterministic kernels for
-fixed shapes in a fixed environment.
+fixed shapes in a fixed environment. `_Objective` is the one implementation
+of the objective: the training loop, `training_loss_and_grads` (its
+finite-difference oracle) and `smoothed_cross_entropy` (one row) all run it.
 
 The generator's stream is consumed in one fixed order: the initial weights
 (unless given), then the noise of steps 1..T, then the noise of the final
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import read_json, write_json
-from .core import normalize, normalize_rows
+from .core import normalize_rows
 from .data import EmbeddingBundle, TextDataset
 from .errors import (
     DimensionMismatch,
@@ -85,11 +87,6 @@ class TrainConfig(_Config):
                "weight_decay": _at_least(0, config_number), "seed": _integer}
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def smoothing_targets(num_classes: int, labels, label_smoothing: float) -> np.ndarray:
     """Rows q = (1 - eps) * onehot(label) + eps / K."""
     _smoothing("label_smoothing", label_smoothing)
@@ -99,10 +96,55 @@ def smoothing_targets(num_classes: int, labels, label_smoothing: float) -> np.nd
     return q
 
 
+class _Objective:
+    """The package's one smoothed-CE forward and backward for fixed targets
+    `q`, run in place in buffers allocated once per objective."""
+
+    def __init__(self, q: np.ndarray):
+        self.q = q
+        self.logp = np.empty_like(q)
+        self.work = np.empty_like(q)
+        self.row = np.empty((q.shape[0], 1))
+
+    def loss(self, X: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> float:
+        """Mean loss of logits X W^T + b; keeps log-softmax for `grads`."""
+        np.matmul(X, weights.T, out=self.logp)
+        self.logp += bias
+        return self.logits_loss(self.logp)
+
+    def logits_loss(self, logits: np.ndarray) -> float:
+        """Mean loss of an (n, K) logit matrix; keeps its log-softmax."""
+        logp, work, row = self.logp, self.work, self.row
+        np.max(logits, axis=1, keepdims=True, out=row)
+        np.subtract(logits, row, out=logp)
+        np.exp(logp, out=work)
+        np.sum(work, axis=1, keepdims=True, out=row)
+        np.log(row, out=row)
+        logp -= row
+        np.multiply(self.q, logp, out=work)
+        np.negative(work, out=work)
+        np.sum(work, axis=1, out=row[:, 0])
+        return float(row[:, 0].mean())
+
+    def logits_grad(self) -> np.ndarray:
+        """(softmax - q) / n at the last loss, in a buffer the next call reuses."""
+        g = self.work
+        np.exp(self.logp, out=g)
+        g -= self.q
+        g /= g.shape[0]
+        return g
+
+    def grads(self, X: np.ndarray, grad_w: np.ndarray, grad_b: np.ndarray) -> None:
+        """Gradients at the last `loss` call, written into grad_w and grad_b."""
+        g = self.logits_grad()
+        np.matmul(g.T, X, out=grad_w)
+        np.sum(g, axis=0, out=grad_b)
+
+
 def smoothed_cross_entropy(
     logits, true_class: int, label_smoothing: float = 0.0
 ) -> tuple[float, np.ndarray]:
-    """Loss and gradient w.r.t. the logits for a single example.
+    """Loss and gradient w.r.t. the logits of one example: `_Objective` on one row.
 
     loss = -sum_c q_c * log softmax(logits)_c, gradient = softmax(logits) - q.
     The gradient components always sum to zero.
@@ -112,11 +154,8 @@ def smoothed_cross_entropy(
         raise ShapeMismatch(f"need a 1-D logit vector with K >= 2, got shape {arr.shape}")
     if not 0 <= true_class < arr.shape[0]:
         raise ShapeMismatch(f"true_class {true_class} outside {arr.shape[0]} classes")
-    q = smoothing_targets(arr.shape[0], [true_class], label_smoothing)[0]
-    logp = _log_softmax(arr)
-    loss = float(-(q * logp).sum())
-    grad = np.exp(logp) - q
-    return loss, grad
+    objective = _Objective(smoothing_targets(arr.shape[0], [true_class], label_smoothing))
+    return objective.logits_loss(arr[np.newaxis]), objective.logits_grad()[0]
 
 
 def training_loss_and_grads(
@@ -130,9 +169,9 @@ def training_loss_and_grads(
     """Mean smoothed-CE loss over the batch plus gradients w.r.t. W and b.
 
     Embeddings are row-normalized here and the (fixed) noise realization is
-    added afterwards, mirroring one training step. This is the validated
-    reference and finite-difference oracle; the training loop runs the same
-    arithmetic through `_Objective` on preallocated buffers.
+    added afterwards, mirroring one training step; the loss and gradients
+    are `_Objective`'s, the arithmetic the training loop runs. This is the
+    finite-difference oracle of the objective.
     """
     W = np.asarray(weights, dtype=np.float64)
     b = np.asarray(bias, dtype=np.float64)
@@ -147,54 +186,11 @@ def training_loss_and_grads(
         raise DimensionMismatch(
             f"weights expect dimension {W.shape[1]}, embeddings have {X.shape[1]}"
         )
-    logits = X @ W.T + b
-    logp = _log_softmax(logits)
-    q = smoothing_targets(W.shape[0], labels, label_smoothing)
-    loss = float(-(q * logp).sum(axis=1).mean())
-    g_logits = (np.exp(logp) - q) / n
-    grad_w = g_logits.T @ X
-    grad_b = g_logits.sum(axis=0)
+    objective = _Objective(smoothing_targets(W.shape[0], labels, label_smoothing))
+    loss = objective.loss(X, W, b)
+    grad_w, grad_b = np.empty_like(W), np.empty(W.shape[0])
+    objective.grads(X, grad_w, grad_b)
     return loss, grad_w, grad_b
-
-
-class _Objective:
-    """In-place smoothed-CE forward and backward for fixed targets `q`.
-
-    Performs the floating-point operations of `training_loss_and_grads` in
-    the same order, on rows that are already normalized and noised, writing
-    into buffers allocated once per training run instead of once per step.
-    """
-
-    def __init__(self, q: np.ndarray):
-        self.q = q
-        self.logp = np.empty_like(q)
-        self.work = np.empty_like(q)
-        self.row = np.empty((q.shape[0], 1))
-
-    def loss(self, X: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> float:
-        """Mean loss of logits X W^T + b; keeps log-softmax for `grads`."""
-        logp, work, row = self.logp, self.work, self.row
-        np.matmul(X, weights.T, out=logp)
-        logp += bias
-        np.max(logp, axis=1, keepdims=True, out=row)
-        logp -= row
-        np.exp(logp, out=work)
-        np.sum(work, axis=1, keepdims=True, out=row)
-        np.log(row, out=row)
-        logp -= row
-        np.multiply(self.q, logp, out=work)
-        np.negative(work, out=work)
-        np.sum(work, axis=1, out=row[:, 0])
-        return float(row[:, 0].mean())
-
-    def grads(self, X: np.ndarray, grad_w: np.ndarray, grad_b: np.ndarray) -> None:
-        """Gradients at the last `loss` call, written into grad_w and grad_b."""
-        g = self.work
-        np.exp(self.logp, out=g)
-        g -= self.q
-        g /= g.shape[0]
-        np.matmul(g.T, X, out=grad_w)
-        np.sum(g, axis=0, out=grad_b)
 
 
 def _adamw_update(param, grad, m, v, scratch, cfg: TrainConfig, step: int,
@@ -312,19 +308,6 @@ class LinearClassifier:
                    train_meta=dict(doc["train_meta"]))
 
 
-def classifier_logits(clf: LinearClassifier, emb, normalize_input: bool = True) -> np.ndarray:
-    """Logits W x (+ b) for one embedding; normalizes x first by default,
-    matching how inputs were normalized during training."""
-    vec = np.asarray(emb, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != clf.dimension:
-        raise DimensionMismatch(
-            f"expected a {clf.dimension}-vector, got shape {vec.shape}"
-        )
-    if normalize_input:
-        vec = normalize(vec)
-    return clf.weights @ vec + clf.bias
-
-
 def train_text_classifier(
     dataset: TextDataset,
     text_embs: EmbeddingBundle,
@@ -360,7 +343,9 @@ def train_text_classifier(
     # Normalized twice on purpose: `training_loss_and_grads` normalizes the
     # already-normalized rows it is given once more, which can move entries
     # by an ulp. Doing the same here, once, keeps the trained head equal bit
-    # for bit to a loop over that reference function.
+    # for bit to a loop over that function. Dropping the second pass moved
+    # the benchmark's train-mid peak RSS by ~10 MB at some checkout paths:
+    # glibc heap state that the path moves as well, not this loop's arrays.
     x_hat = normalize_rows(normalize_rows(text_embs.matrix))
     n_rows = x_hat.shape[0]
     rng = np.random.default_rng(cfg.seed)

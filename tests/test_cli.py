@@ -587,6 +587,28 @@ class TestImageLabelsOutsideTheScorer:
         assert f"image label 4 is outside the {scorer}'s 3 classes" in captured.err
         assert captured.out == "" and not report.exists()
 
+    @pytest.mark.parametrize("method", ["tot-cls", "tot-dst"])
+    @pytest.mark.parametrize("image_flags, code, message", [
+        (("--classes-count", 5), 2, "image label 4 is outside the classifier's 3 classes"),
+        (("--classes-count", 3, "--dim", 16), 4, "classifier dimension 128 vs bundle 16"),
+    ])
+    def test_eval_refuses_images_before_training_a_baseline(
+            self, five_class_images, capsys, monkeypatch, image_flags, code, message, method):
+        tmp_path, _, classes, names, _ = five_class_images
+        images, dst = tmp_path / "refused.tape", tmp_path / "dst.tape"
+        assert run("synth-space", *image_flags, "--per-class", 4, "--out", images) == 0
+        # two generic templates per class, class-major: the layout tot-dst trains on
+        rows = np.random.default_rng(0).standard_normal((6, 128))
+        write_bundle(EmbeddingBundle.from_matrix(rows, labels=[0, 0, 1, 1, 2, 2]), dst)
+        trained = []
+        monkeypatch.setattr(evaluate, "train_text_classifier",
+                            lambda *args: trained.append(args))
+        capsys.readouterr()
+        assert run("eval", "--images", images, "--methods", method, "--classes", classes,
+                   "--class-embeddings", names, "--dst-embeddings", dst, "--steps", 5) == code
+        assert message in capsys.readouterr().err
+        assert trained == []
+
     def test_refine_eval_images_exits_2_before_writing(self, five_class_images, capsys):
         tmp_path, images, classes, names, clf = five_class_images
         out = tmp_path / "refined.json"

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import textprobe
 from textprobe.core import (
     ClassTextEmbeddings,
     ZeroShotConfig,
-    cosine_similarity,
     normalize,
     normalize_rows,
     predict_class,
@@ -49,6 +49,10 @@ class TestNormalize:
     def test_nan_rejected(self):
         with pytest.raises(NonFiniteValue):
             normalize([1.0, float("nan")])
+
+    def test_matrix_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"expected a 1-D vector, got shape \(1, 2\)"):
+            normalize([[1.0, 0.0]])
 
     def test_result_has_unit_norm(self):
         rng = np.random.default_rng(7)
@@ -98,48 +102,6 @@ class TestNormalizeRows:
         x[39000] = np.nan
         with pytest.raises(NonFiniteValue, match="^matrix contains NaN or Inf$"):
             normalize_rows(x, dtype=dtype)
-
-
-class TestCosineSimilarity:
-    def test_orthogonal(self):
-        assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_antiparallel(self):
-        assert cosine_similarity([1, 0], [-1, 0]) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_45_degrees(self):
-        # 1/sqrt(2) by hand
-        assert cosine_similarity([1, 1], [1, 0]) == pytest.approx(
-            1.0 / math.sqrt(2.0), abs=1e-9
-        )
-
-    def test_self_similarity_is_one(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            v = rng.standard_normal(16) * 10
-            assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-9)
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(4)
-        a, b = rng.standard_normal(8), rng.standard_normal(8)
-        assert cosine_similarity(a, b) == cosine_similarity(b, a)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cosine_similarity([1, 0], [1, 0, 0])
-
-    def test_zero_vector(self):
-        with pytest.raises(ZeroVector):
-            cosine_similarity([0, 0], [1, 0])
-
-    @given(finite_vectors, finite_vectors)
-    @settings(max_examples=100, deadline=None)
-    def test_bounded(self, a, b):
-        n = min(len(a), len(b))
-        va, vb = np.asarray(a[:n]), np.asarray(b[:n])
-        if np.linalg.norm(va) < 1e-6 or np.linalg.norm(vb) < 1e-6:
-            return
-        assert abs(cosine_similarity(va, vb)) <= 1.0 + 1e-9
 
 
 class TestZeroShotProbabilities:
@@ -252,3 +214,9 @@ class TestPredictClass:
     def test_empty_rejected(self):
         with pytest.raises(EmptyVector):
             predict_class([])
+
+
+def test_every_exported_name_resolves_once():
+    assert len(set(textprobe.__all__)) == len(textprobe.__all__)
+    missing = [name for name in textprobe.__all__ if not hasattr(textprobe, name)]
+    assert missing == []

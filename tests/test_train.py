@@ -17,7 +17,6 @@ from textprobe.data import (
     synthetic_class_means,
 )
 from textprobe.errors import (
-    DimensionMismatch,
     InvalidConfig,
     InvalidSmoothing,
     NonFiniteLoss,
@@ -28,7 +27,6 @@ from textprobe.train import (
     NOISE_THREAD_PREFIX,
     LinearClassifier,
     TrainConfig,
-    classifier_logits,
     smoothed_cross_entropy,
     train_text_classifier,
     training_loss_and_grads,
@@ -103,6 +101,12 @@ class TestSmoothedCrossEntropy:
         l2, _ = smoothed_cross_entropy(logits + 123.456, 1, 0.2)
         assert l1 == pytest.approx(l2, abs=1e-9)
 
+    def test_gradients_of_separate_calls_do_not_share_a_buffer(self):
+        _, first = smoothed_cross_entropy([1.0, -1.0, 0.5], 0, 0.3)
+        kept = first.tobytes()
+        smoothed_cross_entropy([5.0, 2.0, -3.0], 2, 0.1)
+        assert first.tobytes() == kept
+
     def test_invalid_smoothing(self):
         with pytest.raises(InvalidSmoothing):
             smoothed_cross_entropy([0.0, 0.0], 0, 1.0)
@@ -144,10 +148,63 @@ class TestGradientCheck:
             assert gb[j] == pytest.approx((lp - lm) / (2 * h), rel=1e-6, abs=1e-9)
 
 
+def reference_logits_loss(logits, labels, label_smoothing):
+    """Mean smoothed-CE loss of an (n, K) logit matrix and its gradient
+    w.r.t. the logits, in plain out-of-place numpy."""
+    n, k = logits.shape
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    q = np.full((n, k), label_smoothing / k)
+    q[np.arange(n), labels] += 1.0 - label_smoothing
+    loss = float(-(q * logp).sum(axis=1).mean())
+    return loss, (np.exp(logp) - q) / n
+
+
+def reference_loss_and_grads(weights, bias, embeddings, labels, noise, label_smoothing):
+    """`training_loss_and_grads` in plain out-of-place numpy: normalize the
+    rows, add the noise, then the smoothed-CE loss and its gradients."""
+    X = normalize_rows(embeddings) + noise
+    loss, g_logits = reference_logits_loss(X @ weights.T + bias, labels, label_smoothing)
+    return loss, g_logits.T @ X, g_logits.sum(axis=0)
+
+
+@pytest.mark.parametrize("n, d, k, eps", [
+    (8, 5, 3, 0.1), (1800, 512, 100, 0.1), (200, 768, 200, 0.0), (1, 4, 2, 0.3),
+])
+def test_loss_and_grads_equal_the_plain_arithmetic_bit_for_bit(n, d, k, eps):
+    rng = np.random.default_rng(n)
+    args = (rng.standard_normal((k, d)), rng.standard_normal(k),
+            rng.standard_normal((n, d)), rng.integers(0, k, size=n))
+    noise = rng.standard_normal((n, d))
+    loss, grad_w, grad_b = training_loss_and_grads(*args, noise=noise, label_smoothing=eps)
+    ref_loss, ref_w, ref_b = reference_loss_and_grads(*args, noise, eps)
+    assert loss == ref_loss
+    assert grad_w.tobytes() == ref_w.tobytes() and grad_b.tobytes() == ref_b.tobytes()
+
+
+@pytest.mark.parametrize("k, eps", [(2, 0.0), (3, 0.1), (100, 0.1), (1000, 0.3)])
+def test_one_row_loss_equals_the_plain_arithmetic_bit_for_bit(k, eps):
+    rng = np.random.default_rng(k)
+    logits, true_class = rng.standard_normal(k) * 3, int(rng.integers(0, k))
+    loss, grad = smoothed_cross_entropy(logits, true_class, eps)
+    ref_loss, ref_grad = reference_logits_loss(logits[np.newaxis], [true_class], eps)
+    assert loss == ref_loss
+    assert grad.tobytes() == ref_grad[0].tobytes()
+
+
+def test_loss_and_grads_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(3)
+    inputs = (rng.standard_normal((3, 5)), rng.standard_normal(3),
+              rng.standard_normal((8, 5)), rng.integers(0, 3, size=8), rng.standard_normal((8, 5)))
+    before = [a.tobytes() for a in inputs]
+    training_loss_and_grads(*inputs[:4], noise=inputs[4], label_smoothing=0.1)
+    assert [a.tobytes() for a in inputs] == before
+
+
 def reference_fit(dataset, bundle, cfg, init_weights=None, init_bias=None):
-    """The training loop written plainly over the public oracle: normalize,
-    then each step draw noise, call `training_loss_and_grads`, and apply
-    AdamW out of place. Returns (weights, bias, loss_history, final_loss)."""
+    """The training loop written plainly: normalize, then each step draw
+    noise, call `reference_loss_and_grads`, and apply AdamW out of place.
+    Returns (weights, bias, loss_history, final_loss)."""
     k, d = len(dataset.vocab), bundle.dimension
     x_hat = normalize_rows(bundle.matrix)
     n = x_hat.shape[0]
@@ -164,9 +221,9 @@ def reference_fit(dataset, bundle, cfg, init_weights=None, init_bias=None):
     for step in range(1, cfg.steps + 1):
         noise = cfg.noise_sigma * rng.standard_normal((n, d))
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grad_w, grad_b = training_loss_and_grads(
+            loss, grad_w, grad_b = reference_loss_and_grads(
                 weights, bias, x_hat, dataset.labels,
-                noise=noise, label_smoothing=cfg.label_smoothing,
+                noise, cfg.label_smoothing,
             )
         if not math.isfinite(loss):
             raise NonFiniteLoss("loss", step=step)
@@ -184,9 +241,9 @@ def reference_fit(dataset, bundle, cfg, init_weights=None, init_bias=None):
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
             raise NonFiniteLoss("parameters", step=step)
     noise = cfg.noise_sigma * rng.standard_normal((n, d))
-    final_loss, _, _ = training_loss_and_grads(
+    final_loss, _, _ = reference_loss_and_grads(
         weights, bias, x_hat, dataset.labels,
-        noise=noise, label_smoothing=cfg.label_smoothing,
+        noise, cfg.label_smoothing,
     )
     return weights, bias, history, final_loss
 
@@ -383,39 +440,6 @@ class TestPipelinedLoop:
             train_text_classifier(ds, bundle, TrainConfig(steps=steps))
             counts.append(len(calls))
         assert counts[0] == counts[1] == counts[2]
-
-
-class TestClassifierLogits:
-    def _clf(self, weights, bias):
-        k = weights.shape[0]
-        vocab = ClassVocabulary(tuple(f"c{i}" for i in range(k)))
-        return LinearClassifier(weights=weights, bias=bias, vocab=vocab)
-
-    def test_zero_classifier_predicts_class_zero(self):
-        clf = self._clf(np.zeros((4, 3)), np.zeros(4))
-        logits = classifier_logits(clf, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(logits, np.zeros(4))
-        assert int(np.argmax(logits)) == 0
-
-    def test_identity_rows_pick_column(self):
-        W = np.eye(3)
-        bias = np.array([0.1, 0.2, 0.3])
-        clf = self._clf(W, bias)
-        logits = classifier_logits(clf, [0.0, 1.0, 0.0], normalize_input=False)
-        np.testing.assert_allclose(logits, W[:, 1] + bias, atol=1e-12)
-
-    def test_normalization_flag(self):
-        W = np.array([[1.0, 0.0]])
-        clf = LinearClassifier(weights=W, bias=np.zeros(1), vocab=ClassVocabulary(("a",)))
-        raw = classifier_logits(clf, [2.0, 0.0], normalize_input=False)
-        normed = classifier_logits(clf, [2.0, 0.0], normalize_input=True)
-        assert raw[0] == pytest.approx(2.0)
-        assert normed[0] == pytest.approx(1.0)
-
-    def test_dimension_mismatch(self):
-        clf = self._clf(np.zeros((2, 3)), np.zeros(2))
-        with pytest.raises(DimensionMismatch):
-            classifier_logits(clf, [1.0, 2.0])
 
 
 class TestSerialization:
