@@ -108,15 +108,24 @@ class ZeroShotConfig:
             )
 
 
+def _owning(cls, matrix: np.ndarray, **fields):
+    """A frozen `cls` that takes `matrix`, made read-only, without a copy or a check: a
+    checked C-contiguous array nothing else references. `fields` are the other fields."""
+    matrix.setflags(write=False)
+    obj = object.__new__(cls)
+    vars(obj).update(matrix=matrix, **fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class ClassTextEmbeddings:
-    """One unit-normalized text embedding per class, in vocabulary order:
-    row c of `matrix` embeds class c."""
+    """One unit-normalized text embedding per class, in vocabulary order: row c
+    of `matrix`, a read-only copy of the array given, embeds class c."""
 
     matrix: np.ndarray  # (K, d)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.float64)
+        mat = np.array(self.matrix, dtype=np.float64, order="C")
         if mat.ndim != 2:
             raise DimensionMismatch(f"expected (K, d) matrix, got {mat.shape}")
         if not np.all(np.isfinite(mat)):
@@ -127,12 +136,13 @@ class ClassTextEmbeddings:
             raise InvalidConfig(
                 f"class embedding {bad} is not unit norm (|v|={norms[bad]:.8f})"
             )
+        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
     def from_matrix(cls, matrix) -> "ClassTextEmbeddings":
-        """Build from a (K, d) matrix by normalizing each row."""
-        return cls(normalize_rows(matrix))
+        """Build from a (K, d) matrix by normalizing each row, into an array of its own."""
+        return _owning(cls, normalize_rows(matrix))
 
     @property
     def class_ids(self) -> tuple[int, ...]:

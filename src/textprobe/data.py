@@ -14,8 +14,8 @@ provenance ({labels, class_names, encoder, source, created_at}). Matrices
 are stored in float32; all computation elsewhere promotes to float64. An
 EmbeddingBundle's count and dimension are its matrix's shape; a matrix with
 no columns is refused when the bundle is made, as the reader refuses it. A
-bundle made from a view copies it. Scoring in `textprobe.evaluate` makes the
-matrix read-only; a view of it taken before the bundle was built still writes.
+bundle owns a read-only copy of its matrix, made by its constructor; a caller's
+array is never kept or frozen. The reader hands over the array it filled.
 
 The synthetic space draws one unit-normalized Gaussian mean per class from a
 seed. Text samples are normalize(mu_c + sigma*eps); image samples add a
@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write, read_json, read_jsonl, write_json, write_jsonl
-from .core import ZERO_NORM_EPS
+from .core import ZERO_NORM_EPS, _owning
 from .errors import (
     EmptyDataset,
     FormatError,
@@ -151,29 +151,28 @@ def read_text_dataset_jsonl(path, vocab: ClassVocabulary) -> TextDataset:
 
 # -- embedding bundles -----------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EmbeddingBundle:
-    """A (count, dimension) float32 matrix with optional row labels; the
-    count and dimension are the matrix's shape."""
+    """A read-only (count, dimension) float32 matrix of its own, with optional
+    row labels; the count and dimension are the matrix's shape."""
 
     matrix: np.ndarray
     labels: tuple[int, ...] | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(np.asarray(self.matrix), dtype="<f4")
-        if mat.base is not None:  # a view: writes to its base would reach scored rows
-            mat = mat.copy()
+        mat = np.array(self.matrix, dtype="<f4", order="C")  # the bundle's own copy
         if mat.ndim != 2 or mat.shape[1] < 1:
             raise ShapeMismatch(
                 f"expected a 2-D matrix of at least one column, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise NonFiniteValue("bundle matrix contains NaN or Inf")
         if self.labels is not None:
-            self.labels = _labels("labels", list(self.labels))
+            object.__setattr__(self, "labels", _labels("labels", list(self.labels)))
             if len(self.labels) != mat.shape[0]:
                 raise ShapeMismatch(f"{len(self.labels)} labels for {mat.shape[0]} rows")
-        self.matrix = mat
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
 
     @classmethod
     def from_matrix(cls, matrix, labels=None, provenance=None) -> "EmbeddingBundle":
@@ -212,9 +211,6 @@ _SIDECAR = {"labels": (_labels, None), "class_names": (_strings, None),
 def write_bundle(bundle: EmbeddingBundle, path) -> None:
     """Write the binary bundle plus a manifest sidecar when there is metadata."""
     path = Path(path)
-    mat = np.ascontiguousarray(bundle.matrix, dtype="<f4")
-    if not np.all(np.isfinite(mat)):
-        raise NonFiniteValue("refusing to write non-finite embeddings")
     manifest = {key: bundle.provenance[key] for key in _SIDECAR
                 if key != "labels" and key in bundle.provenance}
     _checked(manifest, _SIDECAR)  # the labels were checked when the bundle was made
@@ -223,7 +219,7 @@ def write_bundle(bundle: EmbeddingBundle, path) -> None:
     header = _HEADER.pack(BUNDLE_MAGIC, BUNDLE_VERSION, bundle.dimension, bundle.count)
     with atomic_write(path, "wb") as fh:
         fh.write(header)
-        fh.write(mat.data)
+        fh.write(bundle.matrix.data)
     manifest_path = Path(str(path) + ".manifest.json")
     if manifest:
         write_json(manifest_path, manifest, sort_keys=True, indent=2)
@@ -266,8 +262,8 @@ def read_bundle(path) -> EmbeddingBundle:
     labels = sidecar.pop("labels", None)
     if labels is not None and len(labels) != count:
         raise FormatError(f"{manifest_path}: {len(labels)} labels for {count} rows")
-    return EmbeddingBundle.from_matrix(
-        mat, labels, {k: v for k, v in sidecar.items() if v is not None})
+    return _owning(EmbeddingBundle, mat, labels=labels,
+                   provenance={k: v for k, v in sidecar.items() if v is not None})
 
 
 # -- synthetic shared space ---------------------------------------------------------

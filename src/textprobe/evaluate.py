@@ -12,9 +12,9 @@ top-two margin exceeds twice a proven error bound keeps its float32 argmax,
 which is then the float64 argmax, strictly; the other rows (about 1% on the
 benchmark's data) are scored again in float64 with the expression above.
 `_float32_logits` derives the bound. The float32 rows are the same normalization
-rounded, `normalize_rows(X, dtype=np.float32)`, made once per image bundle;
-scoring makes its matrix read-only, so writing into it raises instead of leaving
-those rows stale (not through a view of it taken before the bundle was built).
+rounded, `normalize_rows(X, dtype=np.float32)`, made once per image bundle and
+kept on it. A bundle owns a read-only copy of its matrix (`textprobe.data`), so
+those rows cannot go stale: a caller's array is never kept or frozen.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .atomic import write_json
-from .core import ClassTextEmbeddings, normalize_rows, stable_softmax
+from .core import ClassTextEmbeddings, _owning, normalize_rows, stable_softmax
 from .data import EmbeddingBundle, TextDataset, class_name_items
 from .errors import (
     DimensionMismatch,
@@ -112,20 +112,13 @@ _EPS32 = 2.0 ** -24  # float32 unit roundoff
 
 
 def _unit_rows(images: EmbeddingBundle) -> np.ndarray:
-    """`normalize_rows(images.matrix, dtype=np.float32)`, read-only.
-
-    Computed once per matrix object and kept on the bundle, so every method
-    scored against one bundle shares a single normalization. The matrix is
-    made read-only when its rows are kept, so writing into it raises instead
-    of leaving stale rows; rebinding `images.matrix` recomputes them.
-    """
-    memo = getattr(images, "_unit_rows_memo", None)
-    if memo is None or memo[0] is not images.matrix:
-        rows = normalize_rows(images.matrix, dtype=np.float32)
+    """`normalize_rows(images.matrix, dtype=np.float32)`, read-only, made once and
+    kept on the bundle: every method scored against it shares one normalization."""
+    rows = vars(images).get("_unit_rows")
+    if rows is None:
+        rows = vars(images)["_unit_rows"] = normalize_rows(images.matrix, dtype=np.float32)
         rows.setflags(write=False)
-        images.matrix.setflags(write=False)
-        memo = images._unit_rows_memo = (images.matrix, rows)
-    return memo[1]
+    return rows
 
 
 def _float32_logits(unit32: np.ndarray, weights: np.ndarray, bias: np.ndarray):
@@ -365,12 +358,11 @@ def pseudo_label_refine(
 
     orig = TrainConfig.from_dict(base_meta.get("config", {}))
     refine_cfg = replace(orig, learning_rate=cfg.refine_lr, steps=cfg.refine_steps)
-    kept_matrix = unlabeled_images.matrix[keep]
-    kept_labels = pseudo[keep]
     pseudo_dataset = TextDataset(
-        items=[("pseudo-labeled image", int(c)) for c in kept_labels], vocab=clf.vocab
+        items=[("pseudo-labeled image", int(c)) for c in pseudo[keep]], vocab=clf.vocab
     )
-    pseudo_bundle = EmbeddingBundle.from_matrix(kept_matrix)
+    pseudo_bundle = _owning(EmbeddingBundle, unlabeled_images.matrix[keep],
+                            labels=None, provenance={})
     refined = train_text_classifier(
         pseudo_dataset, pseudo_bundle, refine_cfg,
         init_weights=clf.weights, init_bias=clf.bias,

@@ -200,6 +200,15 @@ class TestClassTextEmbeddings:
     def test_class_ids_are_the_row_indices(self):
         assert ClassTextEmbeddings(np.eye(3)).class_ids == (0, 1, 2)
 
+    def test_a_later_write_to_the_callers_array_does_not_reach_it(self):
+        m = np.eye(3, 4)
+        e = ClassTextEmbeddings(m)
+        m[0] = [5, 0, 0, 0]
+        assert np.linalg.norm(e.matrix[0]) == 1.0
+        assert not e.matrix.flags.writeable and m.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            e.matrix[0] = [5, 0, 0, 0]
+
 
 class TestPredictClass:
     def test_simple_argmax(self):

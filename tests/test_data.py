@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -187,10 +188,19 @@ class TestBundleFormat:
             EmbeddingBundle.from_matrix(np.zeros(shape), labels=[0] * shape[0])
 
     def test_count_and_dimension_are_the_matrix_shape(self, rng):
-        bundle = EmbeddingBundle.from_matrix(rng.standard_normal((5, 3)))
-        assert (bundle.count, bundle.dimension) == (5, 3)
-        bundle.matrix = bundle.matrix[:2]
-        assert (bundle.count, bundle.dimension) == (2, 3)
+        for shape in [(5, 3), (2, 3), (0, 7)]:
+            bundle = EmbeddingBundle.from_matrix(rng.standard_normal(shape))
+            assert (bundle.count, bundle.dimension) == shape
+
+    def test_a_bundle_is_frozen(self):
+        bundle = EmbeddingBundle.from_matrix(np.eye(2), labels=[0, 1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bundle.matrix = np.zeros((2, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bundle.labels = (1, 0)
+        with pytest.raises(ValueError, match="read-only"):
+            bundle.matrix[0, 0] = 5.0
+        assert bundle.labels == (0, 1) and bundle.matrix.tolist() == [[1, 0], [0, 1]]
 
     def test_overwrite_removes_stale_manifest(self, tmp_path, rng):
         path = tmp_path / "b.tape"
@@ -263,16 +273,20 @@ class TestBundleFormat:
         labelled = EmbeddingBundle.from_matrix(np.zeros((2, 2)), labels=[1, 0])
         np.testing.assert_array_equal(labelled.labels_array(), np.array([1, 0], dtype=np.int64))
 
-    def test_read_returns_a_writable_array_of_its_own(self, tmp_path, rng):
+    def test_read_returns_a_read_only_array_of_its_own(self, tmp_path, rng):
         path = tmp_path / "b.tape"
         bundle = EmbeddingBundle.from_matrix(rng.standard_normal((6, 3)), labels=range(6))
         write_bundle(bundle, path)
-        loaded = read_bundle(path)
+        blob = path.read_bytes()
+        loaded, again = read_bundle(path), read_bundle(path)
         assert loaded.matrix.dtype == np.dtype("<f4")
         assert loaded.matrix.tobytes() == bundle.matrix.tobytes()
-        assert loaded.matrix.flags.writeable and loaded.matrix.flags.c_contiguous
-        loaded.matrix[0, 0] = 7.0
-        assert read_bundle(path).matrix.tobytes() == bundle.matrix.tobytes()
+        assert not loaded.matrix.flags.writeable and loaded.matrix.flags.c_contiguous
+        assert loaded.matrix.flags.owndata and not np.shares_memory(loaded.matrix, again.matrix)
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.matrix[0, 0] = 7.0
+        assert path.read_bytes() == blob
+        assert again.matrix.tobytes() == bundle.matrix.tobytes()
 
     def test_empty_bundle_round_trips(self, tmp_path):
         path = tmp_path / "b.tape"
@@ -462,6 +476,23 @@ class TestSyntheticEncodeMatchesRowLoop:
             tracemalloc.stop()
         # The float64 block (1), the bundle's float32 copy (0.5) and its isfinite mask (0.125).
         assert peak < 1.8 * n * d * 8
+
+
+class TestBundleReadMemory:
+    def test_read_holds_one_payload(self, tmp_path, rng):
+        n, d = 4000, 256
+        path = tmp_path / "b.tape"
+        write_bundle(EmbeddingBundle.from_matrix(rng.standard_normal((n, d)),
+                                                 labels=[i % 10 for i in range(n)]), path)
+        read_bundle(path)  # first-call allocations are not the reader's
+        tracemalloc.start()
+        try:
+            read_bundle(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The payload (1) and its isfinite mask (0.25); a copy of the payload would add 1.
+        assert peak < 1.5 * n * d * 4
 
 
 class TestSyntheticSpaceKeys:

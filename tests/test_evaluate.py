@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -380,7 +381,7 @@ class TestRenderReport:
 
 
 class TestImagesNormalizedOnce:
-    def test_methods_share_one_normalization_until_matrix_is_rebound(self, monkeypatch):
+    def test_methods_share_one_normalization_and_the_matrix_cannot_be_rebound(self, monkeypatch):
         calls = []
         monkeypatch.setattr(evaluate, "normalize_rows",
                             lambda m, **kw: calls.append(1) or normalize_rows(m, **kw))
@@ -392,9 +393,16 @@ class TestImagesNormalizedOnce:
         assert evaluate_classifier(clf, images).accuracy == 100.0
         assert len(calls) == 1
 
-        images.matrix = np.ascontiguousarray(images.matrix[[1, 2, 0]])
-        assert evaluate_zero_shot(embs, images).accuracy == 0.0
-        assert evaluate_classifier(clf, images).accuracy == 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            images.matrix = np.ascontiguousarray(images.matrix[[1, 2, 0]])
+        assert evaluate_zero_shot(embs, images).accuracy == 100.0
+        assert evaluate_classifier(clf, images).accuracy == 100.0
+        assert len(calls) == 1
+
+        # Other rows are another bundle, with a normalization of their own.
+        shifted = EmbeddingBundle.from_matrix(images.matrix[[1, 2, 0]], labels=[0, 1, 2])
+        assert evaluate_zero_shot(embs, shifted).accuracy == 0.0
+        assert evaluate_classifier(clf, shifted).accuracy == 0.0
         assert len(calls) == 2
 
     def test_predictions_equal_the_per_call_path(self, rng):
@@ -539,16 +547,22 @@ class TestFloat32Screen:
         fresh = EmbeddingBundle.from_matrix(3.0 * np.eye(3, 4)[::-1], labels=[0, 1, 2])
         assert evaluate_zero_shot(embs, fresh).accuracy == pytest.approx(100.0 / 3)
 
-    def test_a_bundle_of_a_view_does_not_share_its_base(self):
+    @pytest.mark.parametrize("built_from", ["view", "base"])
+    def test_a_bundle_of_a_view_does_not_share_its_base(self, built_from):
+        # Built from a view and written through its base, or built from the
+        # base while a view taken before is written through.
         embs = ClassTextEmbeddings.from_matrix(np.eye(3, 4))
         base = (3 * np.eye(3, 4)).astype(np.float32)
-        images = EmbeddingBundle.from_matrix(base[:], labels=[0, 1, 2])
+        view = base[:]
+        source, writer = (view, base) if built_from == "view" else (base, view)
+        images = EmbeddingBundle.from_matrix(source, labels=[0, 1, 2])
         assert evaluate_zero_shot(embs, images).accuracy == 100.0
-        base[:] = base[::-1].copy()
+        writer[:] = writer[::-1].copy()
+        assert base.flags.writeable and view.flags.writeable
         np.testing.assert_array_equal(images.matrix, 3 * np.eye(3, 4))
         fresh = EmbeddingBundle.from_matrix(images.matrix.copy(), labels=[0, 1, 2])
         assert (evaluate_zero_shot(embs, images).accuracy
-                == evaluate_zero_shot(embs, fresh).accuracy)
+                == evaluate_zero_shot(embs, fresh).accuracy == 100.0)
 
     def test_zero_row_past_the_first_block_is_named_by_its_index(self, rng):
         # More than 32768 rows at d=4 spans two of normalize_rows' blocks.
