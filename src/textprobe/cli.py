@@ -251,24 +251,29 @@ def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
     """
     images = _read_rows(*images)
 
-    def checked(bundle):  # a tot head trains only if it can score the images
-        _check_scorable(images, bundle.dimension, len(vocab), "classifier")
-        return bundle
-
-    rows = []
-    for method in methods:
+    def input_of(method):  # the (path, flag) of the method's input file
         path, name = inputs[_METHOD_INPUT[method]]
-        path = _require_file(path, f"{name} (method {method})")
+        return path, f"{name} (method {method})"
+
+    tot_methods = [m for m in dict.fromkeys(methods) if m in (METHOD_TOT_CLS, METHOD_TOT_DST)]
+    rows, tot = [], None
+    for method in methods:
+        if method in tot_methods and tot is None:
+            # Every tot input is read and checked before the first tot head trains, and no
+            # earlier: scoring the other methods with these bundles held raised peak RSS.
+            tot = {m: read_bundle(_require_file(*input_of(m))) for m in tot_methods}
+            for bundle in tot.values():
+                _check_scorable(images, bundle.dimension, len(vocab), "classifier")
         if method in (METHOD_CLIP_SINGLE, METHOD_CLIP_DST):
-            embs = class_text_embeddings_from_bundle(_read_rows(path, name, "text"))
+            embs = class_text_embeddings_from_bundle(_read_rows(*input_of(method), "text"))
             rows.append(evaluate_zero_shot(embs, images, method, dataset_name))
             continue
         if method == METHOD_TAP:
-            clf = LinearClassifier.load(path)
+            clf = LinearClassifier.load(_require_file(*input_of(method)))
         elif method == METHOD_TOT_CLS:
-            clf = train_tot_cls(vocab, checked(read_bundle(path)), train_cfg)
+            clf = train_tot_cls(vocab, tot[method], train_cfg)
         else:
-            clf = train_tot_dst(vocab, checked(read_bundle(path)), train_cfg, dst_templates)
+            clf = train_tot_dst(vocab, tot[method], train_cfg, dst_templates)
         rows.append(evaluate_classifier(clf, images, method, dataset_name))
     report = EvalReport(rows=rows, config={"methods": list(methods),
                                            "dataset": dataset_name, **config})

@@ -5,9 +5,9 @@ class; class probabilities are the softmax of the cosine similarities divided
 by a temperature. All arithmetic runs in float64 regardless of the storage
 dtype of the inputs, and the softmax subtracts the max logit before
 exponentiating so CLIP-scale temperatures (tau ~ 0.01) stay stable.
-`normalize_rows` is the package's one row normalizer: training, eval and
-class embeddings all make unit rows with it. `normalize` is its one-vector
-counterpart, for the image of `zero_shot_probabilities`.
+`normalize_rows` is the package's one normalizer (`normalize` is its one-row
+case): the unit rows of training, eval, class embeddings, synthetic bundles and
+class means all come from it, and it refuses a row whose norm overflows.
 
 All functions here are pure and safe for concurrent read-only use.
 """
@@ -41,22 +41,11 @@ DEFAULT_TEMPERATURE = 0.01
 
 
 def normalize(values) -> np.ndarray:
-    """Return v / ||v||_2 for a 1-D vector, in float64.
-
-    Raises:
-        DimensionMismatch: if v is not 1-D.
-        NonFiniteValue: if v holds NaN or Inf.
-        ZeroVector: if ||v||_2 < 1e-12.
-    """
+    """v / ||v||_2 in float64 for a 1-D vector v: `normalize_rows` of its one row."""
     vec = np.asarray(values, dtype=np.float64)
     if vec.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise NonFiniteValue("vector contains NaN or Inf")
-    norm = float(np.linalg.norm(vec))
-    if norm < ZERO_NORM_EPS:
-        raise ZeroVector("cannot normalize a vector with (near-)zero norm")
-    return vec / norm
+    return normalize_rows(vec[np.newaxis])[0]
 
 
 def normalize_rows(matrix, dtype=np.float64) -> np.ndarray:
@@ -66,6 +55,8 @@ def normalize_rows(matrix, dtype=np.float64) -> np.ndarray:
     Rows are normalized in blocks of about 1 MB of float64, each written
     into the result as it is done, so no other temporary the size of the
     matrix exists. A float32 result is the float64 one rounded, bit for bit.
+    A norm that overflows raises NonFiniteValue and a (near-)zero one
+    ZeroVector, each naming the row by its index in the whole matrix.
     """
     mat = np.asarray(matrix)
     if mat.ndim != 2:
@@ -78,9 +69,13 @@ def normalize_rows(matrix, dtype=np.float64) -> np.ndarray:
             raise NonFiniteValue("matrix contains NaN or Inf")
         # What np.linalg.norm(block, axis=1) computes: each row reduces on
         # its own, so the norms do not depend on the block size.
-        norms = np.sqrt(np.add.reduce(block * block, axis=1, keepdims=True))
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.add.reduce(block * block, axis=1, keepdims=True))
+        if not np.all(np.isfinite(norms)):
+            bad = lo + int(np.flatnonzero(~np.isfinite(norms))[0])
+            raise NonFiniteValue(f"row {bad} has a norm that overflows")
         if np.any(norms < ZERO_NORM_EPS):
-            bad = lo + int(np.flatnonzero(norms.ravel() < ZERO_NORM_EPS)[0])
+            bad = lo + int(np.flatnonzero(norms < ZERO_NORM_EPS)[0])
             raise ZeroVector(f"row {bad} has (near-)zero norm")
         block /= norms
         out[lo:lo + step] = block

@@ -15,17 +15,20 @@ are stored in float32; all computation elsewhere promotes to float64. An
 EmbeddingBundle's count and dimension are its matrix's shape; a matrix with
 no columns is refused when the bundle is made, as the reader refuses it. A
 bundle owns a read-only copy of its matrix, made by its constructor; a caller's
-array is never kept or frozen. The reader hands over the array it filled.
+array is never kept or frozen. The reader and the synthetic encoder hand over
+the float32 array they filled, without a copy.
 
 The synthetic space draws one unit-normalized Gaussian mean per class from a
 seed. Text samples are normalize(mu_c + sigma*eps); image samples add a
 constant gap direction first, normalize(mu_c + gap*g + sigma*eps), modeling
 the systematic text/image offset of real dual-encoder spaces. Same seed,
 same inputs: bytewise-identical bundles. The noise of all n items is one
-(n, d) block draw, which consumes the stream exactly as n row draws do.
-Then each row is shifted and normalized in place, with no second (n, d)
-array. A row's norm is sqrt(row.dot(row)), as np.linalg.norm of one vector
-computes it; a vectorized norm (axis=1 or einsum) can differ in the last bit.
+(n, d) float64 draw, which consumes the stream exactly as n row draws do.
+`core.normalize_rows` makes the float32 unit rows, the class means and the
+gap direction, and refuses a row whose norm overflows. Earlier versions took
+one dot product per row for its norm, so their bundles can differ in the last
+bit of a float32 entry (1 of 235.5 M entries in the benchmark's run-all image
+bundles at seeds 21-40).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write, read_json, read_jsonl, write_json, write_jsonl
-from .core import ZERO_NORM_EPS, _owning
+from .core import _NORM_BLOCK_ELEMS, _owning, normalize, normalize_rows
 from .errors import (
     EmptyDataset,
     FormatError,
@@ -49,7 +52,6 @@ from .errors import (
     ShapeMismatch,
     TruncatedFile,
     UnknownClassId,
-    ZeroVector,
     _Config,
     _at_least,
     _checked,
@@ -294,10 +296,8 @@ def synthetic_class_means(space: SyntheticSpaceConfig) -> tuple[np.ndarray, np.n
     the same config share the same geometry.
     """
     rng = np.random.default_rng(np.random.SeedSequence(space.seed))
-    raw = rng.standard_normal((space.classes, space.dimension))
-    means = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    g = rng.standard_normal(space.dimension)
-    g = g / np.linalg.norm(g)
+    means = normalize_rows(rng.standard_normal((space.classes, space.dimension)))
+    g = normalize(rng.standard_normal(space.dimension))
     return means, g
 
 
@@ -322,20 +322,19 @@ def synthetic_encode(
     noise_rng = np.random.default_rng(
         np.random.SeedSequence([space.seed, _MODALITY_STREAM[modality]])
     )
-    # The row loop of the module docstring; the first bad item in order raises.
-    rows = noise_rng.standard_normal((len(labels), space.dimension))
+    # The rows of the module docstring; the first bad item in order raises.
+    k = next((i for i, c in enumerate(labels) if not 0 <= c < space.classes), len(labels))
+    ids = np.asarray(labels[:k], dtype=np.intp)
+    rows = noise_rng.standard_normal((k, space.dimension))
     rows *= space.sigma_intra
-    for idx, (row, c) in enumerate(zip(rows, labels)):
-        if not 0 <= c < space.classes:
-            raise UnknownClassId(
-                f"item {idx} has class_id {c}, space has {space.classes} classes"
-            )
-        row += means[c]
-        norm = np.sqrt(row.dot(row))
-        if norm < ZERO_NORM_EPS:
-            raise ZeroVector(f"item {idx} collapsed to a zero vector")
-        row /= norm
-    return EmbeddingBundle.from_matrix(rows, labels=labels, provenance={
+    step = max(1, _NORM_BLOCK_ELEMS // space.dimension)
+    for lo in range(0, k, step):  # by blocks: a gather of all n rows' means is (n, d)
+        rows[lo:lo + step] += means[ids[lo:lo + step]]
+    unit = normalize_rows(rows, dtype=np.float32)  # a bad row ahead of item k raises first
+    if k < len(labels):
+        raise UnknownClassId(
+            f"item {k} has class_id {labels[k]}, space has {space.classes} classes")
+    return _owning(EmbeddingBundle, unit, labels=labels, provenance={
         "encoder": "synthetic", "source": f"synthetic:{modality}"})
 
 

@@ -609,6 +609,29 @@ class TestImageLabelsOutsideTheScorer:
         assert message in capsys.readouterr().err
         assert trained == []
 
+    def test_eval_checks_every_tot_input_before_training_any_head(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        classes = tmp_path / "classes.json"
+        classes.write_text(json.dumps(["a", "b", "c"]))
+        images, names, dst = (tmp_path / f for f in ("images.tape", "names.tape", "dst.tape"))
+        assert run("synth-space", "--classes-count", 3, "--dim", 16, "--per-class", 4,
+                   "--out", images) == 0
+        assert run("synth-space", "--modality", "text", "--classes-count", 3, "--dim", 16,
+                   "--from-classes", classes, "--out", names) == 0
+        # two generic templates per class, but 8 wide where the images are 16
+        rows = np.random.default_rng(0).standard_normal((6, 8))
+        write_bundle(EmbeddingBundle.from_matrix(rows, labels=[0, 0, 1, 1, 2, 2]), dst)
+        trained, original = [], evaluate.train_text_classifier
+        monkeypatch.setattr(evaluate, "train_text_classifier",
+                            lambda *args, **kw: trained.append(args) or original(*args, **kw))
+        capsys.readouterr()
+        assert run("eval", "--images", images, "--methods", "tot-cls,tot-dst",
+                   "--classes", classes, "--class-embeddings", names,
+                   "--dst-embeddings", dst, "--steps", 5) == 4
+        captured = capsys.readouterr()
+        assert "classifier dimension 8 vs bundle 16" in captured.err
+        assert captured.out == "" and trained == []
+
     def test_refine_eval_images_exits_2_before_writing(self, five_class_images, capsys):
         tmp_path, images, classes, names, clf = five_class_images
         out = tmp_path / "refined.json"
@@ -628,6 +651,13 @@ class TestSynthSpace:
         bundle = read_bundle(out)
         assert bundle.count == 12
         assert list(bundle.labels) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+    def test_overflowing_norm_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x.tape"
+        assert run("synth-space", "--per-class", 3, "--dim", 8, "--classes-count", 2,
+                   "--sigma-intra", 1e200, "--out", out) == 4
+        assert "row 0 has a norm that overflows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_idempotent_output(self, tmp_path):
         a, b = tmp_path / "a.tape", tmp_path / "b.tape"

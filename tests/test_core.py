@@ -50,6 +50,10 @@ class TestNormalize:
         with pytest.raises(NonFiniteValue):
             normalize([1.0, float("nan")])
 
+    def test_overflowing_norm_rejected(self):
+        with pytest.raises(NonFiniteValue, match=r"^row 0 has a norm that overflows$"):
+            normalize([1e200, 1e200])
+
     def test_matrix_rejected(self):
         with pytest.raises(DimensionMismatch, match=r"expected a 1-D vector, got shape \(1, 2\)"):
             normalize([[1.0, 0.0]])
@@ -101,6 +105,15 @@ class TestNormalizeRows:
             normalize_rows(x, dtype=dtype)
         x[39000] = np.nan
         with pytest.raises(NonFiniteValue, match="^matrix contains NaN or Inf$"):
+            normalize_rows(x, dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_overflowing_norm_is_named_not_zeroed(self, dtype):
+        with pytest.raises(NonFiniteValue, match=r"^row 0 has a norm that overflows$"):
+            normalize_rows(np.array([[1e200, 1e200], [3.0, 4.0]]), dtype=dtype)
+        x = np.ones((40000, 4))
+        x[39000] = 1e200
+        with pytest.raises(NonFiniteValue, match=r"^row 39000 has a norm that overflows$"):
             normalize_rows(x, dtype=dtype)
 
 

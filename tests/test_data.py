@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from textprobe import data
-from textprobe.core import normalize
+from textprobe.core import normalize, normalize_rows
 from textprobe.data import (
     BUNDLE_MAGIC,
     EmbeddingBundle,
@@ -379,6 +379,11 @@ class TestSyntheticSpace:
         with pytest.raises(UnknownClassId):
             synthetic_encode([("x", 5)], space)
 
+    def test_overflowing_norm_is_refused_not_zeroed(self):
+        space = SyntheticSpaceConfig(dimension=8, classes=2, sigma_intra=1e200)
+        with pytest.raises(NonFiniteValue, match=r"^row 0 has a norm that overflows$"):
+            synthetic_bundle(space, 3)
+
     def test_bundle_is_class_major_with_labels(self):
         space = SyntheticSpaceConfig(dimension=8, classes=3, sigma_intra=0.1, seed=0)
         bundle = synthetic_bundle(space, 4, modality=MODALITY_IMAGE)
@@ -386,8 +391,9 @@ class TestSyntheticSpace:
         assert list(bundle.labels) == [0] * 4 + [1] * 4 + [2] * 4
 
 
-def reference_encode(items, space, modality):
-    """The definition of the synthetic rows, one item at a time, in float64."""
+def reference_rows(items, space, modality):
+    """mu_c + sigma*eps (image rows also shifted by gap*g), one item at a time
+    from the encoder's stream, in float64 and not yet normalized."""
     means, gap_dir = synthetic_class_means(space)
     stream = {MODALITY_TEXT: 1, MODALITY_IMAGE: 2}[modality]
     rng = np.random.default_rng(np.random.SeedSequence([space.seed, stream]))
@@ -396,35 +402,28 @@ def reference_encode(items, space, modality):
         base = means[class_id]
         if modality == MODALITY_IMAGE:
             base = base + space.gap * gap_dir
-        vec = base + space.sigma_intra * rng.standard_normal(space.dimension)
-        rows[idx] = vec / np.linalg.norm(vec)
+        rows[idx] = base + space.sigma_intra * rng.standard_normal(space.dimension)
     return rows
 
 
+def reference_encode(items, space, modality):
+    """The definition of the synthetic rows, one item at a time, in float64."""
+    return np.array([vec / np.linalg.norm(vec) for vec in reference_rows(items, space, modality)])
+
+
 class TestSyntheticEncodeMatchesRowLoop:
-    @pytest.fixture
-    def captured(self, monkeypatch):
-        """The float64 rows synthetic_encode hands to the bundle."""
-        rows = []
-        original = EmbeddingBundle.from_matrix.__func__
-
-        def from_matrix(cls, matrix, *args, **kwargs):
-            rows.append(np.array(matrix))
-            return original(cls, matrix, *args, **kwargs)
-
-        monkeypatch.setattr(data.EmbeddingBundle, "from_matrix", classmethod(from_matrix))
-        return rows
-
     @pytest.mark.parametrize("modality", [MODALITY_TEXT, MODALITY_IMAGE])
     @pytest.mark.parametrize("gap", [0.0, 0.35])
     @pytest.mark.parametrize("n_items", [1, 300])
-    def test_bytes_equal_to_row_loop(self, captured, modality, gap, n_items):
+    def test_bytes_equal_to_row_loop(self, modality, gap, n_items):
         space = SyntheticSpaceConfig(dimension=96, classes=7, sigma_intra=0.3, gap=gap, seed=11)
         items = [(f"x{i}", (5 * i + 3) % 7) for i in range(n_items)]
         bundle = synthetic_encode(items, space, modality=modality)
-        expected = reference_encode(items, space, modality)
-        assert captured[-1].tobytes() == expected.tobytes()
-        assert bundle.matrix.tobytes() == expected.astype("<f4").tobytes()
+        expected = normalize_rows(reference_rows(items, space, modality), dtype=np.float32)
+        assert bundle.matrix.tobytes() == expected.tobytes()
+        assert bundle.matrix.tobytes() == reference_encode(items, space, modality).astype("<f4").tobytes()
+        assert bundle.matrix.dtype == np.dtype("<f4") and bundle.matrix.shape == (n_items, 96)
+        assert bundle.matrix.flags.owndata and not bundle.matrix.flags.writeable
         assert list(bundle.labels) == [c for _, c in items]
 
     def test_no_items(self):
@@ -445,11 +444,11 @@ class TestSyntheticEncodeMatchesRowLoop:
         monkeypatch.setattr(data, "synthetic_class_means",
                             lambda space: (means, np.eye(1, 8)[0]))
         items = [("a", 0), ("b", 2), ("c", 1), ("d", 1)]
-        with pytest.raises(ZeroVector, match=r"item 2 "):
+        with pytest.raises(ZeroVector, match=r"^row 2 has \(near-\)zero norm$"):
             synthetic_encode(items, space)
-        # A zero vector ahead of an unknown class id is reported first, as a
-        # row-by-row pass meets it first.
-        with pytest.raises(ZeroVector, match=r"item 2 "):
+        # A zero vector ahead of an unknown class id is reported first, as the
+        # first bad item in order.
+        with pytest.raises(ZeroVector, match=r"^row 2 has \(near-\)zero norm$"):
             synthetic_encode(items[:3] + [("e", 9)], space)
         with pytest.raises(UnknownClassId, match=r"item 1 "):
             synthetic_encode([("a", 0), ("e", 9), ("c", 1)], space)
@@ -474,7 +473,7 @@ class TestSyntheticEncodeMatchesRowLoop:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The float64 block (1), the bundle's float32 copy (0.5) and its isfinite mask (0.125).
+        # The float64 block (1) and the bundle's float32 rows (0.5), made in ~1 MB blocks.
         assert peak < 1.8 * n * d * 8
 
 
