@@ -10,10 +10,10 @@ since renaming over it would replace the link or the device node itself.
 
 `write_jsonl` and `read_jsonl` are the one writer and the one reader of the
 JSON-lines artifacts (prompts, descriptions, text datasets, fixtures);
-`write_json` writes every JSON document but an LLM cache entry (no final
-newline), and `read_json` reads every one that must be valid. Both readers
-check values with `errors._checked`, and input that is not UTF-8 or not JSON
-is a ParseError naming the file, and the line in a JSON-lines file.
+`write_json` writes every JSON document, and `read_json` reads every one
+that must be valid. Both readers check values with `errors._checked`, and
+input that is not UTF-8 or not JSON is a ParseError naming the file, and the
+line in a JSON-lines file.
 """
 
 from __future__ import annotations

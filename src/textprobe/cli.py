@@ -376,7 +376,7 @@ def cmd_refine(args) -> None:
     plcfg = PseudoLabelConfig(**_given(args, PseudoLabelConfig))
     refined = pseudo_label_refine(clf, unlabeled, plcfg)
     refined.save(args.out)
-    kept = refined.train_meta.get("refine", {}).get("kept", 0)
+    kept = refined.train_meta["refine"]["kept"]
     delta_doc = {"kept": kept, "threshold": args.confidence_threshold}
     if images is not None:
         after = evaluate_classifier(refined, images, "refined", args.dataset_name)

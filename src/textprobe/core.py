@@ -55,8 +55,9 @@ def normalize_rows(matrix, dtype=np.float64) -> np.ndarray:
     Rows are normalized in blocks of about 1 MB of float64, each written
     into the result as it is done, so no other temporary the size of the
     matrix exists. A float32 result is the float64 one rounded, bit for bit.
-    A norm that overflows raises NonFiniteValue and a (near-)zero one
-    ZeroVector, each naming the row by its index in the whole matrix.
+    A NaN or Inf entry, or a norm that overflows, raises NonFiniteValue and
+    a (near-)zero norm ZeroVector, each naming the row by its index in the
+    whole matrix.
     """
     mat = np.asarray(matrix)
     if mat.ndim != 2:
@@ -66,7 +67,8 @@ def normalize_rows(matrix, dtype=np.float64) -> np.ndarray:
     for lo in range(0, mat.shape[0], step):
         block = mat[lo:lo + step].astype(np.float64)
         if not np.all(np.isfinite(block)):
-            raise NonFiniteValue("matrix contains NaN or Inf")
+            bad = lo + int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
+            raise NonFiniteValue(f"row {bad} contains NaN or Inf")
         # What np.linalg.norm(block, axis=1) computes: each row reduces on
         # its own, so the norms do not depend on the block size.
         with np.errstate(over="ignore"):

@@ -70,12 +70,20 @@ BUNDLE_VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TextDataset:
-    """(description text, class id) pairs over a vocabulary."""
+    """(description text, class id) pairs over a vocabulary, kept as a tuple; a
+    class id outside the vocabulary is refused with UnknownClassId, naming the item."""
 
-    items: list[tuple[str, int]]
+    items: tuple[tuple[str, int], ...]
     vocab: ClassVocabulary
+
+    def __post_init__(self):
+        object.__setattr__(self, "items", tuple(self.items))
+        for i, (_, cid) in enumerate(self.items):
+            if not 0 <= cid < len(self.vocab):
+                raise UnknownClassId(
+                    f"item {i} has class_id {cid}, vocabulary has {len(self.vocab)} classes")
 
     @property
     def labels(self) -> np.ndarray:
@@ -143,12 +151,9 @@ _TEXT_DATASET_FIELDS = {"text": (_string, ...), "class_id": (_whole, ...)}
 
 
 def read_text_dataset_jsonl(path, vocab: ClassVocabulary) -> TextDataset:
-    items = [(rec["text"], rec["class_id"])
-             for _, rec in read_jsonl(path, _TEXT_DATASET_FIELDS)]
-    for _, cid in items:
-        if not 0 <= cid < len(vocab):
-            raise UnknownClassId(f"class_id {cid} outside vocabulary")
-    return TextDataset(items=items, vocab=vocab)
+    return TextDataset(items=[(rec["text"], rec["class_id"])
+                              for _, rec in read_jsonl(path, _TEXT_DATASET_FIELDS)],
+                       vocab=vocab)
 
 
 # -- embedding bundles -----------------------------------------------------------
@@ -326,10 +331,11 @@ def synthetic_encode(
     k = next((i for i, c in enumerate(labels) if not 0 <= c < space.classes), len(labels))
     ids = np.asarray(labels[:k], dtype=np.intp)
     rows = noise_rng.standard_normal((k, space.dimension))
-    rows *= space.sigma_intra
     step = max(1, _NORM_BLOCK_ELEMS // space.dimension)
-    for lo in range(0, k, step):  # by blocks: a gather of all n rows' means is (n, d)
-        rows[lo:lo + step] += means[ids[lo:lo + step]]
+    with np.errstate(over="ignore"):  # an entry that overflows is named by normalize_rows
+        rows *= space.sigma_intra
+        for lo in range(0, k, step):  # by blocks: a gather of all n rows' means is (n, d)
+            rows[lo:lo + step] += means[ids[lo:lo + step]]
     unit = normalize_rows(rows, dtype=np.float32)  # a bad row ahead of item k raises first
     if k < len(labels):
         raise UnknownClassId(

@@ -344,39 +344,20 @@ def pseudo_label_refine(
     pseudo = np.argmax(probs, axis=1)
     keep = confidence >= cfg.confidence_threshold
 
-    base_meta = dict(clf.train_meta)
-    if not np.any(keep):
-        meta = dict(base_meta)
-        meta["refine"] = {
-            **cfg.to_dict(),
-            "kept": 0,
-            "warning": "no images cleared the confidence threshold",
-        }
-        return LinearClassifier(
-            weights=clf.weights, bias=clf.bias, vocab=clf.vocab, train_meta=meta
-        )
-
-    orig = TrainConfig.from_dict(base_meta.get("config", {}))
-    refine_cfg = replace(orig, learning_rate=cfg.refine_lr, steps=cfg.refine_steps)
-    pseudo_dataset = TextDataset(
-        items=[("pseudo-labeled image", int(c)) for c in pseudo[keep]], vocab=clf.vocab
-    )
-    pseudo_bundle = _owning(EmbeddingBundle, unlabeled_images.matrix[keep],
-                            labels=None, provenance={})
-    refined = train_text_classifier(
-        pseudo_dataset, pseudo_bundle, refine_cfg,
-        init_weights=clf.weights, init_bias=clf.bias,
-    )
-    meta = dict(refined.train_meta)
-    meta["config"] = base_meta.get("config", orig.to_dict())
-    meta["refine"] = {
-        **cfg.to_dict(),
-        "kept": int(keep.sum()),
-        "initial_loss": refined.train_meta["initial_loss"],
-        "final_loss": refined.train_meta["final_loss"],
-    }
-    refined.train_meta = meta
-    return refined
+    kept = int(keep.sum())
+    if kept:
+        orig = TrainConfig.from_dict(clf.train_meta.get("config", {}))
+        refined = train_text_classifier(
+            TextDataset([("pseudo-labeled image", int(c)) for c in pseudo[keep]], clf.vocab),
+            _owning(EmbeddingBundle, unlabeled_images.matrix[keep], labels=None, provenance={}),
+            replace(orig, learning_rate=cfg.refine_lr, steps=cfg.refine_steps), init=clf)
+        meta = {**refined.train_meta, "config": clf.train_meta.get("config", orig.to_dict())}
+        outcome = {key: meta[key] for key in ("initial_loss", "final_loss")}
+    else:
+        refined, meta = clf, dict(clf.train_meta)
+        outcome = {"warning": "no images cleared the confidence threshold"}
+    meta["refine"] = {**cfg.to_dict(), "kept": kept, **outcome}
+    return LinearClassifier(refined.weights, refined.bias, clf.vocab, meta)
 
 
 # -- report rendering -------------------------------------------------------------

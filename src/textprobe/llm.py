@@ -22,7 +22,7 @@ from pathlib import Path
 
 import requests
 
-from .atomic import atomic_write, read_jsonl, write_jsonl
+from .atomic import read_jsonl, write_json, write_jsonl
 from .errors import (
     EndpointUnreachable,
     InvalidConfig,
@@ -280,8 +280,7 @@ def _cache_write(cache_dir, key: str, request: LlmRequest, samples: list[str]) -
         "sampling_temperature": request.sampling_temperature,
         "samples": samples,
     }
-    with atomic_write(_cache_path(cache_dir, key)) as fh:
-        fh.write(json.dumps(doc, sort_keys=True))
+    write_json(_cache_path(cache_dir, key), doc, sort_keys=True)
 
 
 # -- fetching ----------------------------------------------------------------------

@@ -16,14 +16,15 @@ fixed shapes in a fixed environment. `_Objective` is the one implementation
 of the objective: the training loop, `training_loss_and_grads` (its
 finite-difference oracle) and `smoothed_cross_entropy` (one row) all run it.
 
-The generator's stream is consumed in one fixed order: the initial weights
-(unless given), then the noise of steps 1..T, then the noise of the final
-loss evaluation. The training loop draws each step's noisy rows on one
-helper thread, into one of two preallocated buffers, while the main thread
-runs the previous step's matmuls and AdamW update (numpy releases the
-interpreter lock while it fills an array). Only the helper touches the
-generator after initialization, and it draws one step at a time in step
-order, so the stream and the trained parameters do not depend on timing.
+The generator's stream is consumed in one fixed order: the initial weights,
+unless a starting head is given, then the noise of steps 1..T, then the
+noise of the final loss evaluation. The training loop draws each step's
+noisy rows on one helper thread, into one of two preallocated buffers,
+while the main thread runs the previous step's matmuls and AdamW update
+(numpy releases the interpreter lock while it fills an array). Only the
+helper touches the generator after initialization, and it draws one step at
+a time in step order, so the stream and the trained parameters do not
+depend on timing.
 """
 
 from __future__ import annotations
@@ -312,8 +313,7 @@ def train_text_classifier(
     dataset: TextDataset,
     text_embs: EmbeddingBundle,
     cfg: TrainConfig | None = None,
-    init_weights: np.ndarray | None = None,
-    init_bias: np.ndarray | None = None,
+    init: LinearClassifier | None = None,
 ) -> LinearClassifier:
     """Train the head by full-batch AdamW on the smoothed-CE objective.
 
@@ -321,10 +321,10 @@ def train_text_classifier(
     are normalized before the loop, never inside it; each step adds fresh
     Gaussian noise to them (drawn ahead on a helper thread, see the module
     docstring), computes the mean loss over the whole batch, and applies one
-    AdamW update. `init_weights` overrides the default seeded Gaussian init (std
-    1/sqrt(d)); that is how refinement continues from an existing head, and
-    passing the per-class text-embedding matrix starts training from the
-    similarity classifier instead.
+    AdamW update. Training starts from a copy of `init`'s weights and bias,
+    which must be (K, d), when one is given; that is how refinement continues
+    from an existing head. Otherwise the weights are the seeded Gaussian init
+    (std 1/sqrt(d)) and the bias is zero.
     """
     if cfg is None:
         cfg = TrainConfig()
@@ -337,8 +337,6 @@ def train_text_classifier(
     k = len(dataset.vocab)
     d = text_embs.dimension
     labels = dataset.labels
-    if labels.min() < 0 or labels.max() >= k:
-        raise ShapeMismatch("dataset labels outside the vocabulary")
 
     # Normalized twice on purpose: `training_loss_and_grads` normalizes the
     # already-normalized rows it is given once more, which can move entries
@@ -350,17 +348,12 @@ def train_text_classifier(
     n_rows = x_hat.shape[0]
     rng = np.random.default_rng(cfg.seed)
 
-    if init_weights is not None:
-        weights = np.array(init_weights, dtype=np.float64, copy=True)
-        if weights.shape != (k, d):
-            raise ShapeMismatch(f"init_weights shape {weights.shape}, expected {(k, d)}")
+    if init is not None:
+        if init.weights.shape != (k, d):
+            raise ShapeMismatch(f"init head shape {init.weights.shape}, expected {(k, d)}")
+        weights, bias = init.weights.copy(), init.bias.copy()
     else:
         weights = rng.normal(0.0, 1.0 / math.sqrt(d), size=(k, d))
-    if init_bias is not None:
-        bias = np.array(init_bias, dtype=np.float64, copy=True)
-        if bias.shape != (k,):
-            raise ShapeMismatch(f"init_bias shape {bias.shape}, expected {(k,)}")
-    else:
         bias = np.zeros(k, dtype=np.float64)
 
     objective = _Objective(smoothing_targets(k, labels, cfg.label_smoothing))

@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -657,6 +658,19 @@ class TestSynthSpace:
         assert run("synth-space", "--per-class", 3, "--dim", 8, "--classes-count", 2,
                    "--sigma-intra", 1e200, "--out", out) == 4
         assert "row 0 has a norm that overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_entry_exits_4_naming_the_row_without_a_warning(self, tmp_path):
+        # In a child process, so that stderr is what a user sees, warnings included.
+        out = tmp_path / "y.tape"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from textprobe.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "synth-space", "--per-class", "3", "--dim", "8",
+             "--classes-count", "2", "--sigma-intra", "1e308", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4
+        assert proc.stderr == "error: row 0 contains NaN or Inf\n"
         assert not out.exists()
 
     def test_idempotent_output(self, tmp_path):

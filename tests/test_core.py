@@ -104,7 +104,7 @@ class TestNormalizeRows:
         with pytest.raises(ZeroVector, match=r"^row 39000 has \(near-\)zero norm$"):
             normalize_rows(x, dtype=dtype)
         x[39000] = np.nan
-        with pytest.raises(NonFiniteValue, match="^matrix contains NaN or Inf$"):
+        with pytest.raises(NonFiniteValue, match=r"^row 39000 contains NaN or Inf$"):
             normalize_rows(x, dtype=dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

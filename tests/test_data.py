@@ -17,6 +17,7 @@ from textprobe.data import (
     MODALITY_IMAGE,
     MODALITY_TEXT,
     SyntheticSpaceConfig,
+    TextDataset,
     build_text_dataset,
     read_bundle,
     synthetic_bundle,
@@ -54,6 +55,26 @@ def make_descriptions(n_classes, prompts_per_class, samples):
                     )
                 )
     return out
+
+
+class TestTextDataset:
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_class_id_outside_the_vocabulary_is_named(self, bad):
+        vocab = ClassVocabulary(("a", "b", "c"))
+        with pytest.raises(UnknownClassId,
+                           match=rf"^item 1 has class_id {bad}, vocabulary has 3 classes$"):
+            TextDataset([("x", 0), ("y", bad)], vocab)
+
+    def test_items_are_a_tuple_that_cannot_be_rebound(self):
+        vocab = ClassVocabulary(("a", "b"))
+        items = [("x", 0), ("y", 1)]
+        ds = TextDataset(items, vocab)
+        items.append(("z", 5))
+        assert ds.items == (("x", 0), ("y", 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.items = [("z", 5)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.vocab = ClassVocabulary(("a",))
 
 
 class TestBuildTextDataset:

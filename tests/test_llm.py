@@ -141,6 +141,19 @@ class TestCache:
         doc = json.loads(files[0].read_text())
         assert doc["prompt_text"] == req.prompt_text
         assert doc["samples"] == echo_replies(req)
+        assert files[0].read_text() == json.dumps(doc, sort_keys=True) + "\n"
+
+    def test_entry_without_final_newline_is_a_hit(self, tmp_path):
+        cache = tmp_path / "cache"
+        [req] = make_requests(1, samples=2)
+        fetch_descriptions([req], MockTransport(echo_replies), cache)
+        [entry] = cache.glob("*.json")
+        entry.write_text(entry.read_text().rstrip("\n"))  # as earlier versions wrote it
+        counter = MockTransport(echo_replies)
+        out = fetch_descriptions([req], counter, cache)
+        assert counter.calls == 0
+        assert [d.text for d in out] == echo_replies(req)
+        assert all(d.source == "cache" for d in out)
 
 
 class TestRetry:

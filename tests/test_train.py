@@ -258,11 +258,10 @@ def random_task(seed, n, d, k, dtype=np.float64):
     return TextDataset(items=[("t", c) for c in labels], vocab=vocab), bundle
 
 
-def assert_matches_reference(ds, bundle, cfg, init_weights=None, init_bias=None):
-    clf = train_text_classifier(ds, bundle, cfg, init_weights, init_bias)
-    weights, bias, history, final_loss = reference_fit(
-        ds, bundle, cfg, init_weights, init_bias
-    )
+def assert_matches_reference(ds, bundle, cfg, init=None):
+    clf = train_text_classifier(ds, bundle, cfg, init=init)
+    start = () if init is None else (init.weights, init.bias)
+    weights, bias, history, final_loss = reference_fit(ds, bundle, cfg, *start)
     assert np.array_equal(clf.weights, weights)
     assert np.array_equal(clf.bias, bias)
     assert clf.train_meta["loss_history"] == history
@@ -364,8 +363,36 @@ class TestTrainTextClassifier:
         w0 = np.zeros((3, bundle.dimension))
         b0 = np.zeros(3)
         cfg = TrainConfig(steps=0, noise_sigma=0.0)
-        clf = train_text_classifier(ds, bundle, cfg, init_weights=w0, init_bias=b0)
+        clf = train_text_classifier(ds, bundle, cfg, init=LinearClassifier(w0, b0, vocab))
         np.testing.assert_array_equal(clf.weights, w0)
+
+    def test_zero_steps_from_init_returns_it_bit_for_bit(self, separable):
+        vocab, bundle, ds = separable
+        rng = np.random.default_rng(5)
+        init = LinearClassifier(rng.standard_normal((3, bundle.dimension)),
+                                rng.standard_normal(3), vocab)
+        clf = train_text_classifier(ds, bundle, TrainConfig(steps=0), init=init)
+        assert clf.weights.tobytes() == init.weights.tobytes()
+        assert clf.bias.tobytes() == init.bias.tobytes()
+
+    def test_training_leaves_init_unchanged(self, separable):
+        vocab, bundle, ds = separable
+        rng = np.random.default_rng(6)
+        init = LinearClassifier(rng.standard_normal((3, bundle.dimension)),
+                                rng.standard_normal(3), vocab)
+        before = (init.weights.tobytes(), init.bias.tobytes())
+        clf = train_text_classifier(ds, bundle, TrainConfig(steps=5), init=init)
+        assert (init.weights.tobytes(), init.bias.tobytes()) == before
+        assert clf.weights.tobytes() != before[0]
+
+    @pytest.mark.parametrize("k, d", [(4, 16), (3, 15)])
+    def test_init_of_the_wrong_shape_is_refused(self, separable, k, d):
+        vocab, bundle, ds = separable
+        init = LinearClassifier(np.zeros((k, d)), np.zeros(k),
+                                ClassVocabulary(tuple(f"c{i}" for i in range(k))))
+        with pytest.raises(ShapeMismatch,
+                           match=rf"^init head shape \({k}, {d}\), expected \(3, 16\)$"):
+            train_text_classifier(ds, bundle, TrainConfig(steps=1), init=init)
 
 
 class TestPipelinedLoop:
@@ -391,9 +418,8 @@ class TestPipelinedLoop:
         ds, bundle = random_task(3, 33, 10, 7, dtype=np.float32)
         rng = np.random.default_rng(4)
         cfg = TrainConfig(steps=20, learning_rate=0.05, noise_sigma=0.3, seed=8)
-        assert_matches_reference(
-            ds, bundle, cfg, rng.standard_normal((7, 10)), rng.standard_normal(7)
-        )
+        assert_matches_reference(ds, bundle, cfg, LinearClassifier(
+            rng.standard_normal((7, 10)), rng.standard_normal(7), ds.vocab))
 
     @pytest.mark.parametrize("eager", [True, False])
     def test_result_does_not_depend_on_when_the_helper_runs(self, eager, monkeypatch):
