@@ -151,9 +151,15 @@ _TEXT_DATASET_FIELDS = {"text": (_string, ...), "class_id": (_whole, ...)}
 
 
 def read_text_dataset_jsonl(path, vocab: ClassVocabulary) -> TextDataset:
-    return TextDataset(items=[(rec["text"], rec["class_id"])
-                              for _, rec in read_jsonl(path, _TEXT_DATASET_FIELDS)],
-                       vocab=vocab)
+    """The dataset a JSON-lines file of {text, class_id} records holds; a class
+    id outside `vocab` raises UnknownClassId naming file and line."""
+    items = []
+    for lineno, rec in read_jsonl(path, _TEXT_DATASET_FIELDS):
+        if not 0 <= rec["class_id"] < len(vocab):
+            raise UnknownClassId(f"{path}: line {lineno}: class_id {rec['class_id']}, "
+                                 f"vocabulary has {len(vocab)} classes")
+        items.append((rec["text"], rec["class_id"]))
+    return TextDataset(items=items, vocab=vocab)
 
 
 # -- embedding bundles -----------------------------------------------------------

@@ -12,15 +12,17 @@ one declaration of the sampling and fetch defaults.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
 
 from .atomic import read_jsonl, write_json, write_jsonl
 from .errors import (
@@ -114,26 +116,33 @@ def requests_from_prompt_records(records: list[dict], **sampling) -> list[LlmReq
 # -- transports ----------------------------------------------------------------
 
 class HttpTransport:
-    """POSTs completion-style bodies {prompt, max_tokens, temperature, n}.
+    """POSTs completion-style JSON bodies {prompt, max_tokens, temperature, n},
+    each by one `urllib.request.urlopen` on a connection of its own.
 
     Expects a JSON reply with a `choices` list of {"text": <string>} objects.
-    Connection problems, timeouts, 429 and 5xx replies are transient (retried
-    by the fetcher); other 4xx replies and unparseable bodies are not. A
-    Retry-After header in delta-seconds on a 429 or 503 is passed on to the
-    fetcher as the least time to wait before the next attempt.
+    Connection problems, timeouts, truncated bodies, 429 and 5xx replies are
+    transient (retried by the fetcher); other error statuses and unparseable
+    bodies are not. A Retry-After header in delta-seconds on a 429 or 503 is
+    passed on to the fetcher as the least time to wait before the next attempt.
     """
 
     source = SOURCE_LIVE
 
-    def __init__(self, url: str, timeout: float = 30.0, token: str | None = None,
-                 session: requests.Session | None = None):
+    def __init__(self, url: str, timeout: float = 30.0, token: str | None = None):
+        try:
+            parts = urllib.parse.urlsplit(url)
+            parts.port  # raises ValueError unless the port is a number in range
+        except ValueError:
+            parts = None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+            raise InvalidConfig(f"endpoint {url!r} is not an http:// or https:// URL "
+                                "with a host")
         self.url = url
         self.timeout = timeout
         self.token = token if token is not None else os.environ.get(AUTH_TOKEN_ENV)
-        self.session = session or requests.Session()
 
     def complete(self, request: LlmRequest) -> list[str]:
-        headers = {}
+        headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
         body = {
@@ -142,26 +151,25 @@ class HttpTransport:
             "temperature": request.sampling_temperature,
             "n": request.samples_per_prompt,
         }
+        post = urllib.request.Request(self.url, json.dumps(body).encode("utf-8"), headers)
         try:
-            resp = self.session.post(
-                self.url, json=body, headers=headers, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(post, timeout=self.timeout) as resp:
+                payload = resp.read()
+        except urllib.error.HTTPError as exc:
+            with exc:  # an error reply holds its socket until it is closed
+                status, busy = exc.code, exc.code in (429, 503)
+                retry_after = _retry_after(exc.headers) if busy else None
+            if status >= 500:
+                raise TransportError(f"server error {status}", transient=True,
+                                     retry_after=retry_after)
+            if status == 429:
+                raise TransportError("rate limited (429)", transient=True,
+                                     retry_after=retry_after)
+            raise TransportError(f"HTTP error {status}", transient=False)
+        except (OSError, http.client.HTTPException) as exc:
             raise TransportError(f"request failed: {exc}", transient=True) from exc
-        busy = resp.status_code in (429, 503)
-        retry_after = _retry_after(resp.headers) if busy else None
-        if resp.status_code >= 500:
-            raise TransportError(f"server error {resp.status_code}", transient=True,
-                                 retry_after=retry_after)
-        if resp.status_code == 429:
-            raise TransportError("rate limited (429)", transient=True,
-                                 retry_after=retry_after)
-        if resp.status_code >= 400:
-            raise TransportError(f"client error {resp.status_code}", transient=False)
         try:
-            doc = resp.json()
-            choices = doc["choices"]
-            texts = [c["text"] for c in choices]
+            texts = [c["text"] for c in json.loads(payload)["choices"]]
             if not all(isinstance(text, str) for text in texts):
                 raise TypeError("a choice's text is not a string")
         except (ValueError, KeyError, TypeError) as exc:

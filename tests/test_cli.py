@@ -179,6 +179,24 @@ class TestFetch:
         err = capsys.readouterr().err
         assert "dtd/0/0/-" in err  # failed prompt ids are listed
 
+    @pytest.mark.parametrize("endpoint",
+                             ["foo", "ftp://x/y", "http://", "http://api.example:x/"])
+    def test_endpoint_that_is_not_an_http_url_exits_2_before_any_attempt(
+            self, workspace, capsys, monkeypatch, endpoint):
+        prompts = workspace / "prompts.jsonl"
+        run("gen-prompts", "--profile", workspace / "profile.json",
+            "--classes", workspace / "classes.json", "--out", prompts)
+        attempts = []
+        monkeypatch.setattr(llm.HttpTransport, "complete",
+                            lambda self, request: attempts.append(request))
+        monkeypatch.setattr(llm.time, "sleep", attempts.append)
+        code = run("fetch", "--prompts", prompts, "--endpoint", endpoint,
+                   "--out", workspace / "d.jsonl")
+        assert code == 2
+        assert f"error: endpoint {endpoint!r} is not an http:// or https:// URL" in (
+            capsys.readouterr().err)
+        assert attempts == [] and not (workspace / "d.jsonl").exists()
+
     def test_fixture_and_endpoint_together_exit_2_naming_both(self, workspace, capsys):
         prompts = workspace / "prompts.jsonl"
         run("gen-prompts", "--profile", workspace / "profile.json",
@@ -334,6 +352,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"line 2: unknown key(s): '{key}'" in err
         assert f"{path}: line 2" in err
+        assert not out.exists()
+
+    def test_class_id_outside_the_vocabulary_names_file_and_line(self, workspace, capsys):
+        dataset, out = workspace / "ds.jsonl", workspace / "clf.json"
+        dataset.write_text("\n".join([json.dumps({"text": "x", "class_id": 0}), "",
+                                      json.dumps({"text": "y", "class_id": 1}),
+                                      json.dumps({"text": "z", "class_id": 7})]) + "\n")
+        assert run("train", "--text-dataset", dataset, "--classes",
+                   workspace / "classes.json", "--text-bundle", workspace / "none.tape",
+                   "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {dataset}: line 4: class_id 7, vocabulary has 2 classes\n")
         assert not out.exists()
 
     def test_full_file_pipeline(self, workspace):

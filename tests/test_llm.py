@@ -1,11 +1,15 @@
 import contextlib
 import json
+import os
+import socket
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
-import requests
 
 from textprobe import llm
 from textprobe.cli import main
@@ -307,33 +311,73 @@ class TestFixtures:
         ]
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, headers=None):
-        self.status_code = status_code
-        self._payload = payload
-        self.headers = dict(headers or {})
+class ScriptedHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        status, headers, payload = self.server.next_reply(
+            {"path": self.path, "json": body, "headers": self.headers})
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        self.send_response(status)
+        for key, value in {"Content-Length": str(len(data)), **headers}.items():
+            self.send_header(key, value)
+        self.end_headers()
+        self.wfile.write(data)
 
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no body")
-        return self._payload
+    def log_message(self, *args):
+        pass
 
 
-class FakeSession:
-    """requests.Session stand-in recording the outgoing POST."""
+class ScriptedServer(ThreadingHTTPServer):
+    """A completion endpoint on 127.0.0.1 that records each POST (path, JSON
+    body, headers) in `posts` and answers it from `replies`: one (status,
+    headers, body) reply for every POST, a list of them in turn, or a callable
+    from the JSON body to a reply. A body that is not bytes is sent as JSON."""
 
-    def __init__(self, response):
-        self.response = response  # one reply for every POST, or a list in turn
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), ScriptedHandler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/complete"
+        self.replies = ok({"choices": []})
         self.posts = []
+        self.lock = threading.Lock()
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.posts.append({"url": url, "json": json, "headers": headers})
-        response = self.response
-        if isinstance(response, list):
-            response = response[len(self.posts) - 1]
-        if isinstance(response, Exception):
-            raise response
-        return response
+    def next_reply(self, post):
+        with self.lock:
+            self.posts.append(post)
+            n = len(self.posts)
+        if callable(self.replies):
+            return self.replies(post["json"])
+        return self.replies[n - 1] if isinstance(self.replies, list) else self.replies
+
+
+def ok(payload):
+    return 200, {}, payload
+
+
+def status(code, headers=None):
+    return code, dict(headers or {}), b""
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = ScriptedServer()
+    # A short poll interval lets shutdown() return at once.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def closed_port_url():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/complete"
 
 
 class TestHttpTransport:
@@ -343,15 +387,14 @@ class TestHttpTransport:
             samples_per_prompt=n, max_tokens=48, sampling_temperature=0.7,
         )
 
-    def test_completion_body_and_auth(self, monkeypatch):
+    def test_completion_body_and_auth(self, monkeypatch, endpoint):
         monkeypatch.setenv("TEXTPROBE_API_TOKEN", "sekrit")
-        session = FakeSession(
-            FakeResponse(payload={"choices": [{"text": "one"}, {"text": "two"}]})
-        )
-        transport = HttpTransport("http://api.example/complete", session=session)
+        endpoint.replies = ok({"choices": [{"text": "one"}, {"text": "two"}]})
+        transport = HttpTransport(endpoint.url)
         texts = transport.complete(self.request())
         assert texts == ["one", "two"]
-        sent = session.posts[0]
+        [sent] = endpoint.posts
+        assert sent["path"] == "/complete"
         assert sent["json"] == {
             "prompt": "Describe a thing.",
             "max_tokens": 48,
@@ -359,39 +402,80 @@ class TestHttpTransport:
             "n": 2,
         }
         assert sent["headers"]["Authorization"] == "Bearer sekrit"
+        assert sent["headers"]["Content-Type"] == "application/json"
 
-    def test_server_error_is_transient(self):
-        transport = HttpTransport(
-            "http://api.example", session=FakeSession(FakeResponse(status_code=503))
-        )
+    def test_server_error_is_transient(self, endpoint):
+        endpoint.replies = status(503)
         with pytest.raises(TransportError) as excinfo:
-            transport.complete(self.request())
+            HttpTransport(endpoint.url).complete(self.request())
         assert excinfo.value.transient
 
-    def test_client_error_is_not_transient(self):
-        transport = HttpTransport(
-            "http://api.example", session=FakeSession(FakeResponse(status_code=401))
-        )
+    @pytest.mark.parametrize("code", [401, 404, 307])
+    def test_client_error_is_not_transient(self, endpoint, code):
+        endpoint.replies = status(code, {"Location": endpoint.url})
         with pytest.raises(TransportError) as excinfo:
-            transport.complete(self.request())
+            HttpTransport(endpoint.url).complete(self.request())
         assert not excinfo.value.transient
+        assert len(endpoint.posts) == 1  # a 307 is not followed
 
     def test_connection_error_is_transient(self):
-        transport = HttpTransport(
-            "http://api.example",
-            session=FakeSession(requests.ConnectionError("refused")),
-        )
+        transport = HttpTransport(closed_port_url())
         with pytest.raises(TransportError) as excinfo:
             transport.complete(self.request())
         assert excinfo.value.transient
 
-    def test_garbage_body_is_malformed(self):
-        transport = HttpTransport(
-            "http://api.example",
-            session=FakeSession(FakeResponse(payload={"unexpected": 1})),
-        )
+    def test_truncated_body_is_transient(self, endpoint):
+        endpoint.replies = 200, {"Content-Length": "100"}, b'{"choices": ['
+        with pytest.raises(TransportError) as excinfo:
+            HttpTransport(endpoint.url).complete(self.request())
+        assert excinfo.value.transient
+
+    @pytest.mark.parametrize("payload", [{"unexpected": 1}, b"<html>busy</html>"])
+    def test_garbage_body_is_malformed(self, endpoint, payload):
+        endpoint.replies = ok(payload)
         with pytest.raises(MalformedResponse):
-            transport.complete(self.request())
+            HttpTransport(endpoint.url).complete(self.request())
+
+    def test_threads_share_one_transport(self, endpoint):
+        endpoint.replies = lambda body: ok(
+            {"choices": [{"text": f"{body['prompt']} {i}"} for i in range(body["n"])]})
+        transport = HttpTransport(endpoint.url)
+        reqs = [LlmRequest(prompt_id=f"p{i}", prompt_text=f"Describe thing {i}.",
+                           class_id=0, samples_per_prompt=2) for i in range(8)]
+        start = threading.Barrier(len(reqs), timeout=30)
+
+        def complete(req):
+            start.wait()
+            return transport.complete(req)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(reqs)) as pool:
+                replies = list(pool.map(complete, reqs, timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert replies == [[f"Describe thing {i}. 0", f"Describe thing {i}. 1"]
+                           for i in range(8)]
+        assert len(endpoint.posts) == 8
+
+
+def test_a_live_fetch_never_imports_requests(endpoint):
+    endpoint.replies = ok({"choices": [{"text": "one"}]})
+    script = (
+        "import sys, textprobe\n"
+        "from textprobe.llm import HttpTransport, LlmRequest, fetch_descriptions\n"
+        "req = LlmRequest(prompt_id='a', prompt_text='Describe a.', class_id=0,"
+        " samples_per_prompt=1)\n"
+        f"[desc] = fetch_descriptions([req], HttpTransport({endpoint.url!r}))\n"
+        "print(desc.text, 'requests' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(llm.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "one False\n"
+    assert len(endpoint.posts) == 1
 
 
 class TestRequestValidation:
@@ -412,64 +496,60 @@ class TestRetryAfter:
         return LlmRequest(prompt_id="p/0/0/-", prompt_text="Describe a thing.",
                           class_id=0, samples_per_prompt=2)
 
-    def fetch(self, monkeypatch, replies, retries=3, backoff=0.5):
+    def fetch(self, monkeypatch, endpoint, replies, retries=3, backoff=0.5):
         sleeps = []
         monkeypatch.setattr(llm.time, "sleep", sleeps.append)
-        session = FakeSession(replies)
-        transport = HttpTransport("http://api.example", session=session)
-        out = fetch_descriptions([self.request()], transport, retries=retries,
-                                 backoff_base=backoff)
-        return out, sleeps, session
+        endpoint.replies = replies
+        out = fetch_descriptions([self.request()], HttpTransport(endpoint.url),
+                                 retries=retries, backoff_base=backoff)
+        return out, sleeps
 
-    @pytest.mark.parametrize("status", [429, 503])
-    def test_busy_reply_is_transient_and_carries_retry_after(self, status):
-        transport = HttpTransport("http://api.example", session=FakeSession(
-            FakeResponse(status_code=status, headers={"Retry-After": "7"})))
+    @pytest.mark.parametrize("code", [429, 503])
+    def test_busy_reply_is_transient_and_carries_retry_after(self, endpoint, code):
+        endpoint.replies = status(code, {"Retry-After": "7"})
         with pytest.raises(TransportError) as excinfo:
-            transport.complete(self.request())
+            HttpTransport(endpoint.url).complete(self.request())
         assert excinfo.value.transient
         assert excinfo.value.retry_after == 7.0
 
     @pytest.mark.parametrize("value", [None, "Wed, 21 Oct 2026 07:28:00 GMT", "-3", "1.5"])
-    def test_retry_after_other_than_delta_seconds_is_ignored(self, value):
-        headers = {} if value is None else {"Retry-After": value}
-        transport = HttpTransport("http://api.example", session=FakeSession(
-            FakeResponse(status_code=429, headers=headers)))
+    def test_retry_after_other_than_delta_seconds_is_ignored(self, endpoint, value):
+        endpoint.replies = status(429, {} if value is None else {"Retry-After": value})
         with pytest.raises(TransportError) as excinfo:
-            transport.complete(self.request())
+            HttpTransport(endpoint.url).complete(self.request())
         assert excinfo.value.transient
         assert excinfo.value.retry_after is None
 
-    def test_retry_after_on_other_errors_is_ignored(self):
-        transport = HttpTransport("http://api.example", session=FakeSession(
-            FakeResponse(status_code=500, headers={"Retry-After": "9"})))
+    def test_retry_after_on_other_errors_is_ignored(self, endpoint):
+        endpoint.replies = status(500, {"Retry-After": "9"})
         with pytest.raises(TransportError) as excinfo:
-            transport.complete(self.request())
+            HttpTransport(endpoint.url).complete(self.request())
         assert excinfo.value.retry_after is None
 
-    def test_waits_the_longer_of_backoff_and_retry_after(self, monkeypatch):
-        busy = FakeResponse(status_code=429, headers={"Retry-After": "2"})
-        out, sleeps, session = self.fetch(
-            monkeypatch, [busy, busy, FakeResponse(payload=OK_REPLY)], backoff=1.5)
+    def test_waits_the_longer_of_backoff_and_retry_after(self, monkeypatch, endpoint):
+        busy = status(429, {"Retry-After": "2"})
+        out, sleeps = self.fetch(monkeypatch, endpoint, [busy, busy, ok(OK_REPLY)],
+                                 backoff=1.5)
         assert [d.text for d in out] == ["one", "two"]
         assert sleeps == [2.0, 3.0]  # max(1.5, 2), then max(3.0, 2)
-        assert len(session.posts) == 3
+        assert len(endpoint.posts) == 3
 
-    def test_retry_after_is_capped(self, monkeypatch):
-        busy = FakeResponse(status_code=503, headers={"Retry-After": "86400"})
-        _, sleeps, _ = self.fetch(monkeypatch, [busy, FakeResponse(payload=OK_REPLY)])
+    def test_retry_after_is_capped(self, monkeypatch, endpoint):
+        busy = status(503, {"Retry-After": "86400"})
+        _, sleeps = self.fetch(monkeypatch, endpoint, [busy, ok(OK_REPLY)])
         assert sleeps == [MAX_RETRY_AFTER_S]
 
-    def test_without_the_header_backoff_is_unchanged(self, monkeypatch):
-        replies = [FakeResponse(status_code=429), FakeResponse(status_code=503),
-                   FakeResponse(payload=OK_REPLY)]
-        _, sleeps, _ = self.fetch(monkeypatch, replies, retries=3, backoff=0.25)
+    def test_without_the_header_backoff_is_unchanged(self, monkeypatch, endpoint):
+        replies = [status(429), status(503), ok(OK_REPLY)]
+        _, sleeps = self.fetch(monkeypatch, endpoint, replies, retries=3, backoff=0.25)
         assert sleeps == [0.25, 0.5]
 
-    def test_rate_limited_until_retries_run_out_is_unreachable(self, monkeypatch):
-        busy = FakeResponse(status_code=429, headers={"Retry-After": "1"})
+    def test_rate_limited_until_retries_run_out_is_unreachable(self, monkeypatch,
+                                                                endpoint):
+        busy = status(429, {"Retry-After": "1"})
         with pytest.raises(EndpointUnreachable):
-            self.fetch(monkeypatch, [busy, busy], retries=2, backoff=0.1)
+            self.fetch(monkeypatch, endpoint, [busy, busy], retries=2, backoff=0.1)
+        assert len(endpoint.posts) == 2
 
 
 def cache_entry(cache, request):
@@ -846,46 +926,44 @@ class TestChoiceTextMustBeAString:
         return LlmRequest(prompt_id="a", prompt_text="Describe a.", class_id=0,
                           samples_per_prompt=2)
 
-    def test_transport_raises_malformed(self):
-        transport = HttpTransport("http://api.example",
-                                  session=FakeSession(FakeResponse(payload=self.BODY)))
+    def test_transport_raises_malformed(self, endpoint):
+        endpoint.replies = ok(self.BODY)
         with pytest.raises(MalformedResponse, match="not a string"):
-            transport.complete(self.request())
+            HttpTransport(endpoint.url).complete(self.request())
 
     def test_partial_fetch_lists_the_prompt_as_malformed_and_caches_nothing(self,
-                                                                           tmp_path):
+                                                                           tmp_path,
+                                                                           endpoint):
         cache = tmp_path / "cache"
-        transport = HttpTransport("http://api.example",
-                                  session=FakeSession(FakeResponse(payload=self.BODY)))
-        descs, failures = fetch_descriptions_partial([self.request()], transport, cache)
+        endpoint.replies = ok(self.BODY)
+        descs, failures = fetch_descriptions_partial([self.request()],
+                                                     HttpTransport(endpoint.url), cache)
         assert descs == [] and [(f.prompt_id, f.kind) for f in failures] == [
             ("a", "malformed")]
         assert list(cache.glob("*.json")) == []
 
     @pytest.mark.parametrize("allow_partial, code", [(False, 3), (True, 0)])
-    def test_fetch_command(self, tmp_path, monkeypatch, capsys, allow_partial, code):
+    def test_fetch_command(self, tmp_path, capsys, endpoint, allow_partial, code):
         prompts, out, cache = tmp_path / "p.jsonl", tmp_path / "d.jsonl", tmp_path / "cache"
         prompts.write_text(json.dumps({"prompt_id": "a", "class_id": 0,
                                        "text": "Describe a."}) + "\n")
-        monkeypatch.setattr(llm.requests, "Session",
-                            lambda: FakeSession(FakeResponse(payload=self.BODY)))
-        argv = ["fetch", "--prompts", str(prompts), "--endpoint", "http://api.example",
+        endpoint.replies = ok(self.BODY)
+        argv = ["fetch", "--prompts", str(prompts), "--endpoint", endpoint.url,
                 "--cache", str(cache), "--samples", "2", "--out", str(out)]
         assert main(argv + ["--allow-partial"] * allow_partial) == code
         err = capsys.readouterr().err
         assert "not a string" in err and ("failed a:" in err) == allow_partial
         assert out.exists() == allow_partial
         assert list(cache.glob("*.json")) == []
+        assert len(endpoint.posts) == 1
 
-    def test_strict_fetch_names_every_failed_prompt(self, tmp_path, monkeypatch, capsys):
+    def test_strict_fetch_names_every_failed_prompt(self, tmp_path, capsys, endpoint):
         prompts, out = tmp_path / "p.jsonl", tmp_path / "d.jsonl"
         prompts.write_text("".join(
             json.dumps({"prompt_id": pid, "class_id": 0, "text": f"Describe {pid}."}) + "\n"
             for pid in ("a", "b")))
-        body = {"choices": [{"text": None}]}
-        monkeypatch.setattr(llm.requests, "Session",
-                            lambda: FakeSession(FakeResponse(payload=body)))
-        assert main(["fetch", "--prompts", str(prompts), "--endpoint", "http://api.example",
+        endpoint.replies = ok({"choices": [{"text": None}]})
+        assert main(["fetch", "--prompts", str(prompts), "--endpoint", endpoint.url,
                      "--cache", str(tmp_path / "cache"), "--samples", "1",
                      "--out", str(out)]) == 3
         err = capsys.readouterr().err
