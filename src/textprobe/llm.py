@@ -115,9 +115,14 @@ def requests_from_prompt_records(records: list[dict], **sampling) -> list[LlmReq
 
 # -- transports ----------------------------------------------------------------
 
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    def redirect_request(self, *args):  # a 3xx reply fails as "HTTP error 3xx"
+        return None
+
+
 class HttpTransport:
     """POSTs completion-style JSON bodies {prompt, max_tokens, temperature, n},
-    each by one `urllib.request.urlopen` on a connection of its own.
+    one connection each; no redirect is followed, so the token reaches no other host.
 
     Expects a JSON reply with a `choices` list of {"text": <string>} objects.
     Connection problems, timeouts, truncated bodies, 429 and 5xx replies are
@@ -134,12 +139,14 @@ class HttpTransport:
             parts.port  # raises ValueError unless the port is a number in range
         except ValueError:
             parts = None
-        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+        if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
+                or parts.username is not None):
             raise InvalidConfig(f"endpoint {url!r} is not an http:// or https:// URL "
-                                "with a host")
+                                "with a host and no user info")
         self.url = url
         self.timeout = timeout
         self.token = token if token is not None else os.environ.get(AUTH_TOKEN_ENV)
+        self.opener = urllib.request.build_opener(_NoRedirect)  # reads HTTP(S)_PROXY
 
     def complete(self, request: LlmRequest) -> list[str]:
         headers = {"Content-Type": "application/json"}
@@ -153,7 +160,7 @@ class HttpTransport:
         }
         post = urllib.request.Request(self.url, json.dumps(body).encode("utf-8"), headers)
         try:
-            with urllib.request.urlopen(post, timeout=self.timeout) as resp:
+            with self.opener.open(post, timeout=self.timeout) as resp:
                 payload = resp.read()
         except urllib.error.HTTPError as exc:
             with exc:  # an error reply holds its socket until it is closed

@@ -410,13 +410,24 @@ class TestHttpTransport:
             HttpTransport(endpoint.url).complete(self.request())
         assert excinfo.value.transient
 
-    @pytest.mark.parametrize("code", [401, 404, 307])
-    def test_client_error_is_not_transient(self, endpoint, code):
-        endpoint.replies = status(code, {"Location": endpoint.url})
-        with pytest.raises(TransportError) as excinfo:
-            HttpTransport(endpoint.url).complete(self.request())
+    @pytest.mark.parametrize("code", [401, 404, 301, 302, 303, 307, 308])
+    def test_client_error_is_not_transient(self, monkeypatch, endpoint, code):
+        # No redirect is followed, so the bearer token never reaches the
+        # host a Location names.
+        monkeypatch.setenv("TEXTPROBE_API_TOKEN", "sekrit")
+        with socket.socket() as elsewhere:
+            elsewhere.bind(("127.0.0.1", 0))
+            elsewhere.listen()
+            elsewhere.setblocking(False)
+            endpoint.replies = status(
+                code, {"Location": f"http://127.0.0.1:{elsewhere.getsockname()[1]}/x"})
+            with pytest.raises(TransportError) as excinfo:
+                HttpTransport(endpoint.url, timeout=5).complete(self.request())
+            with pytest.raises(BlockingIOError):
+                elsewhere.accept()
         assert not excinfo.value.transient
-        assert len(endpoint.posts) == 1  # a 307 is not followed
+        assert str(excinfo.value) == f"HTTP error {code}"
+        assert len(endpoint.posts) == 1
 
     def test_connection_error_is_transient(self):
         transport = HttpTransport(closed_port_url())
