@@ -237,6 +237,9 @@ def _check_methods(methods) -> list[str]:
         raise InvalidConfig(
             f"methods must name one or more of {', '.join(ALL_METHODS)}, got {methods!r}"
         )
+    repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
+    if repeated:
+        raise InvalidConfig(f"method {repeated[0]!r} is listed more than once in {methods!r}")
     return list(methods)
 
 
@@ -255,7 +258,7 @@ def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
         path, name = inputs[_METHOD_INPUT[method]]
         return path, f"{name} (method {method})"
 
-    tot_methods = [m for m in dict.fromkeys(methods) if m in (METHOD_TOT_CLS, METHOD_TOT_DST)]
+    tot_methods = [m for m in methods if m in (METHOD_TOT_CLS, METHOD_TOT_DST)]
     rows, tot = [], None
     for method in methods:
         if method in tot_methods and tot is None:

@@ -207,6 +207,13 @@ def _check_scorable(images: EmbeddingBundle, d: int, k: int, name: str) -> None:
             raise UnknownClassId(f"image label {label} is outside the {name}'s {k} classes")
 
 
+def _score(images: EmbeddingBundle, weights: np.ndarray, bias: np.ndarray, name: str,
+           method: str, dataset: str) -> EvalRow:
+    """The `method` row of the (K, d) head `weights`, `bias`; errors name it as `name`."""
+    _check_scorable(images, weights.shape[1], weights.shape[0], name)
+    return _accuracy_row(_predict(images, weights, bias), images.labels_array(), method, dataset)
+
+
 def evaluate_classifier(
     clf: LinearClassifier,
     images: EmbeddingBundle,
@@ -217,9 +224,7 @@ def evaluate_classifier(
 
     The predictions are `clf.predict(images.matrix)`'s (see `_predict`).
     """
-    _check_scorable(images, clf.dimension, clf.num_classes, "classifier")
-    predictions = _predict(images, clf.weights, clf.bias)
-    return _accuracy_row(predictions, images.labels_array(), method, dataset)
+    return _score(images, clf.weights, clf.bias, "classifier", method, dataset)
 
 
 def evaluate_zero_shot(
@@ -235,10 +240,8 @@ def evaluate_zero_shot(
     them, so the prediction is the argmax of the similarities themselves
     (ties go to the lowest class index) and no temperature is needed.
     """
-    _check_scorable(images, class_embs.dimension, class_embs.num_classes, "class embedding")
     embs = class_embs.matrix
-    predictions = _predict(images, embs, np.zeros(embs.shape[0]))
-    return _accuracy_row(predictions, images.labels_array(), method, dataset)
+    return _score(images, embs, np.zeros(embs.shape[0]), "class embedding", method, dataset)
 
 
 def class_text_embeddings_from_bundle(bundle: EmbeddingBundle) -> ClassTextEmbeddings:
@@ -251,12 +254,10 @@ def class_text_embeddings_from_bundle(bundle: EmbeddingBundle) -> ClassTextEmbed
     labels = bundle.labels_array("text")
     if bundle.count == 0:
         raise EmptyDataset("text bundle has no rows to ensemble")
-    classes = np.unique(labels)
-    k = int(classes.max()) + 1
-    if list(classes) != list(range(k)):
-        raise ShapeMismatch(
-            "bundle labels must cover every class id from 0 to K-1"
-        )
+    # Counted, not `np.unique`d: a plain `np.unique` call imports numpy.ma (about 10 ms).
+    k = int(labels.max()) + 1
+    if labels.min() < 0 or k > labels.size or not np.bincount(labels).all():
+        raise ShapeMismatch("bundle labels must cover every class id from 0 to K-1")
     rows = normalize_rows(bundle.matrix)
     means = np.empty((k, bundle.dimension), dtype=np.float64)
     for cid in range(k):
@@ -363,24 +364,16 @@ def pseudo_label_refine(
 # -- report rendering -------------------------------------------------------------
 
 def _report_matrix(rows: list[EvalRow]):
-    methods: list[str] = []
-    datasets: list[str] = []
-    cells: dict[tuple[str, str], float] = {}
-    for row in rows:
-        if row.method not in methods:
-            methods.append(row.method)
-        if row.dataset not in datasets:
-            datasets.append(row.dataset)
-        cells[(row.method, row.dataset)] = row.accuracy
+    methods = list(dict.fromkeys(row.method for row in rows))
+    datasets = list(dict.fromkeys(row.dataset for row in rows))
+    cells = {(row.method, row.dataset): row.accuracy for row in rows}
     means = {
         m: float(np.mean([cells[(m, d)] for d in datasets if (m, d) in cells]))
         for m in methods
     }
-    best: dict[str, str] = {}
-    for d in datasets:
-        scored = [(cells[(m, d)], m) for m in methods if (m, d) in cells]
-        if scored:
-            best[d] = max(scored, key=lambda t: t[0])[1]
+    # Per dataset, the first method in order with its highest accuracy.
+    best = {d: max((m for m in methods if (m, d) in cells), key=lambda m: cells[(m, d)])
+            for d in datasets}
     return methods, datasets, cells, means, best
 
 

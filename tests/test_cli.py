@@ -538,6 +538,16 @@ class TestEval:
         assert run("eval", "--images", tmp_path / "missing.tape",
                    "--methods", "tap,warp") == 2
 
+    def test_repeated_method_exits_2_naming_it(self, eval_setup, capsys):
+        tmp_path, images, clf, classnames = eval_setup
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run("eval", "--images", images, "--classifier", clf,
+                   "--methods", "tap,tap", "--out", report) == 2
+        captured = capsys.readouterr()
+        assert "method 'tap' is listed more than once" in captured.err
+        assert captured.out == "" and not report.exists()
+
 
 class TestRefine:
     def test_threshold_one_is_identity_with_zero_delta(self, eval_setup, capsys):
@@ -809,6 +819,18 @@ class TestRunAll:
         assert run("run-all", "--manifest", manifest) == 2
         assert named in capsys.readouterr().err
         assert not (ws / "prompts.jsonl").exists()
+
+    def test_repeated_method_in_manifest_exits_2_naming_it(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        assert run("demo", "--workspace", ws, "--image-samples", 20, "--steps", 5) == 0
+        manifest = ws / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                        "methods": ["tap", "clip-single", "tap"]}))
+        capsys.readouterr()
+        assert run("run-all", "--manifest", manifest) == 2
+        captured = capsys.readouterr()
+        assert "method 'tap' is listed more than once" in captured.err
+        assert captured.out == "" and not (ws / "report.json").exists()
 
     def test_eval_reproduces_run_all(self, tmp_path, capsys):
         # The step-5 eval of the README, on the files run-all wrote and with the

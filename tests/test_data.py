@@ -435,7 +435,8 @@ def reference_encode(items, space, modality):
 class TestSyntheticEncodeMatchesRowLoop:
     @pytest.mark.parametrize("modality", [MODALITY_TEXT, MODALITY_IMAGE])
     @pytest.mark.parametrize("gap", [0.0, 0.35])
-    @pytest.mark.parametrize("n_items", [1, 300])
+    # 3000 rows at d=96 span three normalize blocks of 1365 rows.
+    @pytest.mark.parametrize("n_items", [1, 300, 3000])
     def test_bytes_equal_to_row_loop(self, modality, gap, n_items):
         space = SyntheticSpaceConfig(dimension=96, classes=7, sigma_intra=0.3, gap=gap, seed=11)
         items = [(f"x{i}", (5 * i + 3) % 7) for i in range(n_items)]
@@ -473,6 +474,15 @@ class TestSyntheticEncodeMatchesRowLoop:
             synthetic_encode(items[:3] + [("e", 9)], space)
         with pytest.raises(UnknownClassId, match=r"item 1 "):
             synthetic_encode([("a", 0), ("e", 9), ("c", 1)], space)
+        # A bad row in the third normalize block is named by its index in the bundle.
+        wide = SyntheticSpaceConfig(dimension=96, classes=3, sigma_intra=0.0, seed=0)
+        monkeypatch.setattr(data, "synthetic_class_means",
+                            lambda space: (np.eye(3, 96) * [[1.0], [0.0], [1.0]], np.eye(1, 96)[0]))
+        items = [(f"x{i}", 2 * (i % 2)) for i in range(3000)]
+        items[2800] = items[2900] = ("bad", 1)
+        assert 2800 // (data._NORM_BLOCK_ELEMS // 96) == 2
+        with pytest.raises(ZeroVector, match=r"^row 2800 has \(near-\)zero norm$"):
+            synthetic_encode(items, wide)
 
     @pytest.mark.parametrize("class_id", ["2", True, 1.0])
     def test_class_ids_are_checked_before_any_draw(self, monkeypatch, class_id):

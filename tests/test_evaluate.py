@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -219,10 +222,27 @@ class TestEvaluateZeroShot:
             expected = normalize(normed.mean(axis=0))
             np.testing.assert_allclose(ce.matrix[cid], expected, atol=1e-12)
 
-    def test_bundle_must_cover_all_classes(self, rng):
-        bundle = EmbeddingBundle.from_matrix(rng.standard_normal((2, 4)), labels=[0, 2])
-        with pytest.raises(ShapeMismatch):
+    @pytest.mark.parametrize("labels", [[0, 2], [1, 1], [-1, 0], [0, 2 ** 40]])
+    def test_bundle_must_cover_all_classes(self, rng, labels):
+        bundle = EmbeddingBundle.from_matrix(rng.standard_normal((2, 4)), labels=labels)
+        with pytest.raises(ShapeMismatch, match="must cover every class id"):
             class_text_embeddings_from_bundle(bundle)
+
+    def test_ensembling_leaves_numpy_ma_unimported(self):
+        """numpy.ma costs about 10 ms and 1.3 MB to import, and a first plain
+        `np.unique` call imports it, mid-eval, while the image rows are held."""
+        script = ("import sys, numpy as np\n"
+                  "from textprobe.data import EmbeddingBundle\n"
+                  "from textprobe.evaluate import class_text_embeddings_from_bundle\n"
+                  "if 'numpy.ma' in sys.modules: sys.exit(3)\n"
+                  "class_text_embeddings_from_bundle(EmbeddingBundle.from_matrix(\n"
+                  "    np.eye(2), labels=[0, 1]))\n"
+                  "sys.exit('numpy.ma' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        code = subprocess.run([sys.executable, "-c", script], env=env).returncode
+        if code == 3:
+            pytest.skip("this NumPy imports numpy.ma with numpy")
+        assert code == 0
 
 
 class TestTotBaselines:

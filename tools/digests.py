@@ -75,6 +75,15 @@ COMMANDS = [
                              "--out", "generic-prompts.jsonl"]),
     ("fetch-fixture", ["fetch", "--prompts", "demo/prompts.jsonl", "--fixture",
                        "demo/fixture.jsonl", "--cache", "cache", "--out", "fetched.jsonl"]),
+    # Two workspaces shaped like the benchmark's train-mid and ingest-large: rows
+    # normalized over many blocks, and five methods screened in float32 on 12000 x 768 images.
+    ("demo-train-mid", ["demo", "--workspace", "mid", "--dim", "512", "--classes-count", "100",
+                        "--image-samples", "50", "--steps", "50"]),
+    ("run-all-train-mid", ["run-all", "--manifest", "mid/manifest.json"]),
+    ("demo-ingest-large", ["demo", "--workspace", "large", "--dim", "768", "--classes-count",
+                           "200", "--samples", "5", "--image-samples", "60", "--steps", "2",
+                           "--sigma-intra", "0.15", "--gap", "0.5"]),
+    ("run-all-ingest-large", ["run-all", "--manifest", "large/manifest.json"]),
 ]
 
 _RUN = "import sys; from textprobe.cli import main; sys.exit(main(sys.argv[1:]))"
