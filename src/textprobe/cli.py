@@ -8,7 +8,9 @@ Status goes to stderr; stdout carries data (tables, CSV, JSON) only.
 Every stage is one `_*_stage` function from resolved inputs to one written
 file that returns its status line. Its subcommand maps flags onto those
 inputs, and `run-all` maps manifest keys onto them and runs the stages in
-one loop, so both run the same code.
+one loop, so both run the same code. There an existing output is used as it
+is unless `--force` is given, and an output the manifest gives no way to make
+is an input: it must exist, and `--force` leaves it alone.
 
 Each setting is declared once: a flag that sets a config field or a library
 parameter has its name as its dest and takes its default from the config
@@ -193,8 +195,6 @@ def _fetch_stage(prompts, fixture, endpoint, cache, out, llm: dict,
 def _bundle_stage(space, modality, out, items=None, per_class=None) -> str:
     """Encode (text, class id) `items` in the synthetic space, or draw
     `per_class` samples of every class when there are none."""
-    if space is None:
-        raise MissingInput(f"{out} is missing and there is no synthetic_space to make it")
     if items is None:
         bundle = synthetic_bundle(space, per_class, modality=modality)
     else:
@@ -290,10 +290,13 @@ def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
 # -- subcommands -------------------------------------------------------------------
 
 def cmd_gen_prompts(args) -> None:
+    options = {key: value for key, value in (("templates", args.template),
+                                             ("task_name", args.task_name)) if value is not None}
+    if options and not args.generic:
+        raise InvalidConfig("--template and --task-name apply only with --generic")
     vocab = _read_classes(args.classes, "--classes")
     _status(_prompts_stage(vocab, (args.profile, "--profile (or --generic)"), args.out,
-                           args.generic, templates=args.template or DEFAULT_GENERIC_TEMPLATES,
-                           task_name=args.task_name))
+                           args.generic, **options))
 
 
 def cmd_fetch(args) -> None:
@@ -456,7 +459,6 @@ _MANIFEST = {
     "methods": (lambda key, value: _check_methods(_strings(key, value)), [METHOD_TAP]),
     "classifier": (_path, "classifier.json"),
     "report": (_path, "report.json"),
-    "markers": (_path, ".stage_markers.json"),
     "generic": (_flag, False),
 }
 
@@ -466,6 +468,8 @@ def _load_manifest(path: Path) -> SimpleNamespace:
     values = read_json(path, lambda doc: _checked(doc, _MANIFEST))
     if values["fixture"] is not None and values["endpoint"] is not None:
         raise InvalidConfig(f"{path}: set 'fixture' or 'endpoint', not both")
+    if values["task_profile"] is not None and values["generic"]:
+        raise InvalidConfig(f"{path}: set 'task_profile' or 'generic', not both")
     ws = path.parent / (values["workspace"] or "")
     for key, (check, _) in _MANIFEST.items():
         if check is _path and values[key] is not None:
@@ -473,66 +477,53 @@ def _load_manifest(path: Path) -> SimpleNamespace:
     return SimpleNamespace(**values)
 
 
-def _read_markers(path: Path) -> dict:
-    """run-all's record of finished stages; one it cannot read starts afresh."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    return doc if isinstance(doc, dict) else {}
-
-
 def cmd_run_all(args) -> None:
     m = _load_manifest(_require_file(args.manifest, "--manifest"))
-    vocab = _read_classes(m.classes, "classes", m.synthetic_space)
+    space = m.synthetic_space
+    vocab = _read_classes(m.classes, "classes", space)
     train_cfg = TrainConfig.from_dict({"seed": stage_seed(m.seed, "train"), **m.train}, "train.")
     dst_templates = m.dst_templates or list(DEFAULT_GENERIC_TEMPLATES)
     # Built at most once: the text bundle and the head share it, so their rows align.
     dataset = functools.cache(lambda: build_text_dataset(
         load_fixture_descriptions(_require_file(m.descriptions, "descriptions")), vocab))
-    # (stage, output, run); an existing output is up to date unless --force.
-    # Bundles are synthesized when a synthetic space is configured and must
-    # exist otherwise; the class-name and template bundles only when a listed
-    # method reads them. Eval has no output to check: it always runs.
+    # (stage, manifest key of its output, the manifest value that names a way
+    # to make it, maker). The class-name and template bundles are listed only
+    # when a method reads them. Eval has no output to check: it always runs.
     stages = [
-        ("gen-prompts", m.prompts, lambda: _prompts_stage(
+        ("gen-prompts", "prompts", m.task_profile or m.generic, lambda: _prompts_stage(
             vocab, (m.task_profile, "task_profile"), m.prompts, m.generic)),
-        ("fetch", m.descriptions, lambda: _fetch_stage(
+        ("fetch", "descriptions", m.fixture or m.endpoint, lambda: _fetch_stage(
             (m.prompts, "prompts"), (m.fixture, "fixture"), (m.endpoint, "endpoint"),
             m.cache, m.descriptions, m.llm)),
-        ("bundles", m.text_bundle, lambda: _bundle_stage(
-            m.synthetic_space, "text", m.text_bundle, dataset().items)),
-        ("bundles", m.image_bundle, lambda: _bundle_stage(
-            m.synthetic_space, "image", m.image_bundle,
-            per_class=m.image_samples_per_class)),
+        ("bundles", "text_bundle", space, lambda: _bundle_stage(
+            space, "text", m.text_bundle, dataset().items)),
+        ("bundles", "image_bundle", space, lambda: _bundle_stage(
+            space, "image", m.image_bundle, per_class=m.image_samples_per_class)),
     ]
     read = {_METHOD_INPUT[method] for method in m.methods}
     if m.class_name_bundle and "class_embeddings" in read:
-        stages.append(("bundles", m.class_name_bundle, lambda: _bundle_stage(
-            m.synthetic_space, "text", m.class_name_bundle, class_name_items(vocab))))
+        stages.append(("bundles", "class_name_bundle", space, lambda: _bundle_stage(
+            space, "text", m.class_name_bundle, class_name_items(vocab))))
     if m.dst_bundle and "dst_embeddings" in read:
-        stages.append(("bundles", m.dst_bundle, lambda: _bundle_stage(
-            m.synthetic_space, "text", m.dst_bundle, template_items(vocab, dst_templates))))
+        stages.append(("bundles", "dst_bundle", space, lambda: _bundle_stage(
+            space, "text", m.dst_bundle, template_items(vocab, dst_templates))))
     stages += [
-        ("train", m.classifier, lambda: _train_stage(
+        ("train", "classifier", True, lambda: _train_stage(
             dataset(), _read_text_bundle(m.text_bundle, "text_bundle", dataset()),
             train_cfg, m.classifier)),
-        ("eval", None, lambda: _eval_stage(m.methods, (m.image_bundle, "image_bundle"), {
+        ("eval", None, True, lambda: _eval_stage(m.methods, (m.image_bundle, "image_bundle"), {
             "classifier": (m.classifier, "classifier"),
             "class_embeddings": (m.class_name_bundle, "class_name_bundle"),
             "dst_embeddings": (m.dst_bundle, "dst_bundle"),
         }, vocab, train_cfg, dst_templates, m.dataset_name,
             {"seed": m.seed, "train": train_cfg.to_dict()}, m.report)),
     ]
-    markers = _read_markers(m.markers)
-    for i, (stage, out, run) in enumerate(stages):
-        if args.force or out is None or not out.is_file():
-            _status(f"[{stage}] {run()}")
-        else:
-            _status(f"[{stage}] {out} is up to date")
-        if i + 1 == len(stages) or stages[i + 1][0] != stage:  # the stage's last step
-            markers[stage] = True
-            write_json(m.markers, markers, indent=2, sort_keys=True)
+    for stage, key, way, make in stages:
+        out = key and getattr(m, key)
+        if way and (out is None or args.force or not out.is_file()):
+            _status(f"[{stage}] {make()}")
+        else:  # an existing output is used as it is; one with no way to make it must exist
+            _status(f"[{stage}] {_require_file(out, key)} is up to date")
 
 
 # -- demo ---------------------------------------------------------------------------
@@ -622,14 +613,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("gen-prompts", help="expand a task profile into prompts")
-    p.add_argument("--profile", help="TaskProfile JSON file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--profile", help="TaskProfile JSON file")
+    source.add_argument("--generic", action="store_true",
+                        help="task-agnostic templates, no targeting")
     p.add_argument("--classes", required=True, help="class names JSON file")
     p.add_argument("--out", required=True, help="output prompts JSONL")
-    p.add_argument("--generic", action="store_true",
-                   help="task-agnostic templates, no targeting")
     p.add_argument("--template", action="append",
-                   help="generic template override (repeatable)")
-    p.add_argument("--task-name", default="generic")
+                   help="generic template override (repeatable; --generic only)")
+    p.add_argument("--task-name", help="generic prompts' task name (--generic only)")
     p.set_defaults(func=cmd_gen_prompts)
 
     p = sub.add_parser("fetch", help="fetch descriptions for rendered prompts")

@@ -125,6 +125,25 @@ class TestGenPrompts:
         assert "Describe what a banded looks like." in texts
         assert not any("texture" in t for t in texts)
 
+    def test_profile_and_generic_together_exit_2_naming_both(self, workspace, capsys):
+        out = workspace / "prompts.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run("gen-prompts", "--generic", "--profile", workspace / "profile.json",
+                "--classes", workspace / "classes.json", "--out", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--profile" in err and "--generic" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--template", "a {class} photo"),
+                                             ("--task-name", "dtd")])
+    def test_generic_option_without_generic_exits_2(self, workspace, capsys, flag, value):
+        out = workspace / "prompts.jsonl"
+        assert run("gen-prompts", "--profile", workspace / "profile.json", flag, value,
+                   "--classes", workspace / "classes.json", "--out", out) == 2
+        assert "apply only with --generic" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_classes_file_exits_5(self, workspace):
         code = run(
             "gen-prompts", "--generic",
@@ -751,8 +770,7 @@ class TestRunAll:
             assert m in out
         report = json.loads((ws / "report.json").read_text())
         assert len(report["rows"]) == 5
-        markers = json.loads((ws / ".stage_markers.json").read_text())
-        assert markers.get("eval") is True
+        assert not (ws / ".stage_markers.json").exists()
 
     def test_rerun_is_idempotent(self, tmp_path, capsys):
         ws = tmp_path / "ws"
@@ -810,6 +828,8 @@ class TestRunAll:
         ({"train": {"adam_beta1": 1.0}}, "train.adam_beta1"),
         # The demo manifest already names a fixture.
         ({"endpoint": "http://127.0.0.1:1/x"}, "set 'fixture' or 'endpoint', not both"),
+        # ... and a task profile.
+        ({"generic": True}, "set 'task_profile' or 'generic', not both"),
     ])
     def test_bad_manifest_exits_2_before_any_stage(self, tmp_path, capsys, changes, named):
         ws = tmp_path / "ws"
@@ -897,15 +917,51 @@ class TestRunAll:
                    "--out", tmp_path / "names.tape") == 4
         assert "vocabulary has 8 classes, space declares 10" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["[]", "5", "{not json"])
-    def test_markers_that_are_not_an_object_start_afresh(self, tmp_path, text):
+    def test_unforced_rerun_rewrites_only_the_report(self, tmp_path, capsys):
         ws = tmp_path / "ws"
         assert run("demo", "--workspace", ws, "--image-samples", 10, "--steps", 5) == 0
-        (ws / ".stage_markers.json").write_text(text)
         assert run("run-all", "--manifest", ws / "manifest.json") == 0
-        markers = json.loads((ws / ".stage_markers.json").read_text())
-        assert markers == dict.fromkeys(("gen-prompts", "fetch", "bundles", "train", "eval"),
-                                        True)
+        before = _stamps(ws)
+        capsys.readouterr()
+        assert run("run-all", "--manifest", ws / "manifest.json") == 0
+        err = capsys.readouterr().err
+        for stage, name in [("gen-prompts", "prompts.jsonl"), ("fetch", "descriptions.jsonl"),
+                            ("bundles", "text.tape"), ("bundles", "images.tape"),
+                            ("bundles", "classnames.tape"), ("bundles", "dst.tape"),
+                            ("train", "classifier.json")]:
+            assert f"[{stage}] {ws / name} is up to date" in err, name
+        after = _stamps(ws)
+        assert after.keys() == before.keys()
+        assert [name for name in after if after[name] != before[name]] == ["report.json"]
+
+    # Each manifest key is run-all's only way to make the files listed with it.
+    @pytest.mark.parametrize("key, given", [
+        ("synthetic_space", ["text.tape", "images.tape", "classnames.tape", "dst.tape"]),
+        ("fixture", ["descriptions.jsonl"]),
+        ("task_profile", ["prompts.jsonl"]),
+    ])
+    def test_force_uses_an_output_the_manifest_cannot_make(self, tmp_path, key, given):
+        ws = _run_demo_without(tmp_path, key)
+        before = {name: ((ws / name).stat().st_ino, (ws / name).read_bytes()) for name in given}
+        report = (ws / "report.json").stat().st_ino
+        assert run("run-all", "--manifest", ws / "manifest.json", "--force") == 0
+        assert before == {name: ((ws / name).stat().st_ino, (ws / name).read_bytes())
+                          for name in given}
+        assert (ws / "report.json").stat().st_ino != report
+
+    @pytest.mark.parametrize("name, key", [("text.tape", "text_bundle"),
+                                           ("images.tape", "image_bundle")])
+    def test_a_missing_bundle_the_manifest_cannot_make_exits_5(self, tmp_path, capsys,
+                                                                name, key):
+        ws = _run_demo_without(tmp_path, "synthetic_space")
+        (ws / name).unlink()
+        (ws / "classifier.json").unlink()
+        report = _stamps(ws)["report.json"]
+        capsys.readouterr()
+        assert run("run-all", "--manifest", ws / "manifest.json", "--force") == 5
+        assert f"error: {key}: no such file: {ws / name}" in capsys.readouterr().err
+        assert not (ws / "classifier.json").exists()
+        assert _stamps(ws)["report.json"] == report
 
     def test_subcommands_write_what_run_all_writes(self, tmp_path, capsys):
         ws, hand = tmp_path / "ws", tmp_path / "hand"
@@ -955,6 +1011,23 @@ class TestRunAll:
         by_hand, by_run_all = rows(hand / "report.json"), rows(ws / "report.json")
         for method in ("tap", "clip-single", "tot-cls"):
             assert by_hand[method] == by_run_all[method], method
+
+
+def _run_demo_without(tmp_path, key):
+    """A demo workspace after one run-all, whose manifest then loses `key`."""
+    ws = tmp_path / "ws"
+    assert run("demo", "--workspace", ws, "--image-samples", 10, "--steps", 5) == 0
+    assert run("run-all", "--manifest", ws / "manifest.json") == 0
+    manifest = json.loads((ws / "manifest.json").read_text())
+    del manifest[key]
+    (ws / "manifest.json").write_text(json.dumps(manifest))
+    return ws
+
+
+def _stamps(root):
+    """(inode, mtime in ns) of every file under `root`, by relative path."""
+    return {p.relative_to(root).as_posix(): (p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in root.rglob("*") if p.is_file()}
 
 
 def test_demo_with_an_invalid_space_exits_2_and_creates_nothing(tmp_path, capsys):

@@ -29,6 +29,9 @@ def test_every_command_of_the_fixed_list_succeeds():
             if key.endswith("/exit") and code != 0} == {}
     assert "run-all/file/demo/report.json" in entries
     assert "run-all-force/file/demo/report.json" in entries
+    # An unforced run over up-to-date outputs rewrites the report alone.
+    assert [key for key in entries if key.startswith("run-all-again/file/")] == [
+        "run-all-again/file/demo/report.json"]
     assert "run-all-train-mid/file/mid/report.json" in entries
     assert "run-all-ingest-large/file/large/report.json" in entries
     assert not [key for key in entries if "/cache/" in key]

@@ -47,6 +47,7 @@ _TRAIN = ["train", "--classes", "demo/classes.json", "--text-bundle", "demo/text
 COMMANDS = [
     ("demo", ["demo", "--workspace", "demo"]),
     ("run-all", ["run-all", "--manifest", "demo/manifest.json"]),
+    ("run-all-again", ["run-all", "--manifest", "demo/manifest.json"]),
     ("run-all-force", ["run-all", "--manifest", "demo/manifest.json", "--force"]),
     ("eval-json", [*_EVAL, "--format", "json", "--out", "eval.json"]),
     ("eval-csv", [*_EVAL, "--format", "csv", "--out", "eval-csv.json"]),
