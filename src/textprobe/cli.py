@@ -12,10 +12,11 @@ one loop, so both run the same code. There an existing output is used as it
 is unless `--force` is given, and an output the manifest gives no way to make
 is an input: it must exist, and `--force` leaves it alone.
 
-Each setting is declared once: a flag that sets a config field or a library
-parameter has its name as its dest and takes its default from the config
-class or the `llm` constant, and `_MANIFEST` holds every manifest rule,
-which `demo` applies before it writes anything.
+Each setting is declared once. A flag that sets a config field has the
+field's name as its dest and no default of its own: `_config` lays each flag
+given over the config's file, or over the class default when there is none.
+A library parameter's flag takes its default from the `llm` constant, and
+`_MANIFEST` holds every manifest rule, which `demo` applies before it writes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from types import SimpleNamespace
 from .atomic import read_json, write_json
 from .data import (
     SyntheticSpaceConfig,
+    _covered,
     build_text_dataset,
     class_name_items,
     description_items,
@@ -54,7 +56,6 @@ from .errors import (
     _checked,
     _flag,
     _integer,
-    _object,
     _string,
     _strings,
 )
@@ -137,10 +138,18 @@ def _read_rows(path, flag: str, kind: str = "image"):
     return bundle
 
 
-def _given(args, config, prefix: str = "") -> dict:
-    """The given (not None) flag values of `config`'s fields, whose dests are `prefix` + name."""
-    return {f.name: value for f in fields(config)
-            if (value := getattr(args, prefix + f.name, None)) is not None}
+def _given(args, names, prefix: str = "") -> dict:
+    """The given (not None) flag values of `names`, whose dests are `prefix` + name."""
+    return {name: value for name in names
+            if (value := getattr(args, prefix + name, None)) is not None}
+
+
+def _config(args, cls, file=(None, None), prefix: str = ""):
+    """The (path, flag) file's `cls` if a path is given, else `cls()`, with each
+    field flag given laid over it; `replace` checks the fields again."""
+    path, flag = file
+    config = read_json(_require_file(path, flag), cls.from_dict) if path else cls()
+    return replace(config, **_given(args, [f.name for f in fields(cls)], prefix))
 
 
 def stage_seed(master: int, stage: str) -> int:
@@ -290,8 +299,7 @@ def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
 # -- subcommands -------------------------------------------------------------------
 
 def cmd_gen_prompts(args) -> None:
-    options = {key: value for key, value in (("templates", args.template),
-                                             ("task_name", args.task_name)) if value is not None}
+    options = _given(args, ("templates", "task_name"))
     if options and not args.generic:
         raise InvalidConfig("--template and --task-name apply only with --generic")
     vocab = _read_classes(args.classes, "--classes")
@@ -303,26 +311,24 @@ def cmd_fetch(args) -> None:
     _status(_fetch_stage(
         (args.prompts, "--prompts"), (args.fixture, "--fixture"),
         (args.endpoint, "--endpoint"), args.cache, args.out,
-        {key: getattr(args, key) for key in SAMPLING_FIELDS}, args.allow_partial,
+        _given(args, SAMPLING_FIELDS), args.allow_partial,
         max_in_flight=args.max_in_flight, retries=args.retries, backoff_base=args.backoff_base,
     ))
 
 
-def _train_config_from_args(args) -> TrainConfig:
-    """The --config file, if any, with each train flag given laid over it."""
-    base: dict = {}
-    if args.train_config:
-        base = read_json(_require_file(args.train_config, "--config"),
-                         functools.partial(_object, "--config"))
-    return TrainConfig.from_dict({**base, **_given(args, TrainConfig)})
-
-
 def cmd_train(args) -> None:
-    cfg = _train_config_from_args(args)
+    cfg = _config(args, TrainConfig, (args.train_config, "--config"))
+    # A flag that only the other kind of source reads is refused, not dropped.
+    other = ({"--classes": args.classes, "--text-bundle": args.text_bundle,
+              "--allow-missing-classes": args.allow_missing_classes or None} if args.synthetic
+             else {flag: getattr(args, "synth_" + name) for name, flag in _SYNTH_FLAGS.items()})
+    unused = [flag for flag, value in other.items() if value is not None]
+    if unused:
+        raise InvalidConfig(f"{', '.join(unused)} cannot be used "
+                            f"{'with' if args.synthetic else 'without'} --synthetic")
     if args.synthetic:
         _at_least(1)("--synth-samples", args.synth_samples)
-        space = SyntheticSpaceConfig(**_given(args, SyntheticSpaceConfig, "synth_"),
-                                     seed=cfg.seed)
+        space = replace(_config(args, SyntheticSpaceConfig, prefix="synth_"), seed=cfg.seed)
         vocab = ClassVocabulary(tuple(f"class_{i:02d}" for i in range(space.classes)))
         items = [
             (f"synthetic description {j} of {vocab.name_of(c)}", c)
@@ -336,9 +342,9 @@ def cmd_train(args) -> None:
     else:
         vocab = _read_classes(args.classes, "--classes")
         if args.text_dataset:
-            dataset = read_text_dataset_jsonl(
+            dataset = _covered(read_text_dataset_jsonl(
                 _require_file(args.text_dataset, "--text-dataset"), vocab
-            )
+            ), args.allow_missing_classes)
         elif args.descriptions:
             descs = load_fixture_descriptions(
                 _require_file(args.descriptions, "--descriptions")
@@ -361,7 +367,7 @@ def cmd_eval(args) -> None:
     tot = [m for m in methods if m in (METHOD_TOT_CLS, METHOD_TOT_DST)]
     if tot:
         vocab = _read_classes(args.classes, f"--classes (method {tot[0]})")
-        cfg = _train_config_from_args(args)
+        cfg = _config(args, TrainConfig, (args.train_config, "--config"))
     inputs = {
         "classifier": (args.classifier, "--classifier"),
         "class_embeddings": (args.class_embeddings, "--class-embeddings"),
@@ -379,11 +385,11 @@ def cmd_refine(args) -> None:
     if args.eval_images:  # scored before refining, so a bad --eval-images writes no --out
         images = _read_rows(args.eval_images, "--eval-images")
         initial = evaluate_classifier(clf, images, "initial", args.dataset_name)
-    plcfg = PseudoLabelConfig(**_given(args, PseudoLabelConfig))
+    plcfg = _config(args, PseudoLabelConfig)
     refined = pseudo_label_refine(clf, unlabeled, plcfg)
     refined.save(args.out)
     kept = refined.train_meta["refine"]["kept"]
-    delta_doc = {"kept": kept, "threshold": args.confidence_threshold}
+    delta_doc = {"kept": kept, "threshold": plcfg.confidence_threshold}
     if images is not None:
         after = evaluate_classifier(refined, images, "refined", args.dataset_name)
         delta_doc.update(
@@ -400,14 +406,8 @@ def cmd_refine(args) -> None:
     print(json.dumps(delta_doc, sort_keys=True))
 
 
-def _space_from_args(args) -> SyntheticSpaceConfig:
-    if getattr(args, "space", None):
-        return read_json(_require_file(args.space, "--space"), SyntheticSpaceConfig.from_dict)
-    return SyntheticSpaceConfig(**_given(args, SyntheticSpaceConfig))
-
-
 def cmd_synth_space(args) -> None:
-    space = _space_from_args(args)
+    space = _config(args, SyntheticSpaceConfig, (args.space, "--space"))
     items = None
     if args.from_descriptions:
         items = description_items(load_fixture_descriptions(
@@ -530,7 +530,8 @@ def cmd_run_all(args) -> None:
 
 def cmd_demo(args) -> None:
     """Scaffold a self-contained synthetic workspace for run-all."""
-    space = _space_from_args(args)
+    space = _config(args, SyntheticSpaceConfig)
+    llm = _checked(_given(args, SAMPLING_FIELDS), SAMPLING_FIELDS, "llm.")
     manifest = {
         "dataset_name": "synthetic-demo",
         "seed": space.seed,
@@ -540,7 +541,7 @@ def cmd_demo(args) -> None:
         "descriptions": "descriptions.jsonl",
         "fixture": "fixture.jsonl",
         "cache": "cache",
-        "llm": {"samples_per_prompt": args.samples_per_prompt},
+        "llm": {"samples_per_prompt": llm["samples_per_prompt"]},
         "synthetic_space": space.to_dict(),
         "image_samples_per_class": args.image_samples,
         "text_bundle": "text.tape",
@@ -572,7 +573,7 @@ def cmd_demo(args) -> None:
         text=f"a {p.class_name} object, deterministic variant {i} "
              f"for template {p.template_index}",
     ) for p in render_prompts(profile, ClassVocabulary(tuple(names)))
-        for i in range(args.samples_per_prompt)], ws / "fixture.jsonl")
+        for i in range(llm["samples_per_prompt"])], ws / "fixture.jsonl")
     write_json(ws / "manifest.json", manifest, indent=2)
     _status(f"demo workspace ready: {ws}")
     _status(f"next: textprobe run-all --manifest {ws / 'manifest.json'}")
@@ -580,29 +581,21 @@ def cmd_demo(args) -> None:
 
 # -- parser ------------------------------------------------------------------------
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    """TrainConfig flags; each dest is a field name, and one not given is None."""
-    p.add_argument("--config", dest="train_config", help="TrainConfig JSON file")
-    p.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
-    p.add_argument("--steps", type=int, help="optimization steps")
-    p.add_argument("--smoothing", dest="label_smoothing", type=float,
-                   help="label smoothing in [0,1)")
-    p.add_argument("--sigma", dest="noise_sigma", type=float, help="training noise sigma")
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--seed", type=int)
-
-
 def _add_field_flags(p: argparse.ArgumentParser, config, flags: dict, prefix: str = "") -> None:
     """A flag for each field of the dataclass `config` that `flags` maps to
-    one: its dest is `prefix` + the field name, its default the field's."""
+    one: its dest is `prefix` + the field name and its type the field
+    default's. It has no default: one not given is None (see `_config`)."""
     for name, flag in flags.items():
-        default = getattr(config, name)
-        p.add_argument(flag, dest=prefix + name, type=type(default), default=default)
+        p.add_argument(flag, dest=prefix + name, type=type(getattr(config, name)))
 
 
-# The synthetic space of synth-space and demo.
+# The synthetic space of synth-space and demo, of train --synthetic, and TrainConfig.
 _SPACE_FLAGS = {"dimension": "--dim", "classes": "--classes-count",
                 "sigma_intra": "--sigma-intra", "gap": "--gap", "seed": "--seed"}
+_SYNTH_FLAGS = {"classes": "--synth-classes", "dimension": "--synth-dim",
+                "sigma_intra": "--synth-sigma", "gap": "--synth-gap"}
+_TRAIN_FLAGS = {"learning_rate": "--lr", "steps": "--steps", "label_smoothing": "--smoothing",
+                "noise_sigma": "--sigma", "weight_decay": "--weight-decay", "seed": "--seed"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -619,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="task-agnostic templates, no targeting")
     p.add_argument("--classes", required=True, help="class names JSON file")
     p.add_argument("--out", required=True, help="output prompts JSONL")
-    p.add_argument("--template", action="append",
+    p.add_argument("--template", dest="templates", action="append",
                    help="generic template override (repeatable; --generic only)")
     p.add_argument("--task-name", help="generic prompts' task name (--generic only)")
     p.set_defaults(func=cmd_gen_prompts)
@@ -642,20 +635,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fetch)
 
     p = sub.add_parser("train", help="train the text classifier head")
-    p.add_argument("--descriptions", help="descriptions JSONL")
-    p.add_argument("--text-dataset", help="pre-built dataset JSONL (text, class_id)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--descriptions", help="descriptions JSONL")
+    source.add_argument("--text-dataset", help="pre-built dataset JSONL (text, class_id)")
+    source.add_argument("--synthetic", action="store_true",
+                        help="train on a self-generated synthetic task")
     p.add_argument("--text-bundle", help="text embedding bundle")
     p.add_argument("--classes", help="class names JSON file")
     p.add_argument("--out", required=True, help="classifier JSON output")
     p.add_argument("--dataset-out", help="also write the assembled dataset JSONL")
     p.add_argument("--allow-missing-classes", action="store_true")
-    p.add_argument("--synthetic", action="store_true",
-                   help="train on a self-generated synthetic task")
-    _add_field_flags(p, SyntheticSpaceConfig, {
-        "classes": "--synth-classes", "dimension": "--synth-dim",
-        "sigma_intra": "--synth-sigma", "gap": "--synth-gap"}, "synth_")
+    _add_field_flags(p, SyntheticSpaceConfig, _SYNTH_FLAGS, "synth_")
     p.add_argument("--synth-samples", type=int, default=50)
-    _add_train_flags(p)
+    p.add_argument("--config", dest="train_config", help="TrainConfig JSON file")
+    _add_field_flags(p, TrainConfig, _TRAIN_FLAGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate methods on a labeled image bundle")
@@ -671,7 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset-name", default="dataset")
     p.add_argument("--out", help="report JSON output path")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    _add_train_flags(p)
+    p.add_argument("--config", dest="train_config", help="TrainConfig JSON file")
+    _add_field_flags(p, TrainConfig, _TRAIN_FLAGS)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("refine", help="pseudo-label refinement of a trained head")
@@ -689,9 +683,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modality", choices=("text", "image"), default="image")
     p.add_argument("--space", help="SyntheticSpaceConfig JSON file")
     _add_field_flags(p, SyntheticSpaceConfig, _SPACE_FLAGS)
-    p.add_argument("--per-class", type=int, help="emit N samples per class")
-    p.add_argument("--from-descriptions", help="encode a descriptions JSONL")
-    p.add_argument("--from-classes", help="encode one sample per class name")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--per-class", type=int, help="emit N samples per class")
+    source.add_argument("--from-descriptions", help="encode a descriptions JSONL")
+    source.add_argument("--from-classes", help="encode one sample per class name")
     p.set_defaults(func=cmd_synth_space)
 
     p = sub.add_parser("run-all", help="run every stage from a pipeline manifest")

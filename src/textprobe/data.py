@@ -131,15 +131,19 @@ def build_text_dataset(
     items = description_items(descriptions)
     if not items:
         raise EmptyDataset("no descriptions survived validation")
+    return _covered(TextDataset(items=items, vocab=vocab), allow_missing_classes)
 
-    present = {cid for _, cid in items}
-    missing = [cid for cid in vocab.class_ids if cid not in present]
+
+def _covered(dataset: TextDataset, allow_missing_classes: bool) -> TextDataset:
+    """`dataset`, if every class of its vocabulary has an item or
+    `allow_missing_classes`; else MissingClassDescriptions naming the rest."""
+    present = {cid for _, cid in dataset.items}
+    missing = [name for cid, name in dataset.vocab.classes if cid not in present]
     if missing and not allow_missing_classes:
-        names = ", ".join(vocab.name_of(c) for c in missing)
         raise MissingClassDescriptions(
-            f"{len(missing)} class(es) have no descriptions: {names}"
+            f"{len(missing)} class(es) have no descriptions: {', '.join(missing)}"
         )
-    return TextDataset(items=items, vocab=vocab)
+    return dataset
 
 
 def write_text_dataset_jsonl(dataset: TextDataset, path) -> None:

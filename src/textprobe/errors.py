@@ -68,7 +68,7 @@ class InvalidConfig(TextProbeError):
     """A configuration value violates its documented range."""
 
 
-class InvalidSmoothing(TextProbeError):
+class InvalidSmoothing(InvalidConfig):
     """Label-smoothing coefficient outside [0, 1)."""
 
 

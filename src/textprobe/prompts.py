@@ -63,10 +63,6 @@ class ClassVocabulary:
         return len(self.names)
 
     @property
-    def class_ids(self) -> tuple[int, ...]:
-        return tuple(range(len(self.names)))
-
-    @property
     def classes(self) -> list[tuple[int, str]]:
         return list(enumerate(self.names))
 
@@ -140,6 +136,8 @@ class TaskProfile:
                 raise InvalidProfile(
                     "fine_grained profiles need a nonempty superclass_token"
                 )
+            if self.domain_descriptors:
+                raise InvalidProfile("fine_grained profiles take no domain_descriptors")
             allowed = {"class", "superclass"}
         else:
             if not self.domain_descriptors:
@@ -148,6 +146,14 @@ class TaskProfile:
                 )
             if any(not d.strip() for d in self.domain_descriptors):
                 raise InvalidProfile("domain descriptors must be nonempty")
+            if self.superclass_token is not None:
+                raise InvalidProfile("cross_domain profiles take no superclass_token")
+            for idx, tpl in enumerate(self.resolved_templates()):
+                if "{domain}" not in tpl:  # it would render one text per descriptor, all alike
+                    raise InvalidProfile(
+                        f"template {idx} must contain the {{domain}} placeholder "
+                        f"in a cross_domain profile: {tpl!r}"
+                    )
             allowed = {"class", "domain"}
         _validate_templates(self.resolved_templates(), allowed)
 

@@ -14,6 +14,7 @@ from textprobe.data import (
     EmbeddingBundle,
     SyntheticSpaceConfig,
     read_bundle,
+    synthetic_bundle,
     synthetic_class_means,
     write_bundle,
 )
@@ -344,6 +345,24 @@ class TestTrain:
         assert "stpes" in capsys.readouterr().err
         assert not (tmp_path / "clf.json").exists()
 
+    @pytest.mark.parametrize("doc, error", [
+        ({"stepz": 5}, "unknown key(s): 'stepz'"),
+        ({"label_smoothing": 1.5}, "label_smoothing must be in [0, 1), got 1.5"),
+    ])
+    @pytest.mark.parametrize("argv", [["train", "--synthetic"],
+                                      ["eval", "--images", "i.tape", "--methods", "tot-cls",
+                                       "--classes", "classes.json"]])
+    def test_config_file_error_is_named_with_its_file(self, workspace, capsys,
+                                                      monkeypatch, argv, doc, error):
+        # The file is checked on its own, before a flag is laid over it.
+        monkeypatch.chdir(workspace)
+        config, out = workspace / "bad.json", workspace / "out.json"
+        config.write_text(json.dumps(doc))
+        assert run(*argv, "--config", config, "--steps", 3, "--smoothing", 0.1,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {config}: {error}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ['{"steps": 5', '{"steps": "5"}', '{"steps": 2.5}',
                                       '{"learning_rate": true}', '[1, 2]',
                                       '{"adam_eps": NaN}',
@@ -428,6 +447,68 @@ class TestTrain:
         assert run("train", "--descriptions", descriptions, "--classes", classes,
                    "--text-bundle", bundle, "--steps", 20, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture
+def text_task(workspace, monkeypatch):
+    """A two-class text dataset (one item of class 0, one of class 1), a bundle
+    whose rows follow it and a descriptions file, in the working directory."""
+    monkeypatch.chdir(workspace)
+    Path("ds.jsonl").write_text("".join(json.dumps({"text": t, "class_id": c}) + "\n"
+                                        for t, c in (("x", 0), ("y", 1))))
+    Path("d.jsonl").write_text(json.dumps({"prompt_id": "p", "class_id": 0,
+                                           "sample_index": 0, "text": "x"}) + "\n")
+    assert run("synth-space", "--modality", "text", "--classes-count", 2, "--dim", 8,
+               "--per-class", 1, "--out", "text.tape") == 0
+    return ["--classes", "classes.json", "--text-bundle", "text.tape", "--steps", 2]
+
+
+class TestTrainSources:
+    """train reads one text source, and refuses a flag that source would drop."""
+
+    @pytest.mark.parametrize("sources", [
+        ["--text-dataset", "ds.jsonl", "--descriptions", "nope.jsonl"],
+        ["--synthetic", "--descriptions", "nope.jsonl"],
+        ["--synthetic", "--text-dataset", "ds.jsonl"],
+    ])
+    def test_two_sources_exit_2(self, text_task, capsys, sources):
+        with pytest.raises(SystemExit) as exc:
+            run("train", *sources, *text_task, "--out", "clf.json")
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not Path("clf.json").exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--synthetic", "--classes", "nope.json"], "--classes cannot be used with --synthetic"),
+        (["--synthetic", "--text-bundle", "t.tape", "--allow-missing-classes"],
+         "--text-bundle, --allow-missing-classes cannot be used with --synthetic"),
+        (["--text-dataset", "ds.jsonl", "--classes", "classes.json", "--text-bundle",
+          "text.tape", "--synth-dim", 99], "--synth-dim cannot be used without --synthetic"),
+        (["--descriptions", "d.jsonl", "--classes", "classes.json", "--text-bundle",
+          "text.tape", "--allow-missing-classes", "--synth-gap", 0, "--synth-classes", 3],
+         "--synth-classes, --synth-gap cannot be used without --synthetic"),
+    ])
+    def test_a_flag_the_source_drops_exits_2(self, text_task, capsys, flags, named):
+        assert run("train", *flags, "--steps", 2, "--out", "clf.json") == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not Path("clf.json").exists()
+
+    def test_text_dataset_must_cover_every_class(self, text_task, capsys):
+        # The rule of --descriptions: a class with no item exits 2 unless allowed.
+        Path("ds.jsonl").write_text(json.dumps({"text": "x", "class_id": 0}) + "\n")
+        assert run("synth-space", "--modality", "text", "--classes-count", 1, "--dim", 8,
+                   "--per-class", 1, "--out", "text.tape") == 0
+        capsys.readouterr()
+        for source in (["--text-dataset", "ds.jsonl"], ["--descriptions", "d.jsonl"]):
+            assert run("train", *source, *text_task, "--out", "clf.json") == 2
+            assert capsys.readouterr().err == (
+                "error: 1 class(es) have no descriptions: braided\n")
+            assert not Path("clf.json").exists()
+            assert run("train", *source, *text_task, "--allow-missing-classes",
+                       "--out", "clf.json") == 0
+            assert LinearClassifier.load("clf.json").num_classes == 2
+            Path("clf.json").unlink()
+            capsys.readouterr()
 
 
 @pytest.mark.parametrize("target, edit, named", [
@@ -748,6 +829,29 @@ class TestSynthSpace:
         assert run("synth-space", "--per-class", per_class, "--out", out) == 2
         assert "samples_per_class must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_flags_given_are_laid_over_the_space_file(self, tmp_path):
+        space, out = tmp_path / "s.json", tmp_path / "x.tape"
+        space.write_text(json.dumps({"dimension": 8, "classes": 3, "sigma_intra": 0.2,
+                                     "seed": 4}))
+        assert run("synth-space", "--space", space, "--dim", 64, "--per-class", 2,
+                   "--out", out) == 0
+        expected = SyntheticSpaceConfig(dimension=64, classes=3, sigma_intra=0.2, seed=4)
+        assert read_bundle(out).matrix.tobytes() == synthetic_bundle(
+            expected, 2, modality="image").matrix.tobytes()
+        assert run("synth-space", "--space", space, "--dim", 64, "--classes-count", 5,
+                   "--per-class", 2, "--out", out) == 0
+        assert read_bundle(out).matrix.shape == (10, 64)
+
+    @pytest.mark.parametrize("sources", [
+        ["--from-classes", "classes.json", "--per-class", "4"],
+        ["--from-descriptions", "d.jsonl", "--from-classes", "classes.json"],
+    ])
+    def test_two_sources_exit_2(self, tmp_path, capsys, sources):
+        with pytest.raises(SystemExit) as exc:
+            run("synth-space", *sources, "--out", tmp_path / "x.tape")
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ['{"dimension": 16', '{"dimension": "abc"}', '[16]'])
     def test_malformed_or_mistyped_space_exits_2(self, tmp_path, text):
@@ -1076,27 +1180,31 @@ class TestParser:
         assert capsys.readouterr().out.startswith("usage: textprobe")
 
     def test_defaults_are_the_declarations(self):
+        # A config flag has no default of its own: with no flag given, each
+        # subcommand resolves its config class's defaults, by type and by value.
         parse = cli.build_parser().parse_args
-        space = SyntheticSpaceConfig().to_dict()
-        fetch = {"samples_per_prompt": llm.DEFAULT_SAMPLES_PER_PROMPT,
-                 "max_tokens": llm.DEFAULT_MAX_TOKENS,
-                 "sampling_temperature": llm.DEFAULT_SAMPLING_TEMPERATURE,
-                 "retries": llm.DEFAULT_RETRIES, "backoff_base": llm.DEFAULT_BACKOFF_S,
-                 "max_in_flight": llm.DEFAULT_MAX_IN_FLIGHT}
+        space, pseudo = SyntheticSpaceConfig, evaluate.PseudoLabelConfig
         cases = {
-            ("synth-space", "--out", "x"): space,
-            ("demo", "--workspace", "x"):
-                {**space, "samples_per_prompt": llm.DEFAULT_SAMPLES_PER_PROMPT},
-            ("train", "--out", "x"): {"synth_" + k: v for k, v in space.items() if k != "seed"},
-            ("refine", "--classifier", "c", "--unlabeled", "u", "--out", "x"):
-                evaluate.PseudoLabelConfig().to_dict(),
-            ("fetch", "--prompts", "p", "--out", "x"): fetch,
+            ("synth-space", "--out", "x"): [(space, "")],
+            ("demo", "--workspace", "x"): [(space, "")],
+            ("train", "--out", "x"): [(train.TrainConfig, ""), (space, "synth_")],
+            ("eval", "--images", "i"): [(train.TrainConfig, "")],
+            ("refine", "--classifier", "c", "--unlabeled", "u", "--out", "x"): [(pseudo, "")],
         }
-        for argv, declared in cases.items():
-            args = vars(parse(argv))
-            assert _typed({key: args[key] for key in declared}) == _typed(declared), argv
-        for argv in (["train", "--out", "x"], ["eval", "--images", "i"]):
-            assert cli._train_config_from_args(parse(argv)) == train.TrainConfig()
+        for argv, configs in cases.items():
+            args = parse(argv)
+            for cls, prefix in configs:
+                resolved = cli._config(args, cls, prefix=prefix).to_dict()
+                assert _typed(resolved) == _typed(cls().to_dict()), (argv, cls)
+                assert cli._given(args, resolved, prefix) == {}, (argv, cls)
+        # The sampling fields of fetch and demo default through SAMPLING_FIELDS,
+        # and fetch's own options keep their `llm` constants.
+        for argv in (["fetch", "--prompts", "p", "--out", "x"], ["demo", "--workspace", "x"]):
+            assert cli._given(parse(argv), llm.SAMPLING_FIELDS) == {}, argv
+        args = vars(parse(["fetch", "--prompts", "p", "--out", "x"]))
+        fetch = {"retries": llm.DEFAULT_RETRIES, "backoff_base": llm.DEFAULT_BACKOFF_S,
+                 "max_in_flight": llm.DEFAULT_MAX_IN_FLIGHT}
+        assert _typed({key: args[key] for key in fetch}) == _typed(fetch)
 
 
 # The exit code `main` returns for each error class. A new class must be added

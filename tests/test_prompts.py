@@ -152,6 +152,22 @@ class TestProfileValidation:
         with pytest.raises(InvalidProfile):
             render_prompts(profile, ClassVocabulary(("a",)))
 
+    @pytest.mark.parametrize("profile, named", [
+        (TaskProfile("t", "fine_grained", superclass_token="object",
+                     domain_descriptors=("in a sketch", "as a toy")), "domain_descriptors"),
+        (TaskProfile("t", "cross_domain", superclass_token="object",
+                     domain_descriptors=("in a sketch",)), "superclass_token"),
+        (cross_domain("t", ("d0", "d1", "d2"), templates=("Describe a {class}.",)),
+         r"template 0 must contain the \{domain\} placeholder"),
+        (cross_domain("t", ("d0",), templates=("A {class} {domain}.", "A {class}.")),
+         r"template 1 must contain the \{domain\} placeholder"),
+    ])
+    def test_a_setting_the_kind_would_drop_is_refused(self, profile, named):
+        # Rendered, these would drop the descriptors or the token, or repeat
+        # one text under several prompt ids.
+        with pytest.raises(InvalidProfile, match=named):
+            render_prompts(profile, ClassVocabulary(("a", "b")))
+
     def test_wrong_placeholder_for_kind(self):
         profile = fine_grained("t", "s", templates=("What is a {class} {domain}?",))
         with pytest.raises(InvalidProfile):

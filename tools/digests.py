@@ -51,10 +51,15 @@ COMMANDS = [
     ("run-all-force", ["run-all", "--manifest", "demo/manifest.json", "--force"]),
     ("eval-json", [*_EVAL, "--format", "json", "--out", "eval.json"]),
     ("eval-csv", [*_EVAL, "--format", "csv", "--out", "eval-csv.json"]),
+    ("eval-train-flags", [*_EVAL, "--steps", "20", "--lr", "0.01", "--smoothing", "0.2",
+                          "--sigma", "0.5", "--weight-decay", "0.1", "--seed", "3",
+                          "--format", "json", "--out", "eval-flags.json"]),
     ("refine", [*_REFINE, "--threshold", "0.3", "--out", "refined.json"]),
     ("refine-eval-images", [*_REFINE, "--threshold", "0.3", "--eval-images",
                             "demo/images.tape", "--out", "refined-eval.json"]),
     ("refine-none-kept", [*_REFINE, "--out", "refined-none.json"]),
+    ("refine-flags", [*_REFINE, "--threshold", "0.3", "--steps", "20", "--lr", "0.01",
+                      "--out", "refined-flags.json"]),
     ("train-synthetic", ["train", "--synthetic", "--steps", "100", "--out", "synthetic.json",
                          "--dataset-out", "synthetic-dataset.jsonl"]),
     ("train-synthetic-flags", ["train", "--synthetic", "--synth-classes", "4", "--synth-dim", "16",
@@ -72,10 +77,17 @@ COMMANDS = [
     ("synth-space-from-descriptions", ["synth-space", "--from-descriptions",
                                        "demo/descriptions.jsonl", "--modality", "text",
                                        "--out", "from-descriptions.tape"]),
+    ("synth-space-flags", ["synth-space", "--per-class", "3", "--dim", "16", "--classes-count",
+                           "4", "--sigma-intra", "0.3", "--gap", "0.2", "--seed", "7",
+                           "--out", "space-flags.tape"]),
     ("gen-prompts-generic", ["gen-prompts", "--generic", "--classes", "demo/classes.json",
                              "--out", "generic-prompts.jsonl"]),
     ("fetch-fixture", ["fetch", "--prompts", "demo/prompts.jsonl", "--fixture",
                        "demo/fixture.jsonl", "--cache", "cache", "--out", "fetched.jsonl"]),
+    ("fetch-fixture-flags", ["fetch", "--prompts", "demo/prompts.jsonl", "--fixture",
+                             "demo/fixture.jsonl", "--samples", "3", "--max-tokens", "10",
+                             "--temperature", "0.5", "--cache", "cache",
+                             "--out", "fetched-flags.jsonl"]),
     # Two workspaces shaped like the benchmark's train-mid and ingest-large: rows
     # normalized over many blocks, and five methods screened in float32 on 12000 x 768 images.
     ("demo-train-mid", ["demo", "--workspace", "mid", "--dim", "512", "--classes-count", "100",
