@@ -188,10 +188,14 @@ def _fetch_stage(prompts, fixture, endpoint, cache, out, llm: dict,
     listed and skipped instead of failing the stage."""
     reqs = requests_from_prompt_records(read_prompts_jsonl(_require_file(*prompts)), **llm)
     transport = _transport(fixture, endpoint)
-    if allow_partial:
-        descs, failures = fetch_descriptions_partial(reqs, transport, cache, **options)
-    else:
-        descs, failures = fetch_descriptions(reqs, transport, cache, **options), []
+    try:
+        if allow_partial:
+            descs, failures = fetch_descriptions_partial(reqs, transport, cache, **options)
+        else:
+            descs, failures = fetch_descriptions(reqs, transport, cache, **options), []
+    finally:
+        if isinstance(transport, HttpTransport):
+            transport.close()
     write_descriptions_jsonl(descs, out)
     for failure in failures:
         _status(f"failed {failure.prompt_id}: {failure.message}")
@@ -321,19 +325,21 @@ def cmd_train(args) -> None:
     # A flag that only the other kind of source reads is refused, not dropped.
     other = ({"--classes": args.classes, "--text-bundle": args.text_bundle,
               "--allow-missing-classes": args.allow_missing_classes or None} if args.synthetic
-             else {flag: getattr(args, "synth_" + name) for name, flag in _SYNTH_FLAGS.items()})
+             else {flag: getattr(args, "synth_" + name)
+                   for name, flag in {**_SYNTH_FLAGS, "samples": "--synth-samples"}.items()})
     unused = [flag for flag, value in other.items() if value is not None]
     if unused:
         raise InvalidConfig(f"{', '.join(unused)} cannot be used "
                             f"{'with' if args.synthetic else 'without'} --synthetic")
     if args.synthetic:
-        _at_least(1)("--synth-samples", args.synth_samples)
+        per_class = _at_least(1)("--synth-samples", DEFAULT_SYNTH_SAMPLES
+                                 if args.synth_samples is None else args.synth_samples)
         space = replace(_config(args, SyntheticSpaceConfig, prefix="synth_"), seed=cfg.seed)
         vocab = ClassVocabulary(tuple(f"class_{i:02d}" for i in range(space.classes)))
         items = [
             (f"synthetic description {j} of {vocab.name_of(c)}", c)
             for c in range(space.classes)
-            for j in range(args.synth_samples)
+            for j in range(per_class)
         ]
         dataset = TextDataset(items=items, vocab=vocab)
         # The space and the weight init would otherwise share one stream, and
@@ -594,6 +600,7 @@ _SPACE_FLAGS = {"dimension": "--dim", "classes": "--classes-count",
                 "sigma_intra": "--sigma-intra", "gap": "--gap", "seed": "--seed"}
 _SYNTH_FLAGS = {"classes": "--synth-classes", "dimension": "--synth-dim",
                 "sigma_intra": "--synth-sigma", "gap": "--synth-gap"}
+DEFAULT_SYNTH_SAMPLES = 50  # train --synthetic's descriptions per class
 _TRAIN_FLAGS = {"learning_rate": "--lr", "steps": "--steps", "label_smoothing": "--smoothing",
                 "noise_sigma": "--sigma", "weight_decay": "--weight-decay", "seed": "--seed"}
 
@@ -646,7 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset-out", help="also write the assembled dataset JSONL")
     p.add_argument("--allow-missing-classes", action="store_true")
     _add_field_flags(p, SyntheticSpaceConfig, _SYNTH_FLAGS, "synth_")
-    p.add_argument("--synth-samples", type=int, default=50)
+    p.add_argument("--synth-samples", type=int,
+                   help=f"descriptions per class (default {DEFAULT_SYNTH_SAMPLES})")
     p.add_argument("--config", dest="train_config", help="TrainConfig JSON file")
     _add_field_flags(p, TrainConfig, _TRAIN_FLAGS)
     p.set_defaults(func=cmd_train)

@@ -11,13 +11,14 @@ one declaration of the sampling and fetch defaults.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import http.client
 import json
 import os
+import ssl
 import threading
 import time
-import urllib.error
 import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -115,20 +116,21 @@ def requests_from_prompt_records(records: list[dict], **sampling) -> list[LlmReq
 
 # -- transports ----------------------------------------------------------------
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    def redirect_request(self, *args):  # a 3xx reply fails as "HTTP error 3xx"
-        return None
-
-
 class HttpTransport:
-    """POSTs completion-style JSON bodies {prompt, max_tokens, temperature, n},
-    one connection each; no redirect is followed, so the token reaches no other host.
+    """POSTs completion-style JSON bodies {prompt, max_tokens, temperature, n}
+    over kept-alive connections; no redirect is followed, so the token reaches
+    no other host.
 
     Expects a JSON reply with a `choices` list of {"text": <string>} objects.
     Connection problems, timeouts, truncated bodies, 429 and 5xx replies are
     transient (retried by the fetcher); other error statuses and unparseable
     bodies are not. A Retry-After header in delta-seconds on a 429 or 503 is
     passed on to the fetcher as the least time to wait before the next attempt.
+
+    Threads share one transport: each call takes an idle connection off a
+    stack, or opens one, and puts it back once its reply is read, unless the
+    reply says the server will close it. `HTTP_PROXY`, `HTTPS_PROXY` and
+    `NO_PROXY` are read once, here. `close` closes the idle connections.
     """
 
     source = SOURCE_LIVE
@@ -136,7 +138,7 @@ class HttpTransport:
     def __init__(self, url: str, timeout: float = 30.0, token: str | None = None):
         try:
             parts = urllib.parse.urlsplit(url)
-            parts.port  # raises ValueError unless the port is a number in range
+            port = parts.port  # raises ValueError unless the port is a number in range
         except ValueError:
             parts = None
         if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
@@ -146,26 +148,71 @@ class HttpTransport:
         self.url = url
         self.timeout = timeout
         self.token = token if token is not None else os.environ.get(AUTH_TOKEN_ENV)
-        self.opener = urllib.request.build_opener(_NoRedirect)  # reads HTTP(S)_PROXY
+        self._https = parts.scheme == "https"
+        self._context = ssl.create_default_context() if self._https else None
+        self._origin = (parts.hostname, port or (443 if self._https else 80))
+        self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        self._proxy, self._proxy_headers = _proxy_for(parts)
+        if self._proxy and not self._https:  # plain HTTP goes to a proxy in absolute form
+            self._target = urllib.parse.urlunsplit(parts._replace(fragment=""))
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def _connect(self) -> http.client.HTTPConnection:
+        """A new connection to the endpoint, or to its proxy; it opens on first use."""
+        server = self._proxy or self._origin
+        if not self._https:
+            return http.client.HTTPConnection(*server, timeout=self.timeout)
+        conn = http.client.HTTPSConnection(*server, timeout=self.timeout,
+                                           context=self._context)
+        if self._proxy:
+            conn.set_tunnel(*self._origin, headers=self._proxy_headers)
+        return conn
+
+    def _post(self, conn: http.client.HTTPConnection, body: bytes,
+              headers: dict) -> http.client.HTTPResponse:
+        conn.request("POST", self._target, body, headers)
+        return conn.getresponse()
 
     def complete(self, request: LlmRequest) -> list[str]:
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": "textprobe"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
-        body = {
+        if not self._https:
+            headers.update(self._proxy_headers)
+        body = json.dumps({
             "prompt": request.prompt_text,
             "max_tokens": request.max_tokens,
             "temperature": request.sampling_temperature,
             "n": request.samples_per_prompt,
-        }
-        post = urllib.request.Request(self.url, json.dumps(body).encode("utf-8"), headers)
+        }).encode("utf-8")
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
         try:
-            with self.opener.open(post, timeout=self.timeout) as resp:
-                payload = resp.read()
-        except urllib.error.HTTPError as exc:
-            with exc:  # an error reply holds its socket until it is closed
-                status, busy = exc.code, exc.code in (429, 503)
-                retry_after = _retry_after(exc.headers) if busy else None
+            resp = None
+            if conn is not None:
+                try:
+                    resp = self._post(conn, body, headers)
+                except ConnectionError:
+                    # Closed while idle, before any status line: the server
+                    # never saw the request, so it goes once more, on a new
+                    # connection, as the same attempt.
+                    conn.close()
+            if resp is None:
+                conn = self._connect()
+                resp = self._post(conn, body, headers)
+            payload = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise TransportError(f"request failed: {exc}", transient=True) from exc
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        status = resp.status
+        if not 200 <= status < 300:
+            retry_after = _retry_after(resp.headers) if status in (429, 503) else None
             if status >= 500:
                 raise TransportError(f"server error {status}", transient=True,
                                      retry_after=retry_after)
@@ -173,8 +220,6 @@ class HttpTransport:
                 raise TransportError("rate limited (429)", transient=True,
                                      retry_after=retry_after)
             raise TransportError(f"HTTP error {status}", transient=False)
-        except (OSError, http.client.HTTPException) as exc:
-            raise TransportError(f"request failed: {exc}", transient=True) from exc
         try:
             texts = [c["text"] for c in json.loads(payload)["choices"]]
             if not all(isinstance(text, str) for text in texts):
@@ -184,6 +229,34 @@ class HttpTransport:
                 f"unparseable completion body: {exc}", prompt_id=request.prompt_id
             ) from exc
         return texts
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+
+def _proxy_for(endpoint: urllib.parse.SplitResult) -> tuple[tuple[str, int] | None, dict]:
+    """The (host, port) of the proxy that `HTTP_PROXY` or `HTTPS_PROXY` names
+    for `endpoint`, None when there is none or `NO_PROXY` exempts the
+    endpoint; and the Proxy-Authorization header of the proxy's user info."""
+    proxy = urllib.request.getproxies().get(endpoint.scheme)
+    if not proxy or urllib.request.proxy_bypass(endpoint.netloc):
+        return None, {}
+    try:
+        via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        address = (via.hostname, via.port or 80)
+    except ValueError:
+        via = None
+    if via is None or not via.hostname:
+        raise InvalidConfig(f"{endpoint.scheme} proxy {proxy!r} is not a URL with a host "
+                            "and a valid port")
+    if via.username is None:
+        return address, {}
+    user = f"{urllib.parse.unquote(via.username)}:{urllib.parse.unquote(via.password or '')}"
+    return address, {"Proxy-Authorization": "Basic " + base64.b64encode(user.encode()).decode()}
 
 
 def _retry_after(headers) -> float | None:
@@ -308,13 +381,38 @@ def clean_completion(text: str) -> str:
     return text
 
 
+class _Slots:
+    """The in-flight slots of one fetch: at most `n` requests on the wire at
+    once. A request taking its slot back after a backoff goes before every
+    request that has not started yet."""
+
+    def __init__(self, n: int):
+        self._free = n
+        self._returning = 0  # requests back from a backoff, waiting for a slot
+        self._changed = threading.Condition()
+
+    def take(self, returning: bool = False) -> None:
+        with self._changed:
+            self._returning += returning
+            self._changed.wait_for(lambda: self._free and (returning or not self._returning))
+            self._returning -= returning
+            self._free -= 1
+            if returning:  # a new request may be the next to go
+                self._changed.notify_all()
+
+    def give(self) -> None:
+        with self._changed:
+            self._free += 1
+            self._changed.notify_all()
+
+
 def _complete_with_retry(transport, request: LlmRequest, retries: int,
-                         backoff_base: float, slot: threading.Semaphore) -> list[str]:
+                         backoff_base: float, slots: _Slots) -> list[str]:
     """The request's completions, retrying transient failures with backoff.
 
-    The caller holds `slot` (an in-flight slot) during each attempt; it is
-    given up while waiting out a backoff, so another request can use it, and
-    taken back before the next attempt.
+    The caller holds one of `slots` during each attempt; it is given up
+    while waiting out a backoff, so another request can use it, and taken
+    back, ahead of requests not yet started, before the next attempt.
     """
     attempt = 0
     while True:
@@ -327,11 +425,11 @@ def _complete_with_retry(transport, request: LlmRequest, retries: int,
             delay = backoff_base * (2 ** (attempt - 1))
             if exc.retry_after is not None:
                 delay = max(delay, min(exc.retry_after, MAX_RETRY_AFTER_S))
-            slot.release()
+            slots.give()
             try:
                 time.sleep(delay)
             finally:
-                slot.acquire()
+                slots.take(returning=True)
 
 
 def _request_key(request: LlmRequest) -> str:
@@ -349,20 +447,21 @@ def _cached_samples(request: LlmRequest, cache_dir) -> list[str]:
 
 
 def _round_trip(request: LlmRequest, transport, retries: int, backoff_base: float,
-                slot: threading.Semaphore) -> tuple[list[str] | None, FetchFailure | None]:
+                slots: _Slots) -> tuple[list[str] | None, FetchFailure | None]:
     """A worker's whole job: one request's completions, or why there are none.
 
     Failures are returned, not raised: an exception left in a future keeps its
     traceback's frames alive in reference cycles until the next collection.
     """
+    slots.take()
     try:
-        with slot:
-            return _complete_with_retry(transport, request, retries, backoff_base,
-                                        slot), None
+        return _complete_with_retry(transport, request, retries, backoff_base, slots), None
     except MalformedResponse as exc:
         return None, FetchFailure(request.prompt_id, "malformed", str(exc))
     except TransportError as exc:
         return None, FetchFailure(request.prompt_id, "unreachable", str(exc))
+    finally:
+        slots.give()
 
 
 def _settle(request: LlmRequest, cached: list[str], live_texts: list[str] | None,
@@ -423,9 +522,11 @@ def fetch_descriptions_partial(
 
     At most `max_in_flight` requests are on the wire at once: a worker holds
     one of that many slots during each attempt and gives it up while it waits
-    out a backoff. The pool has up to twice `max_in_flight` threads, so up to
-    `max_in_flight` requests can wait out a backoff while as many others are
-    on the wire; if more back off at once, slots sit idle until one returns.
+    out a backoff; a request back from its backoff takes the next free slot
+    before any request that has not started. The pool has up to twice
+    `max_in_flight` threads, so up to `max_in_flight` requests can wait out a
+    backoff while as many others are on the wire; if more back off at once,
+    slots sit idle until one returns.
     """
     max_in_flight = _at_least(1)("max_in_flight", max_in_flight)
     retries = _at_least(1)("retries", retries)
@@ -447,12 +548,12 @@ def fetch_descriptions_partial(
     if live:
         if cache_dir is not None:
             Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        slot = threading.BoundedSemaphore(max_in_flight)
+        slots = _Slots(max_in_flight)
         pool = ThreadPoolExecutor(max_workers=min(2 * max_in_flight, len(live)))
         try:
             pending = {
                 pool.submit(_round_trip, requests_list[i], transport, retries,
-                            backoff_base, slot): i
+                            backoff_base, slots): i
                 for i in live
             }
             for future in as_completed(pending):

@@ -321,6 +321,13 @@ class TestTrain:
         assert f"--synth-samples must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("given, per_class", [([], 50), (["--synth-samples", 3], 3)])
+    def test_synth_samples_sets_the_rows_per_class(self, tmp_path, given, per_class):
+        ds = tmp_path / "ds.jsonl"
+        assert run("train", "--synthetic", "--synth-classes", 2, "--synth-dim", 8,
+                   "--steps", 0, *given, "--dataset-out", ds, "--out", tmp_path / "c.json") == 0
+        assert len(ds.read_text().splitlines()) == 2 * per_class
+
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run("train", "--synthetic", "--steps", 50, "--seed", 7, "--out", a) == 0
@@ -487,6 +494,8 @@ class TestTrainSources:
         (["--descriptions", "d.jsonl", "--classes", "classes.json", "--text-bundle",
           "text.tape", "--allow-missing-classes", "--synth-gap", 0, "--synth-classes", 3],
          "--synth-classes, --synth-gap cannot be used without --synthetic"),
+        (["--text-dataset", "ds.jsonl", "--classes", "classes.json", "--text-bundle",
+          "text.tape", "--synth-samples", 7], "--synth-samples cannot be used without --synthetic"),
     ])
     def test_a_flag_the_source_drops_exits_2(self, text_task, capsys, flags, named):
         assert run("train", *flags, "--steps", 2, "--out", "clf.json") == 2
