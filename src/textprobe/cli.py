@@ -7,10 +7,11 @@ Status goes to stderr; stdout carries data (tables, CSV, JSON) only.
 
 Every stage is one `_*_stage` function from resolved inputs to one written
 file that returns its status line. Its subcommand maps flags onto those
-inputs, and `run-all` maps manifest keys onto them and runs the stages in
-one loop, so both run the same code. There an existing output is used as it
-is unless `--force` is given, and an output the manifest gives no way to make
-is an input: it must exist, and `--force` leaves it alone.
+inputs, and `run-all` maps manifest keys onto them in one table, whose
+entries name the keys each stage reads: it makes the head, the report and
+every output they read. An existing output is used as it is unless `--force`
+is given, and an output the manifest gives no way to make is an input: it
+must exist, and `--force` leaves it alone.
 
 Each setting is declared once. A flag that sets a config field has the
 field's name as its dest and no default of its own: `_config` lays each flag
@@ -50,12 +51,12 @@ from .errors import (
     EmptyDataset,
     InvalidConfig,
     MissingInput,
+    NonFiniteValue,
     ShapeMismatch,
     TextProbeError,
     _at_least,
     _checked,
     _flag,
-    _integer,
     _string,
     _strings,
 )
@@ -234,14 +235,14 @@ def _train_stage(dataset, bundle, cfg: TrainConfig, out) -> str:
             f"({cfg.steps} steps), final loss {clf.train_meta['final_loss']:.6f}")
 
 
-# The input file each evaluation method reads: the trained head, the class-name
-# bundle or the template bundle.
+# The manifest key of the input file each evaluation method reads: the trained
+# head, the class-name bundle or the template bundle.
 _METHOD_INPUT = {
     METHOD_TAP: "classifier",
-    METHOD_CLIP_SINGLE: "class_embeddings",
-    METHOD_CLIP_DST: "dst_embeddings",
-    METHOD_TOT_CLS: "class_embeddings",
-    METHOD_TOT_DST: "dst_embeddings",
+    METHOD_CLIP_SINGLE: "class_name_bundle",
+    METHOD_CLIP_DST: "dst_bundle",
+    METHOD_TOT_CLS: "class_name_bundle",
+    METHOD_TOT_DST: "dst_bundle",
 }
 
 
@@ -254,6 +255,14 @@ def _check_methods(methods) -> list[str]:
     if repeated:
         raise InvalidConfig(f"method {repeated[0]!r} is listed more than once in {methods!r}")
     return list(methods)
+
+
+def _scored(clf, images, method, dataset_name, source):
+    """`evaluate_classifier`'s row; a head too large to score is named by `source`, its file."""
+    try:
+        return evaluate_classifier(clf, images, method, dataset_name)
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"{source}: {exc}") from None
 
 
 def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
@@ -290,7 +299,7 @@ def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
             clf = train_tot_cls(vocab, tot[method], train_cfg)
         else:
             clf = train_tot_dst(vocab, tot[method], train_cfg, dst_templates)
-        rows.append(evaluate_classifier(clf, images, method, dataset_name))
+        rows.append(_scored(clf, images, method, dataset_name, input_of(method)[0]))
     report = EvalReport(rows=rows, config={"methods": list(methods),
                                            "dataset": dataset_name, **config})
     if out:
@@ -369,15 +378,13 @@ def cmd_train(args) -> None:
 
 def cmd_eval(args) -> None:
     methods = _check_methods([m.strip() for m in args.methods.split(",") if m.strip()])
-    vocab = cfg = None
     tot = [m for m in methods if m in (METHOD_TOT_CLS, METHOD_TOT_DST)]
-    if tot:
-        vocab = _read_classes(args.classes, f"--classes (method {tot[0]})")
-        cfg = _config(args, TrainConfig, (args.train_config, "--config"))
+    vocab = _read_classes(args.classes, f"--classes (method {tot[0]})") if tot else None
+    cfg = _config(args, TrainConfig, (args.train_config, "--config"))
     inputs = {
         "classifier": (args.classifier, "--classifier"),
-        "class_embeddings": (args.class_embeddings, "--class-embeddings"),
-        "dst_embeddings": (args.dst_embeddings, "--dst-embeddings"),
+        "class_name_bundle": (args.class_embeddings, "--class-embeddings"),
+        "dst_bundle": (args.dst_embeddings, "--dst-embeddings"),
     }
     _status(_eval_stage(methods, (args.images, "--images"), inputs, vocab, cfg,
                         args.dst_template, args.dataset_name, {"images": str(args.images)},
@@ -390,7 +397,7 @@ def cmd_refine(args) -> None:
     images = initial = None
     if args.eval_images:  # scored before refining, so a bad --eval-images writes no --out
         images = _read_rows(args.eval_images, "--eval-images")
-        initial = evaluate_classifier(clf, images, "initial", args.dataset_name)
+        initial = _scored(clf, images, "initial", args.dataset_name, args.classifier)
     plcfg = _config(args, PseudoLabelConfig)
     refined = pseudo_label_refine(clf, unlabeled, plcfg)
     refined.save(args.out)
@@ -398,15 +405,11 @@ def cmd_refine(args) -> None:
     delta_doc = {"kept": kept, "threshold": plcfg.confidence_threshold}
     if images is not None:
         after = evaluate_classifier(refined, images, "refined", args.dataset_name)
-        delta_doc.update(
-            initial_accuracy=initial.accuracy,
-            refined_accuracy=after.accuracy,
-            delta=after.accuracy - initial.accuracy,
-        )
-        _status(
-            f"accuracy {initial.accuracy:.2f} -> {after.accuracy:.2f} "
-            f"(delta {after.accuracy - initial.accuracy:+.2f}, kept {kept})"
-        )
+        delta = after.accuracy - initial.accuracy
+        delta_doc.update(initial_accuracy=initial.accuracy, refined_accuracy=after.accuracy,
+                         delta=delta)
+        _status(f"accuracy {initial.accuracy:.2f} -> {after.accuracy:.2f} "
+                f"(delta {delta:+.2f}, kept {kept})")
     else:
         _status(f"refined on {kept} pseudo-labeled images")
     print(json.dumps(delta_doc, sort_keys=True))
@@ -443,7 +446,7 @@ def _train_block(key, value) -> dict:
 _MANIFEST = {
     "workspace": (_string, None),
     "dataset_name": (_string, "dataset"),
-    "seed": (_integer, 0),
+    "seed": (_at_least(0), 0),
     "task_profile": (_path, None),
     "classes": (_path, "classes.json"),
     "prompts": (_path, "prompts.jsonl"),
@@ -492,39 +495,41 @@ def cmd_run_all(args) -> None:
     # Built at most once: the text bundle and the head share it, so their rows align.
     dataset = functools.cache(lambda: build_text_dataset(
         load_fixture_descriptions(_require_file(m.descriptions, "descriptions")), vocab))
-    # (stage, manifest key of its output, the manifest value that names a way
-    # to make it, maker). The class-name and template bundles are listed only
-    # when a method reads them. Eval has no output to check: it always runs.
+    # (stage, manifest key of its output, the manifest keys it reads, the manifest
+    # value that names a way to make it, maker), in the order they run. Eval's
+    # output key is None: it always runs.
     stages = [
-        ("gen-prompts", "prompts", m.task_profile or m.generic, lambda: _prompts_stage(
-            vocab, (m.task_profile, "task_profile"), m.prompts, m.generic)),
-        ("fetch", "descriptions", m.fixture or m.endpoint, lambda: _fetch_stage(
-            (m.prompts, "prompts"), (m.fixture, "fixture"), (m.endpoint, "endpoint"),
-            m.cache, m.descriptions, m.llm)),
-        ("bundles", "text_bundle", space, lambda: _bundle_stage(
-            space, "text", m.text_bundle, dataset().items)),
-        ("bundles", "image_bundle", space, lambda: _bundle_stage(
-            space, "image", m.image_bundle, per_class=m.image_samples_per_class)),
+        ("gen-prompts", "prompts", ("task_profile", "generic", "classes"),
+         m.task_profile or m.generic, lambda: _prompts_stage(
+             vocab, (m.task_profile, "task_profile"), m.prompts, m.generic)),
+        ("fetch", "descriptions", ("prompts", "fixture", "endpoint", "cache", "llm"),
+         m.fixture or m.endpoint, lambda: _fetch_stage(
+             (m.prompts, "prompts"), (m.fixture, "fixture"), (m.endpoint, "endpoint"),
+             m.cache, m.descriptions, m.llm)),
+        ("bundles", "text_bundle", ("synthetic_space", "descriptions", "classes"), space, lambda:
+         _bundle_stage(space, "text", m.text_bundle, dataset().items)),
+        ("bundles", "image_bundle", ("synthetic_space", "image_samples_per_class"), space, lambda:
+         _bundle_stage(space, "image", m.image_bundle, per_class=m.image_samples_per_class)),
+        ("bundles", "class_name_bundle", ("synthetic_space", "classes"), space, lambda:
+         _bundle_stage(space, "text", m.class_name_bundle, class_name_items(vocab))),
+        ("bundles", "dst_bundle", ("synthetic_space", "classes", "dst_templates"), space, lambda:
+         _bundle_stage(space, "text", m.dst_bundle, template_items(vocab, dst_templates))),
+        ("train", "classifier", ("descriptions", "classes", "text_bundle", "train", "seed"), True,
+         lambda: _train_stage(
+             dataset(), _read_text_bundle(m.text_bundle, "text_bundle", dataset()),
+             train_cfg, m.classifier)),
+        ("eval", None, ("image_bundle", *map(_METHOD_INPUT.get, m.methods), "methods",
+                        "classes", "dst_templates", "train", "seed", "dataset_name"), True, lambda:
+         _eval_stage(m.methods, (m.image_bundle, "image_bundle"),
+                     {key: (getattr(m, key), key) for key in _METHOD_INPUT.values()}, vocab,
+                     train_cfg, dst_templates, m.dataset_name,
+                     {"seed": m.seed, "train": train_cfg.to_dict()}, m.report)),
     ]
-    read = {_METHOD_INPUT[method] for method in m.methods}
-    if m.class_name_bundle and "class_embeddings" in read:
-        stages.append(("bundles", "class_name_bundle", space, lambda: _bundle_stage(
-            space, "text", m.class_name_bundle, class_name_items(vocab))))
-    if m.dst_bundle and "dst_embeddings" in read:
-        stages.append(("bundles", "dst_bundle", space, lambda: _bundle_stage(
-            space, "text", m.dst_bundle, template_items(vocab, dst_templates))))
-    stages += [
-        ("train", "classifier", True, lambda: _train_stage(
-            dataset(), _read_text_bundle(m.text_bundle, "text_bundle", dataset()),
-            train_cfg, m.classifier)),
-        ("eval", None, True, lambda: _eval_stage(m.methods, (m.image_bundle, "image_bundle"), {
-            "classifier": (m.classifier, "classifier"),
-            "class_embeddings": (m.class_name_bundle, "class_name_bundle"),
-            "dst_embeddings": (m.dst_bundle, "dst_bundle"),
-        }, vocab, train_cfg, dst_templates, m.dataset_name,
-            {"seed": m.seed, "train": train_cfg.to_dict()}, m.report)),
-    ]
-    for stage, key, way, make in stages:
+    needed = {"classifier", None}  # the head, the report and every output they read
+    for _, key, reads, _, _ in reversed(stages):
+        if key in needed:
+            needed.update(read for read in reads if getattr(m, read) is not None)
+    for stage, key, _, way, make in (entry for entry in stages if entry[1] in needed):
         out = key and getattr(m, key)
         if way and (out is None or args.force or not out.is_file()):
             _status(f"[{stage}] {make()}")
@@ -605,6 +610,7 @@ _TRAIN_FLAGS = {"learning_rate": "--lr", "steps": "--steps", "label_smoothing": 
                 "noise_sigma": "--sigma", "weight_decay": "--weight-decay", "seed": "--seed"}
 
 
+@functools.cache  # one per process: `main` looks each subcommand up by name
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="textprobe",
@@ -622,7 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template", dest="templates", action="append",
                    help="generic template override (repeatable; --generic only)")
     p.add_argument("--task-name", help="generic prompts' task name (--generic only)")
-    p.set_defaults(func=cmd_gen_prompts)
 
     p = sub.add_parser("fetch", help="fetch descriptions for rendered prompts")
     p.add_argument("--prompts", required=True)
@@ -639,7 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-in-flight", type=int, default=DEFAULT_MAX_IN_FLIGHT)
     p.add_argument("--allow-partial", action="store_true",
                    help="write what succeeded, log the rest, exit 0")
-    p.set_defaults(func=cmd_fetch)
 
     p = sub.add_parser("train", help="train the text classifier head")
     source = p.add_mutually_exclusive_group()
@@ -657,7 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"descriptions per class (default {DEFAULT_SYNTH_SAMPLES})")
     p.add_argument("--config", dest="train_config", help="TrainConfig JSON file")
     _add_field_flags(p, TrainConfig, _TRAIN_FLAGS)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate methods on a labeled image bundle")
     p.add_argument("--images", required=True, help="labeled image bundle")
@@ -674,7 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--config", dest="train_config", help="TrainConfig JSON file")
     _add_field_flags(p, TrainConfig, _TRAIN_FLAGS)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("refine", help="pseudo-label refinement of a trained head")
     p.add_argument("--classifier", required=True)
@@ -684,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
                                             "refine_steps": "--steps", "refine_lr": "--lr"})
     p.add_argument("--eval-images", help="labeled bundle for the before/after delta")
     p.add_argument("--dataset-name", default="dataset")
-    p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("synth-space", help="emit synthetic embedding bundles")
     p.add_argument("--out", required=True)
@@ -695,12 +696,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--per-class", type=int, help="emit N samples per class")
     source.add_argument("--from-descriptions", help="encode a descriptions JSONL")
     source.add_argument("--from-classes", help="encode one sample per class name")
-    p.set_defaults(func=cmd_synth_space)
 
     p = sub.add_parser("run-all", help="run every stage from a pipeline manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--force", action="store_true", help="rerun completed stages")
-    p.set_defaults(func=cmd_run_all)
 
     p = sub.add_parser("demo", help="scaffold a synthetic demo workspace")
     p.add_argument("--workspace", required=True)
@@ -708,7 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(p, LlmRequest, {"samples_per_prompt": "--samples"})
     p.add_argument("--image-samples", type=int, default=100)
     p.add_argument("--steps", type=int, default=300)
-    p.set_defaults(func=cmd_demo)
 
     return parser
 
@@ -716,11 +714,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
+    if args.command is None:
         parser.print_help(sys.stderr)
         return InvalidConfig.exit_code
     try:
-        args.func(args)
+        globals()["cmd_" + args.command.replace("-", "_")](args)
     except FileNotFoundError as exc:
         _status(f"error: missing file: {exc.filename or exc}")
         return MissingInput.exit_code

@@ -56,8 +56,8 @@ from .errors import (
     _at_least,
     _checked,
     _float,
-    _integer,
     _list,
+    _rule,
     _string,
     _strings,
     _whole,
@@ -211,13 +211,18 @@ class EmbeddingBundle:
 
 
 def _labels(key, value) -> tuple[int, ...]:
-    """The list `value` as a tuple of ints, checked in one pass; a NumPy integer
-    converts, and InvalidConfig names the first item that is not an integer."""
+    """The list `value` as a tuple of int64 values; a NumPy integer converts,
+    and InvalidConfig names the first item that is not an integer or not in
+    int64's range."""
     if not all(type(c) is int for c in _list(key, value)):
         for i, c in enumerate(value):
             if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
                 raise InvalidConfig(f"{key}[{i}] must be an integer, got {c!r}")
-    return tuple(map(int, value))
+    labels = tuple(map(int, value))
+    if labels and not (-2**63 <= min(labels) and max(labels) < 2**63):
+        i = next(i for i, c in enumerate(labels) if not -2**63 <= c < 2**63)
+        raise InvalidConfig(f"{key}[{i}] must fit in int64, got {labels[i]}")
+    return labels
 
 
 # Every sidecar key and its check; each is optional, and null means absent.
@@ -300,8 +305,10 @@ class SyntheticSpaceConfig(_Config):
     gap: float = 0.0
     seed: int = 0
 
-    _CHECKS = {"dimension": _at_least(2), "classes": _at_least(1),
-               "sigma_intra": _at_least(0, _float), "gap": _float, "seed": _integer}
+    # A bundle's header holds its dimension as a u32.
+    _CHECKS = {"dimension": _rule(_at_least(2), lambda d: d < 2**32, "must be < 2**32"),
+               "classes": _at_least(1), "sigma_intra": _at_least(0, _float), "gap": _float,
+               "seed": _at_least(0)}
 
 
 def synthetic_class_means(space: SyntheticSpaceConfig) -> tuple[np.ndarray, np.ndarray]:

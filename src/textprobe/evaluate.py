@@ -35,6 +35,7 @@ from .errors import (
     EmptyDataset,
     EmptyReport,
     InvalidConfig,
+    NonFiniteValue,
     ShapeMismatch,
     UnknownClassId,
     _Config,
@@ -167,6 +168,9 @@ def _float32_logits(unit32: np.ndarray, weights: np.ndarray, bias: np.ndarray):
                        + np.abs(np.ldexp(bias, -pre))).max())
         # The margin covers rounding in the norms.
         exp = pre + math.frexp(reach * (1 + 2.0 ** -32))[1]
+    if exp > 1023:  # s would overflow float64
+        raise NonFiniteValue("classifier too large to score: a class's weight norm plus "
+                             "its |bias| must stay below 2**1023")
     logits = unit32 @ np.ldexp(weights, -exp).astype(np.float32).T
     logits += np.ldexp(bias, -exp).astype(np.float32)
     bound = ((d + 6) * _EPS32 * (1 + 2 * d * _EPS32) + (3 * d + 6) * 2.0 ** -126

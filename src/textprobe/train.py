@@ -48,7 +48,6 @@ from .errors import (
     _Config,
     _at_least,
     _checked,
-    _integer,
     _list,
     _object,
     _positive,
@@ -85,7 +84,7 @@ class TrainConfig(_Config):
     _CHECKS = {"learning_rate": _positive, "steps": _at_least(0),
                "label_smoothing": _smoothing, "noise_sigma": _at_least(0, config_number),
                "adam_beta1": _beta, "adam_beta2": _beta, "adam_eps": config_number,
-               "weight_decay": _at_least(0, config_number), "seed": _integer}
+               "weight_decay": _at_least(0, config_number), "seed": _at_least(0)}
 
 
 def smoothing_targets(num_classes: int, labels, label_smoothing: float) -> np.ndarray:

@@ -1,8 +1,10 @@
+import gc
 import importlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +314,12 @@ class TestTrain:
         assert code == 0
         clf = LinearClassifier.load(out)
         assert clf.train_meta["final_loss"] == clf.train_meta["initial_loss"]
+
+    def test_synthetic_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "clf.json"
+        assert run("train", "--synthetic", "--seed", -1, "--out", out) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [0, -3])
     def test_synth_samples_below_one_exits_2_and_writes_nothing(self, tmp_path, capsys,
@@ -657,6 +665,47 @@ class TestEval:
         assert "method 'tap' is listed more than once" in captured.err
         assert captured.out == "" and not report.exists()
 
+    @pytest.mark.parametrize("flag, value, code, named", [
+        ("--config", "nope.json", 5, "--config: no such file"),
+        ("--steps", -1, 2, "steps must be >= 0, got -1"),
+    ])
+    def test_config_and_train_flags_are_read_whatever_the_methods(
+            self, eval_setup, capsys, flag, value, code, named):
+        tmp_path, images, clf, _ = eval_setup
+        value = tmp_path / value if flag == "--config" else value
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("eval", "--images", images, "--classifier", clf, "--methods", "tap",
+                   flag, value, "--out", report) == code
+        assert named in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_head_too_large_to_score_exits_4_naming_its_file(self, eval_setup, capsys):
+        tmp_path, images, clf, _ = eval_setup
+        doc = json.loads(clf.read_text())
+        doc["bias"][0] = 1e308
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", "--images", images, "--classifier", big, "--methods", "tap",
+                   "--out", tmp_path / "report.json") == 4
+        assert f"error: {big}: classifier too large to score" in capsys.readouterr().err
+        assert run("refine", "--classifier", big, "--unlabeled", images,
+                   "--eval-images", images, "--out", tmp_path / "refined.json") == 4
+        assert f"error: {big}: classifier too large to score" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "refined.json").exists()
+
+    def test_image_label_outside_int64_exits_2_naming_the_sidecar(self, eval_setup, capsys):
+        tmp_path, images, clf, _ = eval_setup
+        sidecar = Path(f"{images}.manifest.json")
+        doc = json.loads(sidecar.read_text())
+        doc["labels"][1] = 2**70
+        sidecar.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", "--images", images, "--classifier", clf, "--methods", "tap") == 2
+        assert f"error: {sidecar}: labels[1] must fit in int64" in capsys.readouterr().err
+
 
 class TestRefine:
     def test_threshold_one_is_identity_with_zero_delta(self, eval_setup, capsys):
@@ -823,6 +872,17 @@ class TestSynthSpace:
         assert proc.stderr == "error: row 0 contains NaN or Inf\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--seed", -1, "seed must be >= 0, got -1"),
+        ("--dim", 10**20, "dimension must be < 2**32"),
+    ])
+    def test_seed_or_dimension_out_of_range_exits_2(self, tmp_path, capsys, flag, value,
+                                                    named):
+        out = tmp_path / "x.tape"
+        assert run("synth-space", "--per-class", 2, flag, value, "--out", out) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_idempotent_output(self, tmp_path):
         a, b = tmp_path / "a.tape", tmp_path / "b.tape"
         run("synth-space", "--per-class", 5, "--out", a)
@@ -952,6 +1012,49 @@ class TestRunAll:
         assert run("run-all", "--manifest", manifest) == 2
         assert named in capsys.readouterr().err
         assert not (ws / "prompts.jsonl").exists()
+
+    @pytest.mark.parametrize("changes, named", [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"synthetic_space": {"seed": -1}}, "synthetic_space.seed must be >= 0, got -1"),
+        ({"train": {"seed": -1}}, "train.seed must be >= 0, got -1"),
+    ])
+    def test_negative_seed_exits_2_before_any_stage(self, tmp_path, capsys, changes, named):
+        ws = tmp_path / "ws"
+        assert run("demo", "--workspace", ws, "--image-samples", 10, "--steps", 5) == 0
+        manifest = ws / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), **changes}))
+        assert run("run-all", "--manifest", manifest) == 2
+        assert named in capsys.readouterr().err
+        assert not (ws / "prompts.jsonl").exists()
+
+    # run-all makes the head, the report and every bundle they read, in the
+    # order of its stage table.
+    @pytest.mark.parametrize("methods, made", [
+        (["tap"], []),
+        (["clip-single"], ["classnames.tape"]),
+        (["tot-dst", "tap"], ["dst.tape"]),
+    ])
+    def test_run_all_makes_only_the_bundles_its_methods_read(self, tmp_path, capsys,
+                                                             methods, made):
+        ws = tmp_path / "ws"
+        assert run("demo", "--workspace", ws, "--image-samples", 10, "--steps", 5) == 0
+        manifest = ws / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                        "methods": methods}))
+        capsys.readouterr()
+        assert run("run-all", "--manifest", manifest) == 0
+        optional = [name for name in ("classnames.tape", "dst.tape") if (ws / name).exists()]
+        assert optional == made
+        # Each stage's status line, in table order, with the output it names.
+        expected = [("gen-prompts", "prompts.jsonl"), ("fetch", "descriptions.jsonl"),
+                    ("bundles", "text.tape"), ("bundles", "images.tape"),
+                    *(("bundles", name) for name in made), ("train", None),
+                    ("eval", "report.json")]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == len(expected), lines
+        for line, (stage, name) in zip(lines, expected):
+            assert line.startswith(f"[{stage}] "), line
+            assert name is None or str(ws / name) in line, line
 
     def test_repeated_method_in_manifest_exits_2_naming_it(self, tmp_path, capsys):
         ws = tmp_path / "ws"
@@ -1160,6 +1263,13 @@ def test_demo_with_a_count_below_one_exits_2_and_creates_nothing(tmp_path, capsy
     assert not ws.exists()
 
 
+def test_demo_with_a_negative_seed_exits_2_and_creates_nothing(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert run("demo", "--workspace", ws, "--seed", -1) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not ws.exists()
+
+
 def test_demo_with_negative_steps_exits_2_and_creates_nothing(tmp_path, capsys):
     ws = tmp_path / "ws"
     assert run("demo", "--workspace", ws, "--steps", -1) == 2
@@ -1214,6 +1324,29 @@ class TestParser:
         fetch = {"retries": llm.DEFAULT_RETRIES, "backoff_base": llm.DEFAULT_BACKOFF_S,
                  "max_in_flight": llm.DEFAULT_MAX_IN_FLIGHT}
         assert _typed({key: args[key] for key in fetch}) == _typed(fetch)
+
+
+def test_a_second_main_call_leaves_no_unreachable_argparse_objects(tmp_path):
+    # An in-process caller (the benchmark, the tests) would carry a parser
+    # built per call as cyclic garbage until the next collection.
+    ws = tmp_path / "ws"
+    assert run("demo", "--workspace", ws, "--image-samples", 10, "--steps", 5) == 0
+    assert run("run-all", "--manifest", ws / "manifest.json") == 0
+    gc.collect()
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the next collection finds unreachable
+    try:
+        assert run("run-all", "--manifest", ws / "manifest.json") == 0
+        gc.collect()
+        left = Counter(type(obj).__name__ for obj in gc.garbage
+                       if type(obj).__module__ == "argparse")
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == Counter()
 
 
 # The exit code `main` returns for each error class. A new class must be added

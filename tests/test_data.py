@@ -395,6 +395,21 @@ class TestSyntheticSpace:
         with pytest.raises(InvalidConfig):
             SyntheticSpaceConfig(sigma_intra=-0.1)
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("seed", -1, "seed must be >= 0, got -1"),
+        # A bundle's header holds the dimension as a u32.
+        ("dimension", 2**32, "dimension must be < 2**32, got 4294967296"),
+    ])
+    def test_seed_and_dimension_bounds(self, field, value, named):
+        with pytest.raises(InvalidConfig, match=re.escape(named)):
+            SyntheticSpaceConfig(**{field: value})
+
+    def test_label_outside_int64_is_refused_naming_it(self):
+        with pytest.raises(InvalidConfig, match=re.escape("labels[1] must fit in int64")):
+            EmbeddingBundle.from_matrix(np.eye(2), labels=[0, 2**63])
+        bundle = EmbeddingBundle.from_matrix(np.eye(2), labels=[-2**63, 2**63 - 1])
+        assert bundle.labels == (-2**63, 2**63 - 1)
+
     def test_unknown_class_in_items(self):
         space = SyntheticSpaceConfig(dimension=8, classes=2, sigma_intra=0.1, seed=0)
         with pytest.raises(UnknownClassId):
