@@ -11,9 +11,11 @@ since renaming over it would replace the link or the device node itself.
 `write_jsonl` and `read_jsonl` are the one writer and the one reader of the
 JSON-lines artifacts (prompts, descriptions, text datasets, fixtures);
 `write_json` writes every JSON document, and `read_json` reads every one
-that must be valid. Both readers check values with `errors._checked`, and
-input that is not UTF-8 or not JSON is a ParseError naming the file, and the
-line in a JSON-lines file.
+that must be valid. Both readers check values with `errors._checked` and
+name the file in every error: input that is not UTF-8 or not JSON is a
+ParseError naming it (and the line in a JSON-lines file), and every
+TextProbeError raised while `read_json` loads a document keeps its class and
+names it too.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import stat
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import InvalidConfig, ParseError, _checked
+from .errors import InvalidConfig, ParseError, TextProbeError, _checked
 
 _temp_ids = itertools.count()
 
@@ -39,6 +41,8 @@ def _create_temp(path: Path) -> tuple[Path, int]:
             return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         except FileExistsError:
             continue
+        except OSError as exc:  # named by its target, not by the temporary file
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _replaceable(path: Path) -> bool:
@@ -83,19 +87,25 @@ def write_json(path, doc, **dumps_options) -> None:
         fh.write(json.dumps(doc, **dumps_options) + "\n")
 
 
-def read_json(path, load):
-    """`load` applied to the JSON document in `path`. Invalid UTF-8 or JSON,
-    and an InvalidConfig from `load`, raise an error naming the file."""
+def _parsed(path):
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: invalid UTF-8 ({exc})") from exc
+        raise ParseError(f"invalid UTF-8 ({exc})") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+        raise ParseError(f"invalid JSON ({exc})") from exc
+
+
+def read_json(path, load):
+    """`load` applied to the JSON document in `path`. Invalid UTF-8 or JSON is
+    a ParseError, and every TextProbeError, its own or one from `load`, is
+    raised naming the file. No reference to the document is kept here, so
+    `load` can let it go before it builds its result."""
     try:
-        return load(doc)
-    except InvalidConfig as exc:
-        raise InvalidConfig(f"{path}: {exc}") from None
+        return load(_parsed(path))
+    except TextProbeError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def read_jsonl(path, table: dict):

@@ -2,7 +2,8 @@
 
 Each stage reads and writes files, so externally produced embedding bundles
 can be spliced in at any point. `main` returns 0 on success and otherwise
-the `exit_code` of the error class raised (see errors.py).
+the `exit_code` of the error class raised (see errors.py), 5 for a missing
+file and 2 for any other path the system refuses (a directory, say).
 Status goes to stderr; stdout carries data (tables, CSV, JSON) only.
 
 Every stage is one `_*_stage` function from resolved inputs to one written
@@ -165,11 +166,13 @@ def stage_seed(master: int, stage: str) -> int:
 # error names the flag or the manifest key it came from.
 
 def _prompts_stage(vocab, profile, out, generic=False, **options) -> str:
-    """The profile's prompts; with `generic`, `render_generic_prompts(vocab, **options)`."""
+    """The profile's prompts, rendered as its file is read, so that its errors
+    name the file; with `generic`, `render_generic_prompts(vocab, **options)`."""
     if generic:
         prompts = render_generic_prompts(vocab, **options)
     else:
-        prompts = render_prompts(TaskProfile.from_file(_require_file(*profile)), vocab)
+        prompts = read_json(_require_file(*profile),
+                            lambda doc: render_prompts(TaskProfile.from_dict(doc), vocab))
     write_prompts_jsonl(prompts, out)
     return f"wrote {len(prompts)} prompts over {len(vocab)} classes to {out}"
 
@@ -722,6 +725,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         _status(f"error: missing file: {exc.filename or exc}")
         return MissingInput.exit_code
+    except OSError as exc:  # a path that is a directory, lies under a file, ...
+        _status(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}")
+        return InvalidConfig.exit_code
     except TextProbeError as exc:
         _status(f"error: {exc}")
         ids = getattr(exc, "failed_prompt_ids", None)

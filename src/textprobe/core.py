@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyVector,
-    InvalidConfig,
-    NonFiniteValue,
-    ZeroVector,
-)
+from .errors import InvalidConfig, NonFiniteValue, ShapeMismatch, ZeroVector
 
 # Norms below this count as zero vectors.
 ZERO_NORM_EPS = 1e-12
@@ -44,7 +38,7 @@ def normalize(values) -> np.ndarray:
     """v / ||v||_2 in float64 for a 1-D vector v: `normalize_rows` of its one row."""
     vec = np.asarray(values, dtype=np.float64)
     if vec.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {vec.shape}")
+        raise ShapeMismatch(f"expected a 1-D vector, got shape {vec.shape}")
     return normalize_rows(vec[np.newaxis])[0]
 
 
@@ -61,7 +55,7 @@ def normalize_rows(matrix, dtype=np.float64) -> np.ndarray:
     """
     mat = np.asarray(matrix)
     if mat.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got shape {mat.shape}")
+        raise ShapeMismatch(f"expected a 2-D matrix, got shape {mat.shape}")
     out = np.empty(mat.shape, dtype=dtype)
     step = max(1, _NORM_BLOCK_ELEMS // max(1, mat.shape[1]))
     for lo in range(0, mat.shape[0], step):
@@ -124,7 +118,7 @@ class ClassTextEmbeddings:
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=np.float64, order="C")
         if mat.ndim != 2:
-            raise DimensionMismatch(f"expected (K, d) matrix, got {mat.shape}")
+            raise ShapeMismatch(f"expected (K, d) matrix, got {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise NonFiniteValue("class embeddings contain NaN or Inf")
         norms = np.linalg.norm(mat, axis=1)
@@ -169,7 +163,7 @@ def zero_shot_probabilities(
         cfg = ZeroShotConfig()
     v = normalize(img_emb)
     if v.shape[0] != class_embs.dimension:
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"image dimension {v.shape[0]} vs class dimension {class_embs.dimension}"
         )
     sims = class_embs.matrix @ v
@@ -180,7 +174,7 @@ def predict_class(probs) -> int:
     """Index of the maximum score; ties break toward the lowest index."""
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
-        raise EmptyVector("predict_class needs a nonempty 1-D vector")
+        raise ShapeMismatch("predict_class needs a nonempty 1-D vector")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValue("scores contain NaN or Inf")
     return int(np.argmax(arr))

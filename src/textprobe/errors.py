@@ -33,23 +33,14 @@ class ZeroVector(TextProbeError):
     exit_code = 4
 
 
-class DimensionMismatch(TextProbeError):
-    """Operands have incompatible dimensions."""
-    exit_code = 4
-
-
-class EmptyVector(TextProbeError):
-    """An operation that needs at least one component got an empty vector."""
-    exit_code = 4
-
-
 class NonFiniteValue(TextProbeError):
     """NaN or Inf encountered where only finite values are allowed."""
     exit_code = 4
 
 
 class ShapeMismatch(TextProbeError):
-    """Dataset / embedding-matrix shapes do not line up."""
+    """Operands, datasets or embedding matrices whose shapes do not line up,
+    an empty vector among them."""
     exit_code = 4
 
 
@@ -65,15 +56,8 @@ class NonFiniteLoss(TextProbeError):
 # -- configuration errors ----------------------------------------------------
 
 class InvalidConfig(TextProbeError):
-    """A configuration value violates its documented range."""
-
-
-class InvalidSmoothing(InvalidConfig):
-    """Label-smoothing coefficient outside [0, 1)."""
-
-
-class InvalidProfile(TextProbeError):
-    """A task profile or prompt template violates its invariants."""
+    """A configuration value, task profile or prompt template violates its
+    documented range or invariants."""
 
 
 def config_number(key: str, value, integral: bool = False):
@@ -101,12 +85,12 @@ def _float(key, value) -> float:
     return float(config_number(key, value))
 
 
-def _rule(number, holds, text: str, error=InvalidConfig):
-    """A value check: a `number` that `holds`, else `error` "<key> <text>, got <value>"."""
+def _rule(number, holds, text: str):
+    """A value check: a `number` that `holds`, else InvalidConfig "<key> <text>, got <value>"."""
     def check(key, value):
         value = number(key, value)
         if not holds(value):
-            raise error(f"{key} {text}, got {value!r}")
+            raise InvalidConfig(f"{key} {text}, got {value!r}")
         return value
     return check
 
@@ -197,7 +181,7 @@ class UnknownClassId(TextProbeError):
 
 
 class EmptyDataset(TextProbeError):
-    """No usable records survived validation."""
+    """No usable records survived validation, or there are no rows to report."""
 
 
 class MissingClassDescriptions(TextProbeError):
@@ -207,10 +191,6 @@ class MissingClassDescriptions(TextProbeError):
 class MissingLabels(TextProbeError):
     """An embedding bundle without labels was used where labels are required."""
     exit_code = 5
-
-
-class EmptyReport(TextProbeError):
-    """Report rendering requested with zero rows."""
 
 
 class MissingInput(TextProbeError):

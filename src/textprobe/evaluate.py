@@ -31,9 +31,7 @@ from .atomic import write_json
 from .core import ClassTextEmbeddings, _owning, normalize_rows, stable_softmax
 from .data import EmbeddingBundle, TextDataset, class_name_items
 from .errors import (
-    DimensionMismatch,
     EmptyDataset,
-    EmptyReport,
     InvalidConfig,
     NonFiniteValue,
     ShapeMismatch,
@@ -203,7 +201,7 @@ def _check_scorable(images: EmbeddingBundle, d: int, k: int, name: str) -> None:
     """Raise unless the bundle is labeled, d wide, non-empty and in the `name`'s k classes."""
     labels = images.labels_array("image")
     if images.dimension != d:
-        raise DimensionMismatch(f"{name} dimension {d} vs bundle {images.dimension}")
+        raise ShapeMismatch(f"{name} dimension {d} vs bundle {images.dimension}")
     if images.count == 0:
         raise EmptyDataset("image bundle has no rows to evaluate")
     for label in (int(labels.min()), int(labels.max())):
@@ -341,7 +339,7 @@ def pseudo_label_refine(
     if cfg is None:
         cfg = PseudoLabelConfig()
     if unlabeled_images.dimension != clf.dimension:
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"classifier dimension {clf.dimension} vs bundle {unlabeled_images.dimension}"
         )
     probs = stable_softmax(clf.batch_logits(unlabeled_images.matrix))
@@ -391,7 +389,7 @@ def render_report(report: EvalReport | list[EvalRow], fmt: str = "table") -> str
     """
     rows = report.rows if isinstance(report, EvalReport) else list(report)
     if not rows:
-        raise EmptyReport("no evaluation rows to render")
+        raise EmptyDataset("no evaluation rows to render")
     methods, datasets, cells, means, best = _report_matrix(rows)
 
     if fmt == "json":

@@ -20,8 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .atomic import read_json, read_jsonl, write_jsonl
-from .errors import (InvalidConfig, InvalidProfile, _checked, _integer, _list, _string,
-                     _strings, _whole)
+from .errors import InvalidConfig, _checked, _integer, _list, _string, _strings, _whole
 
 SHIFT_FINE_GRAINED = "fine_grained"
 SHIFT_CROSS_DOMAIN = "cross_domain"
@@ -52,11 +51,11 @@ class ClassVocabulary:
     def __post_init__(self):
         names = tuple(str(n) for n in self.names)
         if not names:
-            raise InvalidProfile("vocabulary must contain at least one class")
+            raise InvalidConfig("vocabulary must contain at least one class")
         if any(not n.strip() for n in names):
-            raise InvalidProfile("class names must be nonempty")
+            raise InvalidConfig("class names must be nonempty")
         if len(set(names)) != len(names):
-            raise InvalidProfile("class names must be unique")
+            raise InvalidConfig("class names must be unique")
         object.__setattr__(self, "names", names)
 
     def __len__(self) -> int:
@@ -68,7 +67,7 @@ class ClassVocabulary:
 
     def name_of(self, class_id: int) -> str:
         if not 0 <= class_id < len(self.names):
-            raise InvalidProfile(f"class id {class_id} outside vocabulary")
+            raise InvalidConfig(f"class id {class_id} outside vocabulary")
         return self.names[class_id]
 
     @classmethod
@@ -125,32 +124,32 @@ class TaskProfile:
 
     def validate(self) -> None:
         if not self.task_name:
-            raise InvalidProfile("task_name must be nonempty")
+            raise InvalidConfig("task_name must be nonempty")
         if self.shift_kind not in (SHIFT_FINE_GRAINED, SHIFT_CROSS_DOMAIN):
-            raise InvalidProfile(
+            raise InvalidConfig(
                 f"shift_kind must be '{SHIFT_FINE_GRAINED}' or "
                 f"'{SHIFT_CROSS_DOMAIN}', got '{self.shift_kind}'"
             )
         if self.shift_kind == SHIFT_FINE_GRAINED:
             if not (self.superclass_token or "").strip():
-                raise InvalidProfile(
+                raise InvalidConfig(
                     "fine_grained profiles need a nonempty superclass_token"
                 )
             if self.domain_descriptors:
-                raise InvalidProfile("fine_grained profiles take no domain_descriptors")
+                raise InvalidConfig("fine_grained profiles take no domain_descriptors")
             allowed = {"class", "superclass"}
         else:
             if not self.domain_descriptors:
-                raise InvalidProfile(
+                raise InvalidConfig(
                     "cross_domain profiles need at least one domain descriptor"
                 )
             if any(not d.strip() for d in self.domain_descriptors):
-                raise InvalidProfile("domain descriptors must be nonempty")
+                raise InvalidConfig("domain descriptors must be nonempty")
             if self.superclass_token is not None:
-                raise InvalidProfile("cross_domain profiles take no superclass_token")
+                raise InvalidConfig("cross_domain profiles take no superclass_token")
             for idx, tpl in enumerate(self.resolved_templates()):
                 if "{domain}" not in tpl:  # it would render one text per descriptor, all alike
-                    raise InvalidProfile(
+                    raise InvalidConfig(
                         f"template {idx} must contain the {{domain}} placeholder "
                         f"in a cross_domain profile: {tpl!r}"
                     )
@@ -204,13 +203,13 @@ def _validate_templates(templates, allowed: set[str]):
     for idx, tpl in enumerate(templates):
         names = _PLACEHOLDER_RE.findall(tpl)
         if names.count("class") != 1:
-            raise InvalidProfile(
+            raise InvalidConfig(
                 f"template {idx} must contain the {{class}} placeholder "
                 f"exactly once: {tpl!r}"
             )
         unknown = sorted(set(names) - allowed)
         if unknown:
-            raise InvalidProfile(
+            raise InvalidConfig(
                 f"template {idx} uses unsupported placeholder(s) "
                 f"{unknown} for this profile kind: {tpl!r}"
             )

@@ -39,10 +39,8 @@ from .atomic import read_json, write_json
 from .core import normalize_rows
 from .data import EmbeddingBundle, TextDataset
 from .errors import (
-    DimensionMismatch,
     FormatError,
     InvalidConfig,
-    InvalidSmoothing,
     NonFiniteLoss,
     ShapeMismatch,
     _Config,
@@ -61,8 +59,7 @@ from .prompts import ClassVocabulary
 NOISE_THREAD_PREFIX = "textprobe-noise"
 
 
-_smoothing = _rule(config_number, lambda eps: 0 <= eps < 1, "must be in [0, 1)",
-                   InvalidSmoothing)
+_smoothing = _rule(config_number, lambda eps: 0 <= eps < 1, "must be in [0, 1)")
 _beta = _rule(config_number, lambda beta: 0 < beta < 1, "must be in (0, 1)")
 
 
@@ -183,7 +180,7 @@ def training_loss_and_grads(
     if labels.shape[0] != n:
         raise ShapeMismatch(f"{labels.shape[0]} labels for {n} rows")
     if W.shape[1] != X.shape[1]:
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"weights expect dimension {W.shape[1]}, embeddings have {X.shape[1]}"
         )
     objective = _Objective(smoothing_targets(W.shape[0], labels, label_smoothing))
@@ -278,9 +275,7 @@ class LinearClassifier:
         """Logits of the rows of `matrix`, each normalized first, as in training."""
         X = np.asarray(matrix, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dimension:
-            raise DimensionMismatch(
-                f"expected (n, {self.dimension}) matrix, got shape {X.shape}"
-            )
+            raise ShapeMismatch(f"expected (n, {self.dimension}) matrix, got shape {X.shape}")
         return normalize_rows(X) @ self.weights.T + self.bias
 
     def predict(self, matrix) -> np.ndarray:
@@ -299,11 +294,18 @@ class LinearClassifier:
 
     @classmethod
     def load(cls, path) -> "LinearClassifier":
-        doc = read_json(path, lambda doc: _checked(doc, _CLASSIFIER))
-        k, dim, flat = len(doc["class_names"]), doc["dimension"], doc["weights"]
+        """The head in `path`, built inside `read_json`, so each of its errors names the file."""
+        return read_json(path, cls._from_doc)
+
+    @classmethod
+    def _from_doc(cls, doc) -> "LinearClassifier":
+        doc = _checked(doc, _CLASSIFIER)  # frees the parsed lists before the head is built
+        k, dim, flat, bias = len(doc["class_names"]), doc["dimension"], doc["weights"], doc["bias"]
         if flat.size != k * dim:
-            raise FormatError(f"{path}: weights hold {flat.size} values, expected {k * dim}")
-        return cls(weights=flat.reshape(k, dim), bias=doc["bias"],
+            raise FormatError(f"weights hold {flat.size} values, expected {k * dim}")
+        if bias.size != k:
+            raise FormatError(f"bias holds {bias.size} values, expected {k}")
+        return cls(weights=flat.reshape(k, dim), bias=bias,
                    vocab=ClassVocabulary(names=tuple(doc["class_names"])),
                    train_meta=dict(doc["train_meta"]))
 

@@ -3,10 +3,10 @@ import os
 
 import pytest
 
-from textprobe.atomic import atomic_write, read_jsonl, write_jsonl
+from textprobe.atomic import atomic_write, read_json, read_jsonl, write_jsonl
 from textprobe.cli import main
 from textprobe.data import build_text_dataset, read_text_dataset_jsonl, write_text_dataset_jsonl
-from textprobe.errors import ParseError, _string, _whole
+from textprobe.errors import NonFiniteLoss, ParseError, _string, _whole
 from textprobe.llm import Description, load_fixture_descriptions, write_descriptions_jsonl
 from textprobe.prompts import (
     DEFAULT_GENERIC_TEMPLATES,
@@ -58,6 +58,34 @@ class TestAtomicWrite:
         assert target.read_bytes() == before
         assert json.loads(before)["text"] == "a thing"
         assert leftovers(tmp_path) == []
+
+    def test_a_missing_directory_is_named_by_the_target_not_the_temporary(self, tmp_path):
+        target = tmp_path / "nodir" / "x.json"
+        with pytest.raises(FileNotFoundError) as exc:
+            with atomic_write(target) as fh:
+                fh.write("{}\n")
+        assert exc.value.filename == str(target)
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("error, attribute, value", [
+        (ParseError("bad line", lineno=3), "lineno", 3),
+        (NonFiniteLoss("loss became non-finite", step=7), "step", 7),
+    ])
+    def test_an_error_from_the_loader_names_the_file_and_keeps_its_class(
+            self, tmp_path, error, attribute, value):
+        path = tmp_path / "doc.json"
+        path.write_text("{}")
+        message = str(error)
+
+        def load(doc):
+            raise error
+
+        with pytest.raises(type(error)) as exc:
+            read_json(path, load)
+        assert exc.value is error
+        assert str(error) == f"{path}: {message}"
+        assert getattr(error, attribute) == value
 
 
 class TestJsonLines:

@@ -117,6 +117,21 @@ class TestGenPrompts:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_class_names_exit_2_naming_the_class_file(self, workspace, capsys):
+        (workspace / "classes.json").write_text(json.dumps(["a", "a"]))
+        assert run("gen-prompts", "--generic", "--classes", workspace / "classes.json",
+                   "--out", workspace / "prompts.jsonl") == 2
+        err = capsys.readouterr().err
+        assert f"error: {workspace / 'classes.json'}: class names must be unique" in err
+
+    def test_profile_error_exits_2_naming_the_profile_file(self, workspace, capsys):
+        profile = workspace / "profile.json"
+        profile.write_text(json.dumps({"task_name": "t", "shift_kind": "nope"}))
+        assert run("gen-prompts", "--profile", profile, "--classes", workspace / "classes.json",
+                   "--out", workspace / "prompts.jsonl") == 2
+        assert f"error: {profile}: shift_kind must be" in capsys.readouterr().err
+        assert not (workspace / "prompts.jsonl").exists()
+
     def test_generic_flag(self, workspace):
         out = workspace / "generic.jsonl"
         code = run(
@@ -335,6 +350,11 @@ class TestTrain:
         assert run("train", "--synthetic", "--synth-classes", 2, "--synth-dim", 8,
                    "--steps", 0, *given, "--dataset-out", ds, "--out", tmp_path / "c.json") == 0
         assert len(ds.read_text().splitlines()) == 2 * per_class
+
+    def test_out_in_a_missing_directory_exits_5_naming_the_out_path(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.json"
+        assert run("train", "--synthetic", "--steps", 2, "--out", out) == 5
+        assert capsys.readouterr().err == f"error: missing file: {out}\n"
 
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -560,6 +580,22 @@ def test_bad_classifier_or_sidecar_exits_2_naming_file_and_key(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"{path}: " in err and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, edit, code, message", [
+    ("weights", lambda w: [float("nan"), *w[1:]], 4, "classifier parameters contain NaN or Inf"),
+    ("bias", lambda b: b[:3], 2, "bias holds 3 values, expected 10"),
+])
+def test_a_classifier_error_names_its_file(tmp_path, capsys, key, edit, code, message):
+    images, clf = tmp_path / "images.tape", tmp_path / "clf.json"
+    assert run("synth-space", "--per-class", 2, "--out", images) == 0
+    assert run("train", "--synthetic", "--steps", 2, "--out", clf) == 0
+    doc = json.loads(clf.read_text())
+    doc[key] = edit(doc[key])
+    clf.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("eval", "--images", images, "--classifier", clf, "--methods", "tap") == code
+    assert capsys.readouterr().err == f"error: {clf}: {message}\n"
 
 
 @pytest.fixture
@@ -1013,6 +1049,18 @@ class TestRunAll:
         assert named in capsys.readouterr().err
         assert not (ws / "prompts.jsonl").exists()
 
+    def test_bad_template_exits_2_naming_the_manifest(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        assert run("demo", "--workspace", ws, "--image-samples", 5, "--steps", 5) == 0
+        manifest = ws / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                        "dst_templates": ["no placeholder"]}))
+        capsys.readouterr()
+        assert run("run-all", "--manifest", manifest) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: template 0 must contain the {{class}} placeholder "
+            "exactly once: 'no placeholder'\n")
+
     @pytest.mark.parametrize("changes, named", [
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"synthetic_space": {"seed": -1}}, "synthetic_space.seed must be >= 0, got -1"),
@@ -1349,15 +1397,51 @@ def test_a_second_main_call_leaves_no_unreachable_argparse_objects(tmp_path):
     assert left == Counter()
 
 
+class TestBadPaths:
+    """A path the system refuses, other than a missing one, exits 2 naming it."""
+
+    @pytest.fixture
+    def ws(self, tmp_path):
+        ws = tmp_path / "ws"
+        assert run("demo", "--workspace", ws, "--image-samples", 5, "--steps", 5) == 0
+        assert run("run-all", "--manifest", ws / "manifest.json") == 0
+        return ws
+
+    @pytest.mark.parametrize("argv, target, reason", [
+        (["synth-space", "--per-class", 2, "--out", "{ws}"], "{ws}", "Is a directory"),
+        (["synth-space", "--per-class", 2, "--out", "{ws}/classes.json/x.tape"],
+         "{ws}/classes.json/x.tape", "Not a directory"),
+        (["fetch", "--prompts", "{ws}/prompts.jsonl", "--fixture", "{ws}/fixture.jsonl",
+          "--cache", "{ws}/classes.json", "--out", "{ws}/fetched.jsonl"],
+         "{ws}/classes.json/", "Not a directory"),
+        (["demo", "--workspace", "{ws}/classes.json"], "{ws}/classes.json", "File exists"),
+    ])
+    def test_a_command_exits_2(self, ws, capsys, argv, target, reason):
+        capsys.readouterr()
+        assert run(*(str(a).format(ws=ws) for a in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target.format(ws=ws)}") and f": {reason}\n" in err
+
+    @pytest.mark.parametrize("key, value, force", [
+        ("prompts", "", True), ("text_bundle", ".", True), ("classifier", "cache", False),
+        ("report", ".", False),
+    ])
+    def test_run_all_with_an_output_that_is_a_directory_exits_2(self, ws, capsys, key, value,
+                                                                 force):
+        manifest = ws / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+        capsys.readouterr()
+        assert run("run-all", "--manifest", manifest, *["--force"] * force) == 2
+        assert capsys.readouterr().err.endswith(f"error: {ws / value}: Is a directory\n")
+
+
 # The exit code `main` returns for each error class. A new class must be added
 # here, so that it chooses its code.
 EXIT_CODES = {
-    "InvalidProfile": 2, "InvalidConfig": 2, "InvalidSmoothing": 2, "ParseError": 2,
-    "FormatError": 2, "TruncatedFile": 2, "UnknownClassId": 2, "EmptyDataset": 2,
-    "MissingClassDescriptions": 2, "EmptyReport": 2,
+    "InvalidConfig": 2, "ParseError": 2, "FormatError": 2, "TruncatedFile": 2,
+    "UnknownClassId": 2, "EmptyDataset": 2, "MissingClassDescriptions": 2,
     "EndpointUnreachable": 3, "MalformedResponse": 3, "TransportError": 3,
-    "ZeroVector": 4, "DimensionMismatch": 4, "EmptyVector": 4, "NonFiniteValue": 4,
-    "ShapeMismatch": 4, "NonFiniteLoss": 4,
+    "ZeroVector": 4, "NonFiniteValue": 4, "ShapeMismatch": 4, "NonFiniteLoss": 4,
     "MissingInput": 5, "MissingLabels": 5,
 }
 ERROR_CLASSES = sorted(

@@ -16,10 +16,9 @@ from textprobe.core import (
     zero_shot_probabilities,
 )
 from textprobe.errors import (
-    DimensionMismatch,
-    EmptyVector,
     InvalidConfig,
     NonFiniteValue,
+    ShapeMismatch,
     ZeroVector,
 )
 
@@ -55,7 +54,7 @@ class TestNormalize:
             normalize([1e200, 1e200])
 
     def test_matrix_rejected(self):
-        with pytest.raises(DimensionMismatch, match=r"expected a 1-D vector, got shape \(1, 2\)"):
+        with pytest.raises(ShapeMismatch, match=r"expected a 1-D vector, got shape \(1, 2\)"):
             normalize([[1.0, 0.0]])
 
     def test_result_has_unit_norm(self):
@@ -186,7 +185,7 @@ class TestZeroShotProbabilities:
 
     def test_dimension_mismatch(self):
         ce = self._class_embs(3, 4)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             zero_shot_probabilities([1.0, 0.0], ce)
 
     def test_zero_image_rejected(self):
@@ -234,7 +233,7 @@ class TestPredictClass:
         assert predict_class([0.25] * 4) == 0
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyVector):
+        with pytest.raises(ShapeMismatch):
             predict_class([])
 
 

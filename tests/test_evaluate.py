@@ -28,9 +28,7 @@ from textprobe.data import (
     synthetic_encode,
 )
 from textprobe.errors import (
-    DimensionMismatch,
     EmptyDataset,
-    EmptyReport,
     InvalidConfig,
     MissingLabels,
     ShapeMismatch,
@@ -88,7 +86,7 @@ class TestEvaluateClassifier:
 
     def test_dimension_mismatch(self, rng):
         bundle = EmbeddingBundle.from_matrix(rng.standard_normal((4, 9)), labels=[0] * 4)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             evaluate_classifier(constant_classifier(3, 8), bundle)
 
     @pytest.mark.parametrize("labels, named", [([0, 1, 2, 4], "4"), ([-1, 0, 1, 2], "-1")])
@@ -326,7 +324,7 @@ class TestPseudoLabelRefine:
     def test_dimension_mismatch(self, confident_setup, rng):
         clf, _, _ = confident_setup
         bad = EmbeddingBundle.from_matrix(rng.standard_normal((4, 8)))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             pseudo_label_refine(clf, bad)
 
     def test_threshold_validation(self):
@@ -385,7 +383,7 @@ class TestRenderReport:
         assert float(parsed[1][3]) == (33.333333333333336 + 66.66666666666667) / 2
 
     def test_empty_report(self):
-        with pytest.raises(EmptyReport):
+        with pytest.raises(EmptyDataset):
             render_report([], "table")
 
     def test_unknown_format(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textprobe.errors import InvalidConfig, InvalidProfile, ParseError
+from textprobe.errors import InvalidConfig, ParseError
 from textprobe.prompts import (
     ClassVocabulary,
     DEFAULT_GENERIC_TEMPLATES,
@@ -134,22 +134,22 @@ class TestRenderPrompts:
 class TestProfileValidation:
     def test_missing_class_placeholder(self):
         profile = fine_grained("t", "s", templates=("no placeholder here",))
-        with pytest.raises(InvalidProfile, match="template 0"):
+        with pytest.raises(InvalidConfig, match="template 0"):
             render_prompts(profile, ClassVocabulary(("a",)))
 
     def test_double_class_placeholder(self):
         profile = fine_grained("t", "s", templates=("{class} and {class}",))
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(InvalidConfig):
             render_prompts(profile, ClassVocabulary(("a",)))
 
     def test_fine_grained_needs_superclass(self):
         profile = TaskProfile(task_name="t", shift_kind="fine_grained")
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(InvalidConfig):
             render_prompts(profile, ClassVocabulary(("a",)))
 
     def test_cross_domain_needs_descriptors(self):
         profile = TaskProfile(task_name="t", shift_kind="cross_domain")
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(InvalidConfig):
             render_prompts(profile, ClassVocabulary(("a",)))
 
     @pytest.mark.parametrize("profile, named", [
@@ -165,25 +165,25 @@ class TestProfileValidation:
     def test_a_setting_the_kind_would_drop_is_refused(self, profile, named):
         # Rendered, these would drop the descriptors or the token, or repeat
         # one text under several prompt ids.
-        with pytest.raises(InvalidProfile, match=named):
+        with pytest.raises(InvalidConfig, match=named):
             render_prompts(profile, ClassVocabulary(("a", "b")))
 
     def test_wrong_placeholder_for_kind(self):
         profile = fine_grained("t", "s", templates=("What is a {class} {domain}?",))
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(InvalidConfig):
             render_prompts(profile, ClassVocabulary(("a",)))
 
     def test_bad_shift_kind(self):
         profile = TaskProfile(task_name="t", shift_kind="other")
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(InvalidConfig):
             profile.validate()
 
     def test_vocab_rejects_duplicates(self):
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(InvalidConfig):
             ClassVocabulary(("a", "a"))
 
     def test_vocab_rejects_empty_names(self):
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(InvalidConfig):
             ClassVocabulary(("a", " "))
 
 
@@ -197,7 +197,7 @@ class TestGenericPrompts:
         assert len(prompts) == 10
 
     def test_rejects_superclass_placeholder(self):
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(InvalidConfig):
             render_generic_prompts(
                 ClassVocabulary(("a",)), ["Describe a {class} {superclass}."]
             )

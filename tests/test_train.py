@@ -18,7 +18,6 @@ from textprobe.data import (
 )
 from textprobe.errors import (
     InvalidConfig,
-    InvalidSmoothing,
     NonFiniteLoss,
     ShapeMismatch,
 )
@@ -108,9 +107,9 @@ class TestSmoothedCrossEntropy:
         assert first.tobytes() == kept
 
     def test_invalid_smoothing(self):
-        with pytest.raises(InvalidSmoothing):
+        with pytest.raises(InvalidConfig):
             smoothed_cross_entropy([0.0, 0.0], 0, 1.0)
-        with pytest.raises(InvalidSmoothing):
+        with pytest.raises(InvalidConfig):
             smoothed_cross_entropy([0.0, 0.0], 0, -0.1)
 
     def test_needs_two_classes(self):
@@ -526,7 +525,7 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(InvalidConfig):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(InvalidSmoothing):
+        with pytest.raises(InvalidConfig):
             TrainConfig(label_smoothing=1.0)
         with pytest.raises(InvalidConfig):
             TrainConfig(noise_sigma=-1.0)
