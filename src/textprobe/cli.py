@@ -726,7 +726,9 @@ def main(argv=None) -> int:
         _status(f"error: missing file: {exc.filename or exc}")
         return MissingInput.exit_code
     except OSError as exc:  # a path that is a directory, lies under a file, ...
-        _status(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}")
+        if exc.filename is None:  # a fault of the system, not of a path given
+            raise
+        _status(f"error: {exc.filename}: {exc.strerror}")
         return InvalidConfig.exit_code
     except TextProbeError as exc:
         _status(f"error: {exc}")

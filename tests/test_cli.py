@@ -1434,6 +1434,13 @@ class TestBadPaths:
         assert run("run-all", "--manifest", manifest, *["--force"] * force) == 2
         assert capsys.readouterr().err.endswith(f"error: {ws / value}: Is a directory\n")
 
+    def test_a_system_error_that_names_no_path_is_not_taken_for_bad_input(self, monkeypatch):
+        def fail(args):  # as a full disk fails a write
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli, "cmd_synth_space", fail)
+        with pytest.raises(OSError, match="No space left"):
+            run("synth-space", "--per-class", 2, "--out", "x.tape")
+
 
 # The exit code `main` returns for each error class. A new class must be added
 # here, so that it chooses its code.

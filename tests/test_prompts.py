@@ -139,17 +139,17 @@ class TestProfileValidation:
 
     def test_double_class_placeholder(self):
         profile = fine_grained("t", "s", templates=("{class} and {class}",))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="exactly once"):
             render_prompts(profile, ClassVocabulary(("a",)))
 
     def test_fine_grained_needs_superclass(self):
         profile = TaskProfile(task_name="t", shift_kind="fine_grained")
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="superclass_token"):
             render_prompts(profile, ClassVocabulary(("a",)))
 
     def test_cross_domain_needs_descriptors(self):
         profile = TaskProfile(task_name="t", shift_kind="cross_domain")
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="domain descriptor"):
             render_prompts(profile, ClassVocabulary(("a",)))
 
     @pytest.mark.parametrize("profile, named", [
@@ -170,20 +170,20 @@ class TestProfileValidation:
 
     def test_wrong_placeholder_for_kind(self):
         profile = fine_grained("t", "s", templates=("What is a {class} {domain}?",))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="unsupported placeholder"):
             render_prompts(profile, ClassVocabulary(("a",)))
 
     def test_bad_shift_kind(self):
         profile = TaskProfile(task_name="t", shift_kind="other")
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="shift_kind must be"):
             profile.validate()
 
     def test_vocab_rejects_duplicates(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="unique"):
             ClassVocabulary(("a", "a"))
 
     def test_vocab_rejects_empty_names(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="nonempty"):
             ClassVocabulary(("a", " "))
 
 
@@ -197,7 +197,7 @@ class TestGenericPrompts:
         assert len(prompts) == 10
 
     def test_rejects_superclass_placeholder(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="unsupported placeholder"):
             render_generic_prompts(
                 ClassVocabulary(("a",)), ["Describe a {class} {superclass}."]
             )

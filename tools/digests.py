@@ -100,7 +100,7 @@ COMMANDS = [
 ]
 
 _RUN = "import sys; from textprobe.cli import main; sys.exit(main(sys.argv[1:]))"
-_ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
@@ -121,7 +121,7 @@ def _written(root: Path) -> dict[str, tuple[int, int]]:
 
 def collect() -> dict[str, object]:
     """Run `COMMANDS` in a new temporary directory; the digest entries."""
-    env = {**os.environ, **dict.fromkeys(_ONE_THREAD, "1"),
+    env = {**os.environ, **dict.fromkeys(ONE_THREAD, "1"),
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     entries: dict[str, object] = {}
     with tempfile.TemporaryDirectory(prefix="textprobe-digests-") as tmp:

@@ -1,7 +1,7 @@
 """Run a fixed, seeded list of bad inputs through textprobe's CLI and name
 every case that ends in an uncaught exception instead of an exit code.
 
-    python tools/mutate.py [--seconds 4] [--match TEXT]
+    python tools/mutate.py
 
 A demo workspace (`demo --image-samples 10 --steps 5`, then `run-all`) is
 made once in a new temporary directory. Each case changes one thing in a
@@ -20,7 +20,7 @@ fresh copy of it and runs one command there:
 
 Each command runs in a child process forked from this one, which imported
 the package under `src/` beside this script, with the BLAS thread counts set
-to 1, `--seconds` of wall time and 1 GiB of address space. A child that
+to 1, `SECONDS` of wall time and 1 GiB of address space. A child that
 raises an exception out of `textprobe.cli.main` (but a MemoryError, which
 is the address-space limit), or dies of a signal other than the time
 limit's, is an escape. The tool prints each
@@ -30,7 +30,6 @@ an escape. Uses only the standard library and the package.
 
 from __future__ import annotations
 
-import argparse
 import copy
 import json
 import os
@@ -45,10 +44,10 @@ import traceback
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-_ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+from digests import ONE_THREAD, SRC  # beside this script
+
 SEED = 0
+SECONDS = 4  # the time limit of each run
 MEMORY_BYTES = 1 << 30
 VALUES = [None, -1, "s", [], {}, True, 2**70, 1e308]
 LITERALS = ["null", "true", "0", '"s"', "[]", "{}"]
@@ -123,8 +122,8 @@ def run(cwd: Path, argv: list[str], seconds: int) -> str:
     if code == OVER_MEMORY:
         return "over the memory limit"
     if code == ESCAPED:
-        escape = report.read_text()
-        report.unlink()
+        escape = report.read_text() if report.exists() else "no report"
+        report.unlink(missing_ok=True)
         return f"escaped: {escape}"
     return f"exit {code}"
 
@@ -201,12 +200,8 @@ def command_cases():
             yield shlex.join(command), {}, command
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seconds", type=int, default=4, help="time limit of each run")
-    parser.add_argument("--match", default="", help="run only the cases whose name holds this")
-    args = parser.parse_args(argv)
-    os.environ.update(dict.fromkeys(_ONE_THREAD, "1"))  # before NumPy loads its BLAS
+def main() -> int:
+    os.environ.update(dict.fromkeys(ONE_THREAD, "1"))  # before NumPy loads its BLAS
     sys.path.insert(0, str(SRC))
     import textprobe.cli  # noqa: F401  once here, so that no child imports it anew
     outcomes: Counter[str] = Counter()
@@ -220,12 +215,10 @@ def main(argv=None) -> int:
                 return 1
         case = Path(tmp) / "case"
         for name, edits, argv in [*file_cases(ws), *command_cases()]:
-            if args.match not in name:
-                continue
             shutil.copytree(ws, case)
             for rel, data in edits.items():
                 (case / rel).write_bytes(data)
-            outcome = run(case, argv, args.seconds)
+            outcome = run(case, argv, SECONDS)
             shutil.rmtree(case)
             kind, _, detail = outcome.partition(": ")
             outcomes[kind] += 1
