@@ -268,8 +268,8 @@ def _scored(clf, images, method, dataset_name, source):
         raise NonFiniteValue(f"{source}: {exc}") from None
 
 
-def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
-                dataset_name, config: dict, out=None, fmt="table") -> str:
+def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dataset_name, config: dict,
+                out=None, fmt="table") -> str:
     """Score each method on the image bundle, in order; save the report to
     `out` when given and print it to stdout.
 
@@ -301,7 +301,7 @@ def _eval_stage(methods, images, inputs: dict, vocab, train_cfg, dst_templates,
         elif method == METHOD_TOT_CLS:
             clf = train_tot_cls(vocab, tot[method], train_cfg)
         else:
-            clf = train_tot_dst(vocab, tot[method], train_cfg, dst_templates)
+            clf = train_tot_dst(vocab, tot[method], train_cfg)
         rows.append(_scored(clf, images, method, dataset_name, input_of(method)[0]))
     report = EvalReport(rows=rows, config={"methods": list(methods),
                                            "dataset": dataset_name, **config})
@@ -390,8 +390,7 @@ def cmd_eval(args) -> None:
         "dst_bundle": (args.dst_embeddings, "--dst-embeddings"),
     }
     _status(_eval_stage(methods, (args.images, "--images"), inputs, vocab, cfg,
-                        args.dst_template, args.dataset_name, {"images": str(args.images)},
-                        args.out, args.format))
+                        args.dataset_name, {"images": str(args.images)}, args.out, args.format))
 
 
 def cmd_refine(args) -> None:
@@ -494,7 +493,6 @@ def cmd_run_all(args) -> None:
     space = m.synthetic_space
     vocab = _read_classes(m.classes, "classes", space)
     train_cfg = TrainConfig.from_dict({"seed": stage_seed(m.seed, "train"), **m.train}, "train.")
-    dst_templates = m.dst_templates or list(DEFAULT_GENERIC_TEMPLATES)
     # Built at most once: the text bundle and the head share it, so their rows align.
     dataset = functools.cache(lambda: build_text_dataset(
         load_fixture_descriptions(_require_file(m.descriptions, "descriptions")), vocab))
@@ -516,16 +514,17 @@ def cmd_run_all(args) -> None:
         ("bundles", "class_name_bundle", ("synthetic_space", "classes"), space, lambda:
          _bundle_stage(space, "text", m.class_name_bundle, class_name_items(vocab))),
         ("bundles", "dst_bundle", ("synthetic_space", "classes", "dst_templates"), space, lambda:
-         _bundle_stage(space, "text", m.dst_bundle, template_items(vocab, dst_templates))),
+         _bundle_stage(space, "text", m.dst_bundle,
+                       template_items(vocab, m.dst_templates or DEFAULT_GENERIC_TEMPLATES))),
         ("train", "classifier", ("descriptions", "classes", "text_bundle", "train", "seed"), True,
          lambda: _train_stage(
              dataset(), _read_text_bundle(m.text_bundle, "text_bundle", dataset()),
              train_cfg, m.classifier)),
         ("eval", None, ("image_bundle", *map(_METHOD_INPUT.get, m.methods), "methods",
-                        "classes", "dst_templates", "train", "seed", "dataset_name"), True, lambda:
+                        "classes", "train", "seed", "dataset_name"), True, lambda:
          _eval_stage(m.methods, (m.image_bundle, "image_bundle"),
                      {key: (getattr(m, key), key) for key in _METHOD_INPUT.values()}, vocab,
-                     train_cfg, dst_templates, m.dataset_name,
+                     train_cfg, m.dataset_name,
                      {"seed": m.seed, "train": train_cfg.to_dict()}, m.report)),
     ]
     needed = {"classifier", None}  # the head, the report and every output they read
@@ -671,10 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated subset of {{{','.join(ALL_METHODS)}}}")
     p.add_argument("--classifier", help="trained classifier JSON (tap)")
     p.add_argument("--class-embeddings", help="class-name bundle (clip-single, tot-cls)")
-    p.add_argument("--dst-embeddings", help="template bundle (clip-dst, tot-dst)")
+    p.add_argument("--dst-embeddings", help="class-major template bundle (clip-dst, tot-dst)")
     p.add_argument("--classes", help="class names JSON (tot methods)")
-    p.add_argument("--dst-template", action="append",
-                   help="template text for tot-dst dataset rendering (repeatable)")
     p.add_argument("--dataset-name", default="dataset")
     p.add_argument("--out", help="report JSON output path")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .atomic import write_json
 from .core import ClassTextEmbeddings, _owning, normalize_rows, stable_softmax
-from .data import EmbeddingBundle, TextDataset, class_name_items
+from .data import EmbeddingBundle, TextDataset
 from .errors import (
     EmptyDataset,
     InvalidConfig,
@@ -42,7 +42,7 @@ from .errors import (
     _rule,
     config_number,
 )
-from .prompts import DEFAULT_GENERIC_TEMPLATES, ClassVocabulary, render_generic_prompts
+from .prompts import ClassVocabulary, render_generic_prompts
 from .train import LinearClassifier, TrainConfig, train_text_classifier
 
 METHOD_TAP = "tap"
@@ -268,12 +268,14 @@ def class_text_embeddings_from_bundle(bundle: EmbeddingBundle) -> ClassTextEmbed
 
 
 def _train_baseline(vocab: ClassVocabulary, bundle: EmbeddingBundle, cfg: TrainConfig | None,
-                    items: list[tuple[str, int]], what: str, mismatch: str) -> LinearClassifier:
-    """A head trained on `TextDataset(items, vocab)` and the `what` bundle, whose labels
-    must be the items' class ids in order, else ShapeMismatch("<what> bundle <mismatch>")."""
-    if bundle.labels_array(what).tolist() != [c for _, c in items]:
-        raise ShapeMismatch(f"{what} bundle {mismatch}")
-    return train_text_classifier(TextDataset(items, vocab), bundle, cfg)
+                    what: str, m: int, layout: str) -> LinearClassifier:
+    """A head trained on the `what` bundle, whose labels must be class-major with m >= 1
+    rows of each vocabulary class, else ShapeMismatch("<what> bundle <layout>").
+    Training reads the labels alone, never row text."""
+    labels = bundle.labels_array(what)
+    if m == 0 or not np.array_equal(labels, np.repeat(np.arange(len(vocab)), m)):
+        raise ShapeMismatch(f"{what} bundle {layout}")
+    return train_text_classifier(TextDataset([("", c) for c in bundle.labels], vocab), bundle, cfg)
 
 
 def train_tot_cls(
@@ -282,7 +284,7 @@ def train_tot_cls(
     cfg: TrainConfig | None = None,
 ) -> LinearClassifier:
     """Baseline head trained on one class-name embedding per class (K items)."""
-    return _train_baseline(vocab, cls_bundle, cfg, class_name_items(vocab), "class-name",
+    return _train_baseline(vocab, cls_bundle, cfg, "class-name", 1,
                            "must have exactly one row per class, in order")
 
 
@@ -297,18 +299,13 @@ def train_tot_dst(
     vocab: ClassVocabulary,
     dst_bundle: EmbeddingBundle,
     cfg: TrainConfig | None = None,
-    dst_templates: list[str] | None = None,
 ) -> LinearClassifier:
-    """Baseline head trained on every rendered template text (K * m items).
-
-    The bundle rows must be `template_items(vocab, dst_templates)`'s, one per template per
-    class in class-major order; the default templates are the generic ones, as in run-all.
-    """
-    templates = dst_templates or DEFAULT_GENERIC_TEMPLATES
-    return _train_baseline(
-        vocab, dst_bundle, cfg, template_items(vocab, templates), "template",
-        "rows do not match the class-major render order "
-        f"of {len(templates)} template(s) over {len(vocab)} classes")
+    """Baseline head trained on every template text (K * m items), m rows of each class
+    in class-major order as `template_items` renders m templates."""
+    k = len(vocab)
+    return _train_baseline(vocab, dst_bundle, cfg, "template", dst_bundle.count // k,
+                           "labels must be class-major, the same number of rows for each "
+                           f"of the {k} classes")
 
 
 @dataclass(frozen=True)

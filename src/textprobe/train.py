@@ -42,6 +42,7 @@ from .errors import (
     FormatError,
     InvalidConfig,
     NonFiniteLoss,
+    NonFiniteValue,
     ShapeMismatch,
     _Config,
     _at_least,
@@ -259,7 +260,7 @@ class LinearClassifier:
                 f"{W.shape[0]} weight rows for {len(self.vocab)} classes"
             )
         if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
-            raise NonFiniteLoss("classifier parameters contain NaN or Inf")
+            raise NonFiniteValue("classifier parameters contain NaN or Inf")
         self.weights = W
         self.bias = b
 

@@ -2,6 +2,7 @@ import gc
 import importlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from collections import Counter
@@ -104,6 +105,12 @@ class TestGenPrompts:
         ("classes.json", [{"class_id": True, "class_name": None}], "classes[0].class_id"),
         ("classes.json", ["a", 3], "classes[1]"),
         ("classes.json", b'["a", "\xff"]', "classes.json: invalid UTF-8"),
+        ("classes.json", [], "classes.json: vocabulary must contain at least one class"),
+        ("classes.json", [{"class_id": 0, "class_name": "a"}, {"class_id": 2, "class_name": "b"}],
+         "classes.json: class_ids must be contiguous from 0"),
+        ("profile.json", {"task_name": ""}, "profile.json: task_name must be nonempty"),
+        ("profile.json", {"shift_kind": "cross_domain", "domain_descriptors": ["x", " "]},
+         "profile.json: domain descriptors must be nonempty"),
     ])
     def test_bad_profile_or_class_file_exits_2_naming_it(self, workspace, capsys,
                                                         name, doc, named):
@@ -250,6 +257,15 @@ class TestFetch:
         err = capsys.readouterr().err
         assert "--fixture" in err and "--endpoint" in err
         assert not (workspace / "d.jsonl").exists() and not (workspace / "cache").exists()
+
+    def test_no_endpoint_and_no_fixture_exits_5_naming_both(self, workspace, capsys):
+        prompts, out = workspace / "prompts.jsonl", workspace / "d.jsonl"
+        assert run("gen-prompts", "--generic", "--classes", workspace / "classes.json",
+                   "--out", prompts) == 0
+        capsys.readouterr()
+        assert run("fetch", "--prompts", prompts, "--out", out) == 5
+        assert capsys.readouterr().err == "error: the fetch stage needs --endpoint or --fixture\n"
+        assert not out.exists()
 
     def test_partial_fixture_with_allow_partial(self, workspace, capsys):
         prompts = workspace / "prompts.jsonl"
@@ -585,6 +601,7 @@ def test_bad_classifier_or_sidecar_exits_2_naming_file_and_key(tmp_path, capsys,
 @pytest.mark.parametrize("key, edit, code, message", [
     ("weights", lambda w: [float("nan"), *w[1:]], 4, "classifier parameters contain NaN or Inf"),
     ("bias", lambda b: b[:3], 2, "bias holds 3 values, expected 10"),
+    ("weights", lambda w: w[1:], 2, "weights hold 1279 values, expected 1280"),
 ])
 def test_a_classifier_error_names_its_file(tmp_path, capsys, key, edit, code, message):
     images, clf = tmp_path / "images.tape", tmp_path / "clf.json"
@@ -596,6 +613,23 @@ def test_a_classifier_error_names_its_file(tmp_path, capsys, key, edit, code, me
     capsys.readouterr()
     assert run("eval", "--images", images, "--classifier", clf, "--methods", "tap") == code
     assert capsys.readouterr().err == f"error: {clf}: {message}\n"
+
+
+# A .tape header is "<4sIIQ": magic, version, dimension at byte 8 and the row
+# count; the float32 payload starts at byte 20.
+@pytest.mark.parametrize("offset, value, code, message", [
+    (8, struct.pack("<I", 0), 2, "declared dimension 0 < 1"),
+    (20, struct.pack("<f", float("nan")), 4, "matrix contains NaN or Inf"),
+], ids=["dimension-0", "nan"])
+def test_a_bad_tape_exits_naming_it(tmp_path, capsys, offset, value, code, message):
+    images = tmp_path / "images.tape"
+    assert run("synth-space", "--per-class", 2, "--out", images) == 0
+    raw = bytearray(images.read_bytes())
+    raw[offset:offset + 4] = value
+    images.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert run("eval", "--images", images, "--methods", "tap") == code
+    assert capsys.readouterr().err == f"error: {images}: {message}\n"
 
 
 @pytest.fixture
@@ -766,8 +800,8 @@ class TestRefine:
 
 
 class TestTotDstTemplateLayout:
-    """`eval --methods tot-dst` without `--dst-template` checks the bundle against
-    the generic templates: two rows per class, class-major."""
+    """`eval --methods tot-dst` reads the template bundle's layout from its labels:
+    class-major, the same number of rows for every class."""
 
     @pytest.mark.parametrize("labels", [
         [0, 0, 1, 1, 3, 3, 3, 3],  # no row of class 2
@@ -785,9 +819,38 @@ class TestTotDstTemplateLayout:
         assert run("eval", "--images", images, "--methods", "tot-dst", "--dst-embeddings", dst,
                    "--classes", classes, "--steps", 5) == 4
         captured = capsys.readouterr()
-        assert ("template bundle rows do not match the class-major render order "
-                "of 2 template(s) over 4 classes") in captured.err
+        assert ("template bundle labels must be class-major, the same number of rows "
+                "for each of the 4 classes") in captured.err
         assert captured.out == ""
+
+    def test_three_templates_need_no_flag_and_reproduce_run_all(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        assert run("demo", "--workspace", ws, "--image-samples", 20, "--steps", 30) == 0
+        manifest = ws / "manifest.json"
+        doc = {**json.loads(manifest.read_text()),
+               "dst_templates": ["a {class}.", "the {class}.", "one {class}."]}
+        manifest.write_text(json.dumps(doc))
+        assert run("run-all", "--manifest", manifest) == 0
+        train = doc["train"]
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("eval", "--images", ws / "images.tape", "--classifier", ws / "classifier.json",
+                   "--dst-embeddings", ws / "dst.tape", "--classes", ws / "classes.json",
+                   "--methods", "tap,tot-dst", "--steps", train["steps"],
+                   "--sigma", train["noise_sigma"], "--smoothing", train["label_smoothing"],
+                   "--seed", cli.stage_seed(doc["seed"], "train"),
+                   "--dataset-name", doc["dataset_name"], "--out", report) == 0
+
+        def rows(path):
+            return {r["method"]: r for r in json.loads(path.read_text())["rows"]}
+
+        assert rows(report)["tot-dst"] == rows(ws / "report.json")["tot-dst"]
+
+    def test_dst_template_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("eval", "--images", "images.tape", "--methods", "tap", "--dst-template", "x")
+        assert exc.value.code == 2
+        assert "--dst-template" in capsys.readouterr().err
 
 
 class TestImageLabelsOutsideTheScorer:

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_PATH = _ROOT / "tools" / "digests.py"
 _spec = importlib.util.spec_from_file_location("digests", _PATH)
 digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(digests)
@@ -23,8 +24,13 @@ QUICK = [
 ]
 
 
-def test_every_command_of_the_fixed_list_succeeds():
-    entries = digests.collect()
+@pytest.fixture(scope="module")
+def entries():
+    """The fixed command list's digest entries, run once for this module."""
+    return digests.collect()
+
+
+def test_every_command_of_the_fixed_list_succeeds(entries):
     assert {key: code for key, code in entries.items()
             if key.endswith("/exit") and code != 0} == {}
     assert "run-all/file/demo/report.json" in entries
@@ -35,6 +41,17 @@ def test_every_command_of_the_fixed_list_succeeds():
     assert "run-all-train-mid/file/mid/report.json" in entries
     assert "run-all-ingest-large/file/large/report.json" in entries
     assert not [key for key in entries if "/cache/" in key]
+
+
+def test_outputs_match_the_recorded_digests(entries):
+    doc = json.loads((_ROOT / "DIGESTS.json").read_text(encoding="utf-8"))
+    recorded, here = doc["provenance"], digests.provenance()
+    differing = [f"{key} {recorded.get(key)!r} here {here.get(key)!r}"
+                 for key in sorted(recorded.keys() | here.keys())
+                 if recorded.get(key) != here.get(key)]
+    if differing:
+        pytest.skip("DIGESTS.json was recorded elsewhere: " + "; ".join(differing))
+    assert digests.differences(doc["entries"], entries) == []
 
 
 def test_two_runs_agree_and_a_doctored_entry_is_named(tmp_path, monkeypatch, capsys):

@@ -262,7 +262,7 @@ class TestTotBaselines:
         vocab, cls_bundle, dst_bundle, tpl = self.make_bundles()
         cfg = TrainConfig(noise_sigma=0.0, label_smoothing=0.0, steps=500, seed=0)
         clf_cls = train_tot_cls(vocab, cls_bundle, cfg)
-        clf_dst = train_tot_dst(vocab, dst_bundle, cfg, tpl)
+        clf_dst = train_tot_dst(vocab, dst_bundle, cfg)
         # K separable points: the cls-only head must fit them exactly.
         row = evaluate_classifier(clf_cls, cls_bundle)
         assert row.accuracy == pytest.approx(100.0)
@@ -280,7 +280,26 @@ class TestTotBaselines:
             dst_bundle.matrix, labels=list(reversed(dst_bundle.labels))
         )
         with pytest.raises(ShapeMismatch):
-            train_tot_dst(vocab, wrong, TrainConfig(steps=1), tpl)
+            train_tot_dst(vocab, wrong, TrainConfig(steps=1))
+
+    @pytest.mark.parametrize("labels, cls_ok, dst_ok", [
+        ([0, 1], True, True),
+        ([0, 0, 0, 1, 1, 1], False, True),  # three templates: the labels say so
+        ([0, 0, 1], False, False),  # uneven
+        ([0, 1, 0, 1], False, False),  # template-major
+        ([0, 0, 0, 0], False, False),  # no row of class 1
+        ([1, 1, 0, 0], False, False),  # classes out of order
+    ])
+    def test_layout_is_read_from_the_labels(self, rng, labels, cls_ok, dst_ok):
+        vocab = ClassVocabulary(("a", "b"))
+        bundle = EmbeddingBundle.from_matrix(rng.standard_normal((len(labels), 4)),
+                                             labels=labels)
+        for train_tot, ok in ((train_tot_cls, cls_ok), (train_tot_dst, dst_ok)):
+            if ok:
+                assert train_tot(vocab, bundle, TrainConfig(steps=1)).num_classes == 2
+            else:
+                with pytest.raises(ShapeMismatch):
+                    train_tot(vocab, bundle, TrainConfig(steps=1))
 
 
 @pytest.fixture(scope="module")

@@ -19,6 +19,7 @@ from textprobe.data import (
 from textprobe.errors import (
     InvalidConfig,
     NonFiniteLoss,
+    NonFiniteValue,
     ShapeMismatch,
 )
 from textprobe.prompts import ClassVocabulary
@@ -517,6 +518,20 @@ class TestSerialization:
         clf.save(path)
         path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
         with pytest.raises(InvalidConfig, match=re.escape(named)) as raised:
+            LinearClassifier.load(path)
+        assert str(raised.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("key, value", [("weights", float("nan")), ("bias", float("inf"))])
+    def test_non_finite_parameters_raise_non_finite_value(self, tmp_path, key, value):
+        # A head's parameters are a value read, not a training loss.
+        clf = LinearClassifier(weights=np.ones((3, 2)), bias=np.zeros(3),
+                               vocab=ClassVocabulary(("a", "b", "c")))
+        path = tmp_path / "clf.json"
+        clf.save(path)
+        doc = json.loads(path.read_text())
+        doc[key][0] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NonFiniteValue, match="parameters contain NaN or Inf") as raised:
             LinearClassifier.load(path)
         assert str(raised.value).startswith(f"{path}: ")
 

@@ -31,13 +31,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The demo's own dst templates, so that tot-dst reads demo/dst.tape's rows.
-_DST = ["--dst-template", "a photo of a {class}.",
-        "--dst-template", "a close-up photo of a {class}."]
 _EVAL = ["eval", "--images", "demo/images.tape", "--classifier", "demo/classifier.json",
          "--methods", "tap,clip-single,clip-dst,tot-cls,tot-dst",
          "--class-embeddings", "demo/classnames.tape", "--dst-embeddings", "demo/dst.tape",
-         "--classes", "demo/classes.json", *_DST, "--dataset-name", "synthetic-demo"]
+         "--classes", "demo/classes.json", "--dataset-name", "synthetic-demo"]
 # The demo's head keeps 586 of its 1000 images at threshold 0.3, and none at the default.
 _REFINE = ["refine", "--classifier", "demo/classifier.json", "--unlabeled", "demo/images.tape"]
 _TRAIN = ["train", "--classes", "demo/classes.json", "--text-bundle", "demo/text.tape",
